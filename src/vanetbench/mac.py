@@ -66,24 +66,23 @@ class Channel:
     i.i.d. per (transmission, receiver) from the channel RNG stream.
     """
 
-    def __init__(self, sim, n_nodes, coords_fn, nak, txp, rng, trace,
-                 loss_model="nakagami", collisions=True):
+    def __init__(self, sim, n_nodes, coords_fn, phy_cfg, tx_power, rng, trace):
         self.sim = sim
         self.n_nodes = n_nodes
         self.coords_fn = coords_fn            # () -> ndarray (n, 2)
-        self.nak = nak
-        self.txp = txp
+        self.phy = phy_cfg                    # the [phy] section
+        self.tx_power = tx_power              # dBm, calibrated to phy_cfg.target_range
         self.rng = rng
         self.trace = trace
-        self.loss_model = loss_model
-        self.collisions = collisions
+        self.loss_model = phy_cfg.loss_model
+        self.collisions = phy_cfg.collisions
         self.active: list[Transmission] = []
         self.recent: deque[Transmission] = deque()
         self.contenders: dict[int, "NodeMac"] = {}
         self.macs: dict[int, "NodeMac"] = {}
-        self._cs_dbm = txp.carrier_sense_threshold
-        self._rx_mw = float(phy.dbm_to_mw(txp.rx_threshold))
-        self._capture_ratio = 10.0 ** (txp.capture_margin / 10.0)
+        self._cs_dbm = phy_cfg.carrier_sense_threshold
+        self._rx_mw = float(phy.dbm_to_mw(phy_cfg.rx_threshold))
+        self._capture_ratio = 10.0 ** (phy_cfg.capture_margin / 10.0)
         self._horizon = 0.005                 # overlap history window, grown as needed
         self._geometry: dict[int, tuple] = {}   # sender -> cached link budget
 
@@ -121,11 +120,10 @@ class Channel:
         coords = self.coords_fn()
         delta = coords - coords[sender]
         d = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-        np.maximum(d, self.nak.ref_distance, out=d)   # co-located nodes: clamp to ref
-        mean_arr = self.txp.tx_power - phy.path_loss_db(d, self.nak, self.txp,
-                                                        check=False)
+        np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
+        mean_arr = self.tx_power - phy.path_loss_db(d, self.phy, check=False)
         mean_mw = np.power(10.0, mean_arr / 10.0)
-        shape = phy.shape_m(d, self.nak)
+        shape = phy.shape_m(d, self.phy)
         mean_dbm = mean_arr.tolist()
         mean_dbm[sender] = math.inf
         budget = (mean_dbm, mean_mw, shape)
@@ -250,6 +248,7 @@ class NodeMac:
         self._difs = params.difs
         self._done_ev = None
         self._timeout_ev = None
+        self._ack = None                      # ACK frame pending or in flight
         self._mac_seq = 0
         self._dedupe: dict[int, int] = {}     # src -> last delivered mac_seq
         channel.register(self)
@@ -331,6 +330,7 @@ class NodeMac:
 
     def own_tx_ended(self, frame: Frame):
         if frame.kind == FRAME_ACK:
+            self._ack = None
             return
         if self.state != TX:
             return
@@ -414,7 +414,12 @@ class NodeMac:
         self.deliver_cb(frame.packet, frame.src)
 
     def _send_ack(self, data_frame: Frame):
-        ack = Frame(self.p, FRAME_ACK, self.node_id, data_frame.src,
-                    data_frame.packet, 0, 0, ack_for=data_frame.mac_seq)
+        """Answer after SIFS. The radio has one response slot: while an ACK is
+        pending or in flight a second one is not sent (it could only overlap the
+        first), so that sender retries and _dedupe keeps its delivery single."""
+        if self._ack is not None:
+            return
+        ack = self._ack = Frame(self.p, FRAME_ACK, self.node_id, data_frame.src,
+                                data_frame.packet, 0, 0, ack_for=data_frame.mac_seq)
         self.sim.after(self.p.sifs, lambda: self.channel.transmit(self.node_id, ack),
                        target="mac.ack")

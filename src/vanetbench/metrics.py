@@ -160,14 +160,6 @@ class TraceAggregator:
     def forwards(self, kind="cbr") -> int:
         return self.count(layer=LAYER_ROUTING, kind=kind, event=EV_FORWARDED)
 
-    def outstanding(self):
-        """cbr packets with no terminal record yet: [(pid, flow, node, size)]."""
-        out = []
-        for pid, (t, flow, node, size) in self.sent_meta.items():
-            if pid not in self.terminal:
-                out.append((pid, flow, node, size))
-        return out
-
 
 def aggregate(records) -> TraceAggregator:
     agg = TraceAggregator()
@@ -365,7 +357,7 @@ def build_report(trace, kind="cbr", window="flow", duration=None) -> MetricsRepo
         kind=kind,
         sent=sent,
         received=received,
-        dropped=sent - received,
+        dropped=packet_drop(agg, kind),
         throughput_sent_bytes=throughput_bytes(agg, kind, "sent"),
         throughput_recv_bytes=throughput_bytes(agg, kind, "received"),
         pdr=p,

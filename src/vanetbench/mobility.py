@@ -17,7 +17,6 @@ class IdmParams:
     v0: float = 80 / 3.6        # desired speed; per-vehicle, drawn at spawn
     length: float = 5.0
     visibility: float = 200.0
-    recalc_step: float = 1.0
 
 
 @dataclass
@@ -179,8 +178,7 @@ class VehicleWorld:
         self.lane_change_count = 0
         self.brake_listeners: list = []    # callables (vehicle_id, accel, t)
         self._base_idm = IdmParams(cfg.a_max, cfg.b, cfg.s0, cfg.headway,
-                                   0.0, cfg.vehicle_length, cfg.visibility,
-                                   cfg.recalc_step)
+                                   0.0, cfg.vehicle_length, cfg.visibility)
         for vid in range(n_vehicles):
             self._spawn_initial(vid)
 
@@ -243,10 +241,6 @@ class VehicleWorld:
             v = self.graph.vertices[st.trip.origin]
             st.x, st.y = v.x, v.y
             st.heading = 0.0
-
-    def position(self, vid: int) -> tuple[float, float]:
-        st = self.vehicles[vid]
-        return (st.x, st.y)
 
     # -- stepping ----------------------------------------------------------
 

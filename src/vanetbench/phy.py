@@ -2,9 +2,10 @@
 frame-reception decision."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .scenario import PhyConfig
 
 C_LIGHT = 299792458.0
 
@@ -13,46 +14,12 @@ OUTCOME_FADING = "lost-fading"
 OUTCOME_COLLISION = "lost-collision"
 
 
-@dataclass
-class NakagamiParams:
-    """Piecewise shape factors and path-loss exponents over distance bands."""
-
-    m0: float = 1.5
-    m1: float = 0.75
-    m2: float = 0.75
-    d0_m: float = 80.0
-    d1_m: float = 200.0
-    gamma0: float = 1.9
-    gamma1: float = 3.8
-    gamma2: float = 3.8
-    d0_g: float = 200.0
-    d1_g: float = 500.0
-    ref_distance: float = 1.0
-    ref_loss: float | None = None   # dB at ref_distance; from frequency when None
-
-
-@dataclass
-class TxParams:
-    tx_power: float = 0.0           # dBm; set by calibrate_range
-    frequency: float = 5.9e9
-    rx_threshold: float = -82.0     # dBm
-    carrier_sense_threshold: float = -92.0
-    target_range: float = 250.0
-    capture_margin: float = 10.0    # dB
-
-
 def reference_loss_db(frequency: float, ref_distance: float = 1.0) -> float:
     """Free-space loss at the reference distance."""
     return 20.0 * math.log10(4.0 * math.pi * ref_distance * frequency / C_LIGHT)
 
 
-def _ref_loss(np_: NakagamiParams, tp: TxParams) -> float:
-    if np_.ref_loss is not None:
-        return np_.ref_loss
-    return reference_loss_db(tp.frequency, np_.ref_distance)
-
-
-def path_loss_db(d, np_: NakagamiParams, tp: TxParams, check: bool = True):
+def path_loss_db(d, p: PhyConfig, check: bool = True):
     """Dual-slope log-distance loss, continuous across band edges. Accepts arrays.
 
     Within band b the loss is C_b + 10*gamma_b*log10(d); the intercepts C_b are
@@ -61,29 +28,29 @@ def path_loss_db(d, np_: NakagamiParams, tp: TxParams, check: bool = True):
     d = np.asarray(d, dtype=float)
     if check and np.any(d <= 0):
         raise ValueError("path loss undefined at d <= 0")
-    base = _ref_loss(np_, tp)
-    r = np_.ref_distance
+    base = reference_loss_db(p.frequency, p.ref_distance)
+    r = p.ref_distance
     lg10 = math.log10
-    c0 = base - 10.0 * np_.gamma0 * lg10(r)
-    c1 = c0 + 10.0 * (np_.gamma0 - np_.gamma1) * lg10(np_.d0_g)
-    c2 = c1 + 10.0 * (np_.gamma1 - np_.gamma2) * lg10(np_.d1_g)
-    gamma = np.where(d < np_.d0_g, np_.gamma0,
-                     np.where(d < np_.d1_g, np_.gamma1, np_.gamma2))
-    intercept = np.where(d < np_.d0_g, c0, np.where(d < np_.d1_g, c1, c2))
+    c0 = base - 10.0 * p.gamma0 * lg10(r)
+    c1 = c0 + 10.0 * (p.gamma0 - p.gamma1) * lg10(p.d0_g)
+    c2 = c1 + 10.0 * (p.gamma1 - p.gamma2) * lg10(p.d1_g)
+    gamma = np.where(d < p.d0_g, p.gamma0,
+                     np.where(d < p.d1_g, p.gamma1, p.gamma2))
+    intercept = np.where(d < p.d0_g, c0, np.where(d < p.d1_g, c1, c2))
     loss = intercept + 10.0 * gamma * np.log10(d)
     return loss if loss.ndim else float(loss)
 
 
-def mean_rx_power(d, np_: NakagamiParams, tp: TxParams):
+def mean_rx_power(d, p: PhyConfig, tx_power: float):
     """Deterministic mean received power in dBm; strictly decreasing in d."""
-    loss = path_loss_db(d, np_, tp)
-    return tp.tx_power - loss
+    loss = path_loss_db(d, p)
+    return tx_power - loss
 
 
-def shape_m(d, np_: NakagamiParams):
+def shape_m(d, p: PhyConfig):
     """Nakagami shape factor by distance band. Accepts arrays."""
     d = np.asarray(d, dtype=float)
-    m = np.where(d < np_.d0_m, np_.m0, np.where(d < np_.d1_m, np_.m1, np_.m2))
+    m = np.where(d < p.d0_m, p.m0, np.where(d < p.d1_m, p.m1, p.m2))
     return m if m.ndim else float(m)
 
 
@@ -91,30 +58,32 @@ def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def mw_to_dbm(mw):
-    return 10.0 * np.log10(mw)
-
-
-def sample_rx_power(rng, d, np_: NakagamiParams, tp: TxParams):
+def sample_rx_power(rng, d, p: PhyConfig, tx_power: float):
     """Gamma-distributed received power sample(s) in mW.
 
     shape = m(d), scale = mean_mW(d) / m(d), so E[X] = mean and
     Var[X] = mean^2 / m. Samples are i.i.d. per call.
     """
-    mean_mw = dbm_to_mw(mean_rx_power(d, np_, tp))
-    m = shape_m(d, np_)
+    mean_mw = dbm_to_mw(mean_rx_power(d, p, tx_power))
+    m = shape_m(d, p)
     out = rng.gamma(m, mean_mw / m)
     return out if np.ndim(out) else float(out)
 
 
-def calibrate_range(np_: NakagamiParams, tp: TxParams) -> float:
+def calibrate_range(p: PhyConfig) -> float:
     """tx_power (dBm) such that mean received power at target_range equals rx_threshold."""
-    return tp.rx_threshold + path_loss_db(tp.target_range, np_, tp)
+    return p.rx_threshold + path_loss_db(p.target_range, p)
 
 
 def frame_outcome_mw(power_mw: float, concurrent_mw, threshold_mw: float,
                      capture_ratio: float) -> str:
-    """frame_outcome with precomputed linear threshold and capture ratio."""
+    """Reception decision for one frame at one receiver, in linear units.
+
+    lost-fading below the reception threshold; lost-collision when any
+    time-overlapping frame is within the capture ratio of this frame's power;
+    received otherwise. The caller supplies the overlapping frames' sampled
+    powers at this receiver.
+    """
     if power_mw < threshold_mw:
         return OUTCOME_FADING
     for other in concurrent_mw:
@@ -122,16 +91,3 @@ def frame_outcome_mw(power_mw: float, concurrent_mw, threshold_mw: float,
             return OUTCOME_COLLISION
     return OUTCOME_RECEIVED
 
-
-def frame_outcome(power_mw: float, concurrent_mw, rx_threshold_dbm: float,
-                  capture_margin_db: float) -> str:
-    """Reception decision for one frame at one receiver.
-
-    lost-fading below the reception threshold; lost-collision when any
-    time-overlapping frame is within capture_margin dB of this frame's power;
-    received otherwise. The caller supplies the overlapping frames' sampled
-    powers at this receiver.
-    """
-    return frame_outcome_mw(power_mw, concurrent_mw,
-                            float(dbm_to_mw(rx_threshold_dbm)),
-                            10.0 ** (capture_margin_db / 10.0))

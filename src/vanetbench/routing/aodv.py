@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 
 from ..packets import BROADCAST
-from .base import RoutingProtocol
+from .base import ReactiveProtocol
 
 RREQ_SIZE = 24
 RREP_SIZE = 20
@@ -46,22 +46,12 @@ class AodvEntry:
     precursors: set = field(default_factory=set)
 
 
-@dataclass
-class _Discovery:
-    attempt: int
-    timer: object
-    best_hops: int = 1 << 30
-
-
-class Aodv(RoutingProtocol):
-    reactive = True
+class Aodv(ReactiveProtocol):
+    discovery_target = "aodv.discovery"
 
     def __init__(self, stack):
         super().__init__(stack)
-        self.seq = 0
-        self.rreq_id = 0
         self.table: dict[int, AodvEntry] = {}
-        self.pending: dict[int, _Discovery] = {}
         # (origin, rreq_id) -> best hop count seen, for duplicate suppression
         self.seen: dict[tuple, int] = {}
 
@@ -103,37 +93,15 @@ class Aodv(RoutingProtocol):
 
     # -- discovery ---------------------------------------------------------------
 
-    def begin_discovery(self, dest: int):
-        if dest in self.pending:
-            return
-        self._send_rreq(dest, attempt=0)
+    def _has_route(self, dest: int) -> bool:
+        return self._entry_usable(self.table.get(dest))   # no expiry refresh
 
-    def _send_rreq(self, dest: int, attempt: int):
-        ttls = self.cfg.aodv_ring_ttls
-        ttl = ttls[min(attempt, len(ttls) - 1)]
-        self.rreq_id += 1
-        self.seq += 1
+    def _flood_rreq(self, dest: int, ttl: int):
         e = self.table.get(dest)
         dest_seq = e.dest_seq if (e is not None and e.seq_valid) else -1
         rreq = Rreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq, 0, ttl)
         self.seen[(self.node_id, self.rreq_id)] = 0
         self.send_control(rreq, RREQ_SIZE)
-        timeout = 2.0 * self.cfg.aodv_node_traversal * ttl
-        timer = self.sim.after(timeout, lambda: self._discovery_timeout(dest),
-                               target="aodv.discovery")
-        self.pending[dest] = _Discovery(attempt, timer)
-
-    def _discovery_timeout(self, dest: int):
-        disc = self.pending.pop(dest, None)
-        if disc is None:
-            return
-        if self._entry_usable(self.table.get(dest)):
-            self.flush_buffer(dest)
-            return
-        if disc.attempt >= self.cfg.aodv_rreq_retries:
-            self.drop_buffer(dest)
-            return
-        self._send_rreq(dest, disc.attempt + 1)
 
     # -- control handling ---------------------------------------------------------
 
@@ -189,10 +157,7 @@ class Aodv(RoutingProtocol):
         self._update_route(prev, 0, False, 1, prev)
         self._update_route(rrep.dest, rrep.dest_seq, True, hops_here, prev)
         if rrep.origin == self.node_id:
-            disc = self.pending.pop(rrep.dest, None)
-            if disc is not None and disc.timer is not None:
-                self.sim.cancel(disc.timer)
-            self.flush_buffer(rrep.dest)
+            self._discovery_done(rrep.dest)
             return
         back = self.table.get(rrep.origin)
         if not self._entry_usable(back):

@@ -4,7 +4,7 @@ the advertised-hop-count rule."""
 import math
 from dataclasses import dataclass, field
 
-from .base import RoutingProtocol
+from .base import ReactiveProtocol
 
 RREQ_SIZE = 28
 RREP_SIZE = 24
@@ -56,28 +56,16 @@ class AomdvEntry:
         return [p for p in self.paths if p.expiry > now]
 
 
-@dataclass
-class _Discovery:
-    attempt: int
-    timer: object
-
-
-class Aomdv(RoutingProtocol):
-    reactive = True
+class Aomdv(ReactiveProtocol):
+    discovery_target = "aomdv.discovery"
 
     def __init__(self, stack):
         super().__init__(stack)
-        self.seq = 0
-        self.rreq_id = 0
         self.table: dict[int, AomdvEntry] = {}
-        self.pending: dict[int, _Discovery] = {}
         self.seen_forwarded: set = set()       # (origin, rreq_id) already re-flooded
         self.replied: dict[tuple, tuple] = {}  # (origin, rreq_id) -> (replies, seq used)
 
     # -- table ------------------------------------------------------------------
-
-    def _entry(self, dest: int) -> AomdvEntry | None:
-        return self.table.get(dest)
 
     def route_lookup(self, dest: int):
         e = self.table.get(dest)
@@ -126,38 +114,16 @@ class Aomdv(RoutingProtocol):
 
     # -- discovery ----------------------------------------------------------------
 
-    def begin_discovery(self, dest: int):
-        if dest in self.pending:
-            return
-        self._send_rreq(dest, attempt=0)
+    def _has_route(self, dest: int) -> bool:
+        return self.route_lookup(dest) is not None   # refreshes the primary's expiry
 
-    def _send_rreq(self, dest: int, attempt: int):
-        ttls = self.cfg.aodv_ring_ttls
-        ttl = ttls[min(attempt, len(ttls) - 1)]
-        self.rreq_id += 1
-        self.seq += 1
+    def _flood_rreq(self, dest: int, ttl: int):
         e = self.table.get(dest)
         dest_seq = e.dest_seq if e is not None else -1
         rreq = MRreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq,
                      0, self.node_id, ttl)
         self.seen_forwarded.add((self.node_id, self.rreq_id))
         self.send_control(rreq, RREQ_SIZE)
-        timeout = 2.0 * self.cfg.aodv_node_traversal * ttl
-        timer = self.sim.after(timeout, lambda: self._discovery_timeout(dest),
-                               target="aomdv.discovery")
-        self.pending[dest] = _Discovery(attempt, timer)
-
-    def _discovery_timeout(self, dest: int):
-        disc = self.pending.pop(dest, None)
-        if disc is None:
-            return
-        if self.route_lookup(dest) is not None:
-            self.flush_buffer(dest)
-            return
-        if disc.attempt >= self.cfg.aodv_rreq_retries:
-            self.drop_buffer(dest)
-            return
-        self._send_rreq(dest, disc.attempt + 1)
 
     # -- control --------------------------------------------------------------------
 
@@ -211,10 +177,7 @@ class Aomdv(RoutingProtocol):
         installed = self._install_path(rrep.dest, rrep.dest_seq, prev, last_hop,
                                        hops_here)
         if rrep.origin == self.node_id:
-            disc = self.pending.pop(rrep.dest, None)
-            if disc is not None and disc.timer is not None:
-                self.sim.cancel(disc.timer)
-            self.flush_buffer(rrep.dest)
+            self._discovery_done(rrep.dest)
             return
         if not installed:
             return

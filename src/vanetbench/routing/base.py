@@ -1,6 +1,7 @@
 """Node-level routing interface and the shared data-forwarding plane."""
 
 from collections import deque
+from dataclasses import dataclass
 
 from ..metrics import EV_FORWARDED, LAYER_ROUTING
 from ..packets import BROADCAST, KIND_CONTROL, Packet
@@ -9,18 +10,15 @@ from ..packets import BROADCAST, KIND_CONTROL, Packet
 class RoutingProtocol:
     """Common surface: route lookup, data send/arrival, link-break signal, timers.
 
-    Reactive protocols buffer data pending discovery (bounded per destination);
-    proactive protocols drop immediately when the table has no route.
+    Proactive protocols drop data immediately when the table has no route;
+    ReactiveProtocol buffers it pending discovery instead.
     """
-
-    reactive = False
 
     def __init__(self, stack):
         self.stack = stack
         self.node_id = stack.node_id
         self.sim = stack.sim
         self.cfg = stack.routing_cfg
-        self.buffer: dict[int, deque] = {}      # dest -> deque[(packet, enq time)]
 
     # -- protocol hooks ------------------------------------------------------
 
@@ -35,9 +33,6 @@ class RoutingProtocol:
 
     def on_control(self, packet: Packet, from_node: int):
         raise NotImplementedError
-
-    def begin_discovery(self, dest: int):
-        """Reactive protocols start route discovery here."""
 
     # -- data plane ----------------------------------------------------------
 
@@ -65,10 +60,7 @@ class RoutingProtocol:
     def _route_or_fail(self, packet: Packet, origin: bool):
         nh = self.route_lookup(packet.dst)
         if nh is None:
-            if self.reactive:
-                self._buffer_packet(packet, origin)
-            else:
-                self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
+            self._no_route(packet, origin)
             return
         if not origin:
             self._trace_forward(packet)
@@ -79,9 +71,56 @@ class RoutingProtocol:
                              packet.kind, packet.packet_id, packet.flow_id,
                              self.node_id, packet.size)
 
+    def _no_route(self, packet: Packet, origin: bool):
+        self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
+
+    # -- control emission helper ----------------------------------------------
+
+    def send_control(self, payload, size: int, dest: int = BROADCAST):
+        pkt = Packet(KIND_CONTROL, self.node_id, dest, size,
+                     self.stack.new_packet_id(), None, 255, self.sim.now, payload)
+        if dest == BROADCAST:
+            self.stack.send_broadcast(pkt)
+        else:
+            self.stack.send_unicast(pkt, dest)
+        return pkt
+
+
+@dataclass
+class _Discovery:
+    attempt: int
+    timer: object
+
+
+class ReactiveProtocol(RoutingProtocol):
+    """Expanding-ring route discovery shared by the on-demand protocols.
+
+    Each attempt floods one RREQ with the next ring TTL and arms a timer; a
+    reply reaching the origin ends the discovery, and a timeout either finds
+    the route installed meanwhile, retries, or gives up and drops the buffer.
+    Subclasses supply the RREQ (`_flood_rreq`), the route check at timeout
+    (`_has_route`) and the timer's event label (`discovery_target`).
+    """
+
+    discovery_target = ""
+
+    def __init__(self, stack):
+        super().__init__(stack)
+        self.seq = 0
+        self.rreq_id = 0
+        self.pending: dict[int, _Discovery] = {}
+        self.buffer: dict[int, deque] = {}      # dest -> deque[(packet, enq time, origin)]
+
+    def _flood_rreq(self, dest: int, ttl: int):
+        raise NotImplementedError
+
+    def _has_route(self, dest: int) -> bool:
+        raise NotImplementedError
+
     # -- reactive send buffer --------------------------------------------------
 
-    def _buffer_packet(self, packet: Packet, origin: bool):
+    def _no_route(self, packet: Packet, origin: bool):
+        """Hold the packet (bounded per destination) and discover a route."""
         q = self.buffer.setdefault(packet.dst, deque())
         self._expire_buffer(packet.dst)
         if len(q) >= self.cfg.buffer_packets:
@@ -125,13 +164,39 @@ class RoutingProtocol:
         for packet, _, _ in q:
             self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
 
-    # -- control emission helper ----------------------------------------------
+    # -- discovery -------------------------------------------------------------
 
-    def send_control(self, payload, size: int, dest: int = BROADCAST):
-        pkt = Packet(KIND_CONTROL, self.node_id, dest, size,
-                     self.stack.new_packet_id(), None, 255, self.sim.now, payload)
-        if dest == BROADCAST:
-            self.stack.send_broadcast(pkt)
-        else:
-            self.stack.send_unicast(pkt, dest)
-        return pkt
+    def begin_discovery(self, dest: int):
+        if dest in self.pending:
+            return
+        self._send_rreq(dest, attempt=0)
+
+    def _send_rreq(self, dest: int, attempt: int):
+        ttls = self.cfg.aodv_ring_ttls
+        ttl = ttls[min(attempt, len(ttls) - 1)]
+        self.rreq_id += 1
+        self.seq += 1
+        self._flood_rreq(dest, ttl)
+        timeout = 2.0 * self.cfg.aodv_node_traversal * ttl
+        timer = self.sim.after(timeout, lambda: self._discovery_timeout(dest),
+                               target=self.discovery_target)
+        self.pending[dest] = _Discovery(attempt, timer)
+
+    def _discovery_timeout(self, dest: int):
+        disc = self.pending.pop(dest, None)
+        if disc is None:
+            return
+        if self._has_route(dest):
+            self.flush_buffer(dest)
+            return
+        if disc.attempt >= self.cfg.aodv_rreq_retries:
+            self.drop_buffer(dest)
+            return
+        self._send_rreq(dest, disc.attempt + 1)
+
+    def _discovery_done(self, dest: int):
+        """A reply reached the origin: stop the timer and send what waited."""
+        disc = self.pending.pop(dest, None)
+        if disc is not None:
+            self.sim.cancel(disc.timer)
+        self.flush_buffer(dest)

@@ -23,13 +23,10 @@ class DsdvEntry:
     next_hop: int | None
     metric: float
     dest_seq: int            # even = alive (from the destination), odd = broken
-    install_time: float
     advertise_after: float
 
 
 class Dsdv(RoutingProtocol):
-    reactive = False
-
     def __init__(self, stack):
         super().__init__(stack)
         self.own_seq = 0
@@ -118,7 +115,7 @@ class Dsdv(RoutingProtocol):
             if e is None:
                 if broken:
                     continue
-                self.table[dest] = DsdvEntry(dest, from_node, cand_metric, seq, now,
+                self.table[dest] = DsdvEntry(dest, from_node, cand_metric, seq,
                                              now + self.cfg.dsdv_settling_time)
                 changed = True
                 continue
@@ -127,13 +124,11 @@ class Dsdv(RoutingProtocol):
                 e.dest_seq = seq
                 e.next_hop = None if broken else from_node
                 e.metric = cand_metric
-                e.install_time = now
                 e.advertise_after = now + self.cfg.dsdv_settling_time if settling else now
                 changed = True
             elif seq == e.dest_seq and cand_metric < e.metric:
                 e.next_hop = from_node
                 e.metric = cand_metric
-                e.install_time = now
                 changed = True
         if changed:
             self._trigger_update()

@@ -67,8 +67,6 @@ def select_mprs(neighbors: set, two_hop: dict) -> set:
 
 
 class Olsr(RoutingProtocol):
-    reactive = False
-
     def __init__(self, stack):
         super().__init__(stack)
         self.links: dict[int, LinkInfo] = {}

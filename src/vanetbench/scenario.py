@@ -3,15 +3,17 @@
 Sections: [graph] [mobility] [phy] [mac] [routing] [traffic] [run]. Every key is
 optional; defaults reproduce the reference experimental frame (100 vehicles,
 1000x1000 m grid, 100 s, 40 CBR flows at 4 pkt/s x 512 B, 6 Mbps 802.11p,
-Nakagami fading calibrated to 250 m). The full schema is documented in the README.
+Nakagami fading calibrated to 250 m). The schema is the config dataclasses below:
+each section is one dataclass, each key one of its fields, parsed by the field's
+type. `scenario.effective.ini` in a run directory lists every key with its value.
 """
 
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
-from .roadnet import Edge, GraphError, RoadGraph, TrafficLight, Vertex, generate_grid
+from .roadnet import Edge, RoadGraph, Vertex, generate_grid
 
 PROTOCOLS = ("aodv", "aomdv", "dsdv", "olsr")
 MOBILITY_MODELS = ("idm-im", "idm-lc")
@@ -256,88 +258,16 @@ def _parse_int_tuple(s: str):
     return tuple(int(x) for x in s.replace(",", " ").split())
 
 
-_OPT_FLOAT = ("optfloat", float)
+# field type -> parser; the [graph] layout keys have their own text formats
+_PARSERS = {int: int, float: float, float | None: float, str: str,
+            bool: _parse_bool, tuple[int, ...]: _parse_int_tuple}
+_LAYOUT_PARSERS = {("graph", "grid"): _parse_grid,
+                   ("graph", "vertices"): _parse_vertices,
+                   ("graph", "edges"): _parse_edges}
 
-# (section, key) -> (config attr path, parser)
-_SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("graph", "grid"): ("graph.grid", _parse_grid),
-    ("graph", "vertices"): ("graph.vertices", _parse_vertices),
-    ("graph", "edges"): ("graph.edges", _parse_edges),
-    ("graph", "lanes"): ("graph.lanes", int),
-    ("graph", "speed_limit"): ("graph.speed_limit", float),
-    ("graph", "phase_length"): ("graph.phase_length", float),
-    ("mobility", "model"): ("mobility.model", str),
-    ("mobility", "a_max"): ("mobility.a_max", float),
-    ("mobility", "b"): ("mobility.b", float),
-    ("mobility", "s0"): ("mobility.s0", float),
-    ("mobility", "headway"): ("mobility.headway", float),
-    ("mobility", "vehicle_length"): ("mobility.vehicle_length", float),
-    ("mobility", "visibility"): ("mobility.visibility", float),
-    ("mobility", "recalc_step"): ("mobility.recalc_step", float),
-    ("mobility", "integration_dt"): ("mobility.integration_dt", float),
-    ("mobility", "v_min_kmh"): ("mobility.v_min_kmh", float),
-    ("mobility", "v_max_kmh"): ("mobility.v_max_kmh", float),
-    ("mobility", "politeness"): ("mobility.politeness", float),
-    ("mobility", "accel_threshold"): ("mobility.accel_threshold", float),
-    ("mobility", "safe_decel_limit"): ("mobility.safe_decel_limit", float),
-    ("mobility", "min_stay"): ("mobility.min_stay", float),
-    ("mobility", "max_stay"): ("mobility.max_stay", float),
-    ("phy", "m0"): ("phy.m0", float),
-    ("phy", "m1"): ("phy.m1", float),
-    ("phy", "m2"): ("phy.m2", float),
-    ("phy", "d0_m"): ("phy.d0_m", float),
-    ("phy", "d1_m"): ("phy.d1_m", float),
-    ("phy", "gamma0"): ("phy.gamma0", float),
-    ("phy", "gamma1"): ("phy.gamma1", float),
-    ("phy", "gamma2"): ("phy.gamma2", float),
-    ("phy", "d0_g"): ("phy.d0_g", float),
-    ("phy", "d1_g"): ("phy.d1_g", float),
-    ("phy", "ref_distance"): ("phy.ref_distance", float),
-    ("phy", "frequency"): ("phy.frequency", float),
-    ("phy", "rx_threshold"): ("phy.rx_threshold", float),
-    ("phy", "carrier_sense_threshold"): ("phy.carrier_sense_threshold", float),
-    ("phy", "target_range"): ("phy.target_range", float),
-    ("phy", "capture_margin"): ("phy.capture_margin", float),
-    ("phy", "loss_model"): ("phy.loss_model", str),
-    ("phy", "collisions"): ("phy.collisions", _parse_bool),
-    ("mac", "bitrate"): ("mac.bitrate", float),
-    ("mac", "slot"): ("mac.slot", float),
-    ("mac", "sifs"): ("mac.sifs", float),
-    ("mac", "cw_min"): ("mac.cw_min", int),
-    ("mac", "cw_max"): ("mac.cw_max", int),
-    ("mac", "retry_limit"): ("mac.retry_limit", int),
-    ("mac", "queue_capacity"): ("mac.queue_capacity", int),
-    ("mac", "phy_overhead"): ("mac.phy_overhead", float),
-    ("mac", "mac_overhead"): ("mac.mac_overhead", int),
-    ("routing", "protocol"): ("routing.protocol", str),
-    ("routing", "ttl"): ("routing.ttl", int),
-    ("routing", "buffer_packets"): ("routing.buffer_packets", int),
-    ("routing", "buffer_timeout"): ("routing.buffer_timeout", float),
-    ("routing", "aodv_route_timeout"): ("routing.aodv_route_timeout", float),
-    ("routing", "aodv_rreq_retries"): ("routing.aodv_rreq_retries", int),
-    ("routing", "aodv_ring_ttls"): ("routing.aodv_ring_ttls", _parse_int_tuple),
-    ("routing", "aodv_node_traversal"): ("routing.aodv_node_traversal", float),
-    ("routing", "aomdv_max_paths"): ("routing.aomdv_max_paths", int),
-    ("routing", "dsdv_full_dump_interval"): ("routing.dsdv_full_dump_interval", float),
-    ("routing", "dsdv_settling_time"): ("routing.dsdv_settling_time", float),
-    ("routing", "dsdv_trigger_min_gap"): ("routing.dsdv_trigger_min_gap", float),
-    ("routing", "olsr_hello_interval"): ("routing.olsr_hello_interval", float),
-    ("routing", "olsr_tc_interval"): ("routing.olsr_tc_interval", float),
-    ("routing", "hold_multiplier"): ("routing.hold_multiplier", float),
-    ("traffic", "cbr_connections"): ("traffic.cbr_connections", int),
-    ("traffic", "packet_size"): ("traffic.packet_size", int),
-    ("traffic", "rate"): ("traffic.rate", float),
-    ("traffic", "cbr_start"): ("traffic.cbr_start", float),
-    ("traffic", "cbr_stop"): ("traffic.cbr_stop", float),
-    ("traffic", "beacon_interval"): ("traffic.beacon_interval", float),
-    ("traffic", "beacon_size"): ("traffic.beacon_size", int),
-    ("traffic", "emergency_decel"): ("traffic.emergency_decel", float),
-    ("traffic", "emergency_rate_limit"): ("traffic.emergency_rate_limit", float),
-    ("run", "duration"): ("run.duration", float),
-    ("run", "seed"): ("run.seed", int),
-    ("run", "vehicles"): ("run.vehicles", int),
-    ("run", "mobility_trace"): ("run.mobility_trace", _parse_bool),
-}
+# (section, key) -> parser, for every field of every config section
+_SCHEMA = {(sec.name, f.name): _LAYOUT_PARSERS.get((sec.name, f.name)) or _PARSERS[f.type]
+           for sec in fields(ScenarioConfig) for f in fields(sec.type)}
 
 
 def _key_line(text: str, section: str, key: str) -> int:
@@ -365,22 +295,20 @@ def parse_scenario_text(text: str, base: ScenarioConfig | None = None) -> Scenar
     for section in parser.sections():
         sec = section.lower()
         for key, raw in parser.items(section):
-            spec = _SCHEMA.get((sec, key.lower()))
+            attr = key.lower()
+            parse = _SCHEMA.get((sec, attr))
             line = _key_line(text, sec, key)
-            if spec is None:
+            if parse is None:
                 raise SchemaError(f"unknown key '{key}' in section [{sec}] (line {line})")
-            attr_path, parse = spec
             try:
                 value = parse(raw)
             except ValueError as exc:
                 raise SchemaError(
                     f"bad value for [{sec}] {key} (line {line}): {exc}") from exc
-            obj_name, attr = attr_path.split(".")
-            obj = getattr(cfg, obj_name)
-            setattr(obj, attr, value)
-            if attr_path == "graph.grid":
+            setattr(getattr(cfg, sec), attr, value)
+            if (sec, attr) == ("graph", "grid"):
                 grid_given = True
-            if attr_path in ("graph.vertices", "graph.edges"):
+            if (sec, attr) in (("graph", "vertices"), ("graph", "edges")):
                 inline_given = True
     if inline_given and not grid_given:
         cfg.graph.grid = None

@@ -1,6 +1,5 @@
 """Run assembly: build the world, stacks and agents from a scenario and execute it."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,25 +12,8 @@ from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace,
                       TraceAggregator, TraceFileWriter)
 from .mobility import VehicleWorld
 from .packets import BROADCAST, KIND_CBR, KIND_CONTROL, KIND_PBC, Packet, PacketIds
-from .roadnet import RoadGraph
 from .routing import make_protocol
 from .scenario import ScenarioConfig
-
-
-class StaticPositions:
-    """Fixed node placements for protocol-level experiments without mobility."""
-
-    def __init__(self, positions: dict[int, tuple[float, float]]):
-        n = max(positions) + 1 if positions else 0
-        self._coords = np.zeros((n, 2))
-        for node, (x, y) in positions.items():
-            self._coords[node] = (x, y)
-
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    def position(self, node: int) -> tuple[float, float]:
-        return tuple(self._coords[node])
 
 
 class NodeStack:
@@ -58,12 +40,10 @@ class NodeStack:
         return self._packet_ids.new()
 
     def note_data_packet(self, packet):
-        if self._ledger is not None:
-            self._ledger[packet.packet_id] = packet
+        self._ledger[packet.packet_id] = packet
 
     def _settle(self, packet):
-        if self._ledger is not None:
-            self._ledger.pop(packet.packet_id, None)
+        self._ledger.pop(packet.packet_id, None)
 
     # -- downward path -----------------------------------------------------------
 
@@ -111,50 +91,62 @@ class RunResult:
     config: ScenarioConfig | None = None
 
 
-class Simulation:
-    """One deterministic run: mobility + channel + MAC + routing + traffic."""
+class Network:
+    """The run services shared by every node, and one NodeStack per node id.
 
-    def __init__(self, cfg: ScenarioConfig, graph: RoadGraph | None = None,
-                 trace_file=None, keep_records: bool = False):
-        cfg.validate()
+    Node i sits at row i of `coords`; subclasses place the nodes there.
+    """
+
+    keep_records = False
+
+    def __init__(self, cfg: ScenarioConfig, nodes, trace_file=None):
+        n = max(nodes) + 1 if nodes else 0
         self.cfg = cfg
-        self.graph = graph if graph is not None else cfg.build_graph()
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.run.seed)
-        self.trace = Trace(keep_records=keep_records)
+        self.trace = Trace(keep_records=self.keep_records)
         self.aggregator = self.trace.attach(TraceAggregator())
         if trace_file is not None:
             self.trace.attach(TraceFileWriter(trace_file))
         self.packet_ids = PacketIds()
         self.ledger: dict[int, object] = {}
-
-        n = cfg.run.vehicles
-        self.world = VehicleWorld(self.graph, cfg.mobility, n,
-                                  self.rngs.stream("mobility"),
-                                  lane_changes=(cfg.mobility.model == "idm-lc"))
-
-        nak = phy.NakagamiParams(cfg.phy.m0, cfg.phy.m1, cfg.phy.m2,
-                                 cfg.phy.d0_m, cfg.phy.d1_m,
-                                 cfg.phy.gamma0, cfg.phy.gamma1, cfg.phy.gamma2,
-                                 cfg.phy.d0_g, cfg.phy.d1_g,
-                                 cfg.phy.ref_distance)
-        txp = phy.TxParams(0.0, cfg.phy.frequency, cfg.phy.rx_threshold,
-                           cfg.phy.carrier_sense_threshold, cfg.phy.target_range,
-                           cfg.phy.capture_margin)
-        txp.tx_power = phy.calibrate_range(nak, txp)
-        self._coords = np.zeros((n, 2))
-        self._refresh_coords()
-        self.channel = Channel(self.sim, n, lambda: self._coords, nak, txp,
-                               self.rngs.stream("channel"), self.trace,
-                               loss_model=cfg.phy.loss_model,
-                               collisions=cfg.phy.collisions)
-
+        self.coords = np.zeros((n, 2))
+        self.channel = Channel(self.sim, n, lambda: self.coords, cfg.phy,
+                               phy.calibrate_range(cfg.phy),
+                               self.rngs.stream("channel"), self.trace)
         rng_mac = self.rngs.stream("mac")
         rng_routing = self.rngs.stream("routing")
         self.stacks = [NodeStack(i, self.sim, self.channel, cfg.mac, cfg.routing,
                                  self.trace, rng_mac, rng_routing,
                                  self.packet_ids, self.ledger)
-                       for i in range(n)]
+                       for i in nodes]
+
+    def start_protocols(self):
+        for stack in self.stacks:
+            stack.routing.start()
+
+    def close(self):
+        """Flush packets with no terminal state so conservation holds exactly."""
+        now = self.sim.now
+        for pid in sorted(self.ledger):
+            pkt = self.ledger[pid]
+            self.trace.add(now, EV_DROPPED, "none", LAYER_APP, pkt.kind,
+                           pkt.packet_id, pkt.flow_id, pkt.src, pkt.size)
+        self.ledger.clear()
+
+
+class Simulation(Network):
+    """One deterministic run: mobility + channel + MAC + routing + traffic."""
+
+    def __init__(self, cfg: ScenarioConfig, trace_file=None):
+        cfg.validate()
+        n = cfg.run.vehicles
+        super().__init__(cfg, range(n), trace_file)
+        self.graph = cfg.build_graph()
+        self.world = VehicleWorld(self.graph, cfg.mobility, n,
+                                  self.rngs.stream("mobility"),
+                                  lane_changes=(cfg.mobility.model == "idm-lc"))
+        self._refresh_coords()
 
         rng_traffic = self.rngs.stream("traffic")
         stop = cfg.traffic.cbr_stop if cfg.traffic.cbr_stop is not None else cfg.run.duration
@@ -174,8 +166,8 @@ class Simulation:
 
     def _refresh_coords(self):
         for vid, st in self.world.vehicles.items():
-            self._coords[vid, 0] = st.x
-            self._coords[vid, 1] = st.y
+            self.coords[vid, 0] = st.x
+            self.coords[vid, 1] = st.y
 
     def _dispatch_brake(self, vehicle_id: int, accel: float, t: float):
         self.pbc_agents[vehicle_id].on_accel(vehicle_id, accel, t)
@@ -202,74 +194,36 @@ class Simulation:
         cfg = self.cfg
         if cfg.run.vehicles > 0:
             self.sim.schedule(0.0, lambda: self._mobility_tick(0), target="world.step")
-        for stack in self.stacks:
-            stack.routing.start()
+        self.start_protocols()
         for agent in self.cbr_agents:
             agent.start()
         for agent in self.pbc_agents:
             agent.start()
         events = self.sim.run_until(cfg.run.duration)
-        self._close()
+        self.close()
         warnings = {
             "emergency_brakes": self.world.emergency_warnings,
             "lane_changes": self.world.lane_change_count,
         }
         return RunResult(self.aggregator, events, warnings, cfg)
 
-    def _close(self):
-        """Flush packets with no terminal state so conservation holds exactly."""
-        now = self.sim.now
-        for pid in sorted(self.ledger):
-            pkt = self.ledger[pid]
-            self.trace.add(now, EV_DROPPED, "none", LAYER_APP, pkt.kind,
-                           pkt.packet_id, pkt.flow_id, pkt.src, pkt.size)
-        self.ledger.clear()
 
-
-def run_scenario(cfg: ScenarioConfig, trace_file=None, keep_records=False) -> RunResult:
-    return Simulation(cfg, trace_file=trace_file, keep_records=keep_records).run()
-
-
-class StaticNetwork:
+class StaticNetwork(Network):
     """Full network stack over fixed node positions (no mobility, no agents).
 
     The workbench for protocol-level experiments: place nodes, run the clock,
     inject data packets, inspect routing state and the trace.
     """
 
+    keep_records = True
+
     def __init__(self, positions: dict[int, tuple[float, float]],
-                 cfg: ScenarioConfig | None = None, keep_records: bool = True):
-        self.cfg = cfg if cfg is not None else ScenarioConfig()
-        self.cfg.run.vehicles = len(positions)
-        self.sim = Simulator()
-        self.rngs = RngStreams(self.cfg.run.seed)
-        self.trace = Trace(keep_records=keep_records)
-        self.aggregator = self.trace.attach(TraceAggregator())
-        self.packet_ids = PacketIds()
-        self.ledger: dict[int, object] = {}
-        self.positions = StaticPositions(positions)
-
-        p = self.cfg.phy
-        nak = phy.NakagamiParams(p.m0, p.m1, p.m2, p.d0_m, p.d1_m,
-                                 p.gamma0, p.gamma1, p.gamma2, p.d0_g, p.d1_g,
-                                 p.ref_distance)
-        txp = phy.TxParams(0.0, p.frequency, p.rx_threshold,
-                           p.carrier_sense_threshold, p.target_range,
-                           p.capture_margin)
-        txp.tx_power = phy.calibrate_range(nak, txp)
-        self.channel = Channel(self.sim, len(positions), self.positions.coords,
-                               nak, txp, self.rngs.stream("channel"), self.trace,
-                               loss_model=p.loss_model, collisions=p.collisions)
-        rng_mac = self.rngs.stream("mac")
-        rng_routing = self.rngs.stream("routing")
-        self.stacks = [NodeStack(i, self.sim, self.channel, self.cfg.mac,
-                                 self.cfg.routing, self.trace, rng_mac, rng_routing,
-                                 self.packet_ids, self.ledger)
-                       for i in sorted(positions)]
-
-    def start_protocols(self):
-        for stack in self.stacks:
-            stack.routing.start()
+                 cfg: ScenarioConfig | None = None):
+        cfg = cfg if cfg is not None else ScenarioConfig()
+        cfg.run.vehicles = len(positions)
+        super().__init__(cfg, sorted(positions))
+        for node, xy in positions.items():
+            self.coords[node] = xy
 
     def send_data(self, src: int, dst: int, size: int = 512, flow_id: int | None = None):
         stack = self.stacks[src]
@@ -283,11 +237,3 @@ class StaticNetwork:
 
     def run_for(self, seconds: float):
         self.sim.run_until(self.sim.now + seconds)
-
-    def close(self):
-        now = self.sim.now
-        for pid in sorted(self.ledger):
-            pkt = self.ledger[pid]
-            self.trace.add(now, EV_DROPPED, "none", LAYER_APP, pkt.kind,
-                           pkt.packet_id, pkt.flow_id, pkt.src, pkt.size)
-        self.ledger.clear()

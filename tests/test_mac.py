@@ -6,10 +6,10 @@ import pytest
 from vanetbench import phy
 from vanetbench.core import Simulator
 from vanetbench.mac import Channel, NodeMac
-from vanetbench.metrics import Trace, TraceAggregator
+from vanetbench.metrics import Trace, TraceAggregator, conservation_check
 from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
-from vanetbench.scenario import MacConfig, ScenarioConfig
-from vanetbench.simulation import StaticNetwork
+from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig
+from vanetbench.simulation import Simulation, StaticNetwork
 
 from conftest import line_positions, fast_convergence_config
 
@@ -26,17 +26,14 @@ class Harness:
         self.trace = Trace(keep_records=True)
         self.agg = self.trace.attach(TraceAggregator())
         self.mac_cfg = mac_cfg or MacConfig()
-        nak = phy.NakagamiParams()
-        txp = phy.TxParams(0.0)
-        txp.tx_power = phy.calibrate_range(nak, txp)
+        phy_cfg = PhyConfig(loss_model="ideal", collisions=collisions)
         coords = np.zeros((len(positions), 2))
         for node, (x, y) in positions.items():
             coords[node] = (x, y)
         rng = _ScriptedRng(rng_values) if rng_values is not None \
             else np.random.default_rng(7)
-        self.channel = Channel(self.sim, len(positions), lambda: coords,
-                               nak, txp, rng, self.trace,
-                               loss_model="ideal", collisions=collisions)
+        self.channel = Channel(self.sim, len(positions), lambda: coords, phy_cfg,
+                               phy.calibrate_range(phy_cfg), rng, self.trace)
         self.delivered = []
         self.breaks = []
         self.drops = []
@@ -165,6 +162,35 @@ def test_cw_doubling_sequence():
     mac.enqueue_packet(_packet(0), 1)
     h.sim.run_until(5.0)
     assert seen == [15, 31, 63, 127, 255, 511, 1023, 1023]
+
+
+def test_simultaneous_unicasts_without_collisions_get_one_ack_slot():
+    # both senders fire at DIFS and their frames end at the same instant; with
+    # collisions off the receiver decodes both but has one ACK slot
+    h = Harness(line_positions(3, 100.0), collisions=False, rng_values=[0, 0])
+    h.macs[0].enqueue_packet(_packet(0, src=0, dst=1), 1)
+    h.macs[2].enqueue_packet(_packet(1, src=2, dst=1), 1)
+    h.sim.run_until(0.5)
+    assert sorted((n, frm) for n, _, frm in h.delivered) == [(1, 0), (1, 2)]
+    assert not h.macs[0].queue and not h.macs[2].queue and not h.breaks
+    acks = [r for r in h.trace.records if r.kind == "ack"]
+    sent_by_2 = [r for r in h.trace.records if r.event == "sent" and r.kind == "cbr"
+                 and r.node == 2]
+    assert len(acks) == 2 and len(sent_by_2) == 2   # the unanswered sender retried
+
+
+def test_collisions_off_double_ack_regression():
+    # node 27 decodes two unicast frames ending at the same instant; answering
+    # both would put two ACKs on the air at once and abort the run
+    cfg = ScenarioConfig()
+    cfg.routing.protocol = "aodv"
+    cfg.run.vehicles = 30
+    cfg.traffic.cbr_connections = 9
+    cfg.run.duration = 2.0
+    cfg.run.seed = 19
+    cfg.phy.collisions = False
+    result = Simulation(cfg).run()
+    conservation_check(result.aggregator)
 
 
 def test_broadcast_three_receivers():

@@ -8,99 +8,97 @@ from scipy import special, stats
 
 from vanetbench import phy
 from vanetbench.core import RngStreams
+from vanetbench.scenario import PhyConfig
 
-NAK = phy.NakagamiParams()
-TXP = phy.TxParams(tx_power=20.0)
+PHY = PhyConfig()
+TX_POWER = 20.0
 
 
 def test_reference_point():
-    got = phy.mean_rx_power(NAK.ref_distance, NAK, TXP)
-    ref = phy.reference_loss_db(TXP.frequency, NAK.ref_distance)
-    assert got == pytest.approx(TXP.tx_power - ref)
+    got = phy.mean_rx_power(PHY.ref_distance, PHY, TX_POWER)
+    ref = phy.reference_loss_db(PHY.frequency, PHY.ref_distance)
+    assert got == pytest.approx(TX_POWER - ref)
 
 
 def test_continuity_at_band_edges():
-    for edge in (NAK.d0_g, NAK.d1_g):
-        below = phy.mean_rx_power(edge - 1e-9, NAK, TXP)
-        above = phy.mean_rx_power(edge + 1e-9, NAK, TXP)
+    for edge in (PHY.d0_g, PHY.d1_g):
+        below = phy.mean_rx_power(edge - 1e-9, PHY, TX_POWER)
+        above = phy.mean_rx_power(edge + 1e-9, PHY, TX_POWER)
         assert abs(below - above) < 1e-6
 
 
 def test_doubling_inside_first_band():
     # gamma0 = 1.9 -> 19 dB per decade -> 10*1.9*log10(2) per doubling
     d1, d2 = 40.0, 80.0
-    drop = phy.mean_rx_power(d1, NAK, TXP) - phy.mean_rx_power(d2, NAK, TXP)
+    drop = phy.mean_rx_power(d1, PHY, TX_POWER) - phy.mean_rx_power(d2, PHY, TX_POWER)
     assert drop == pytest.approx(1.9 * 10 * math.log10(2), abs=1e-9)
     assert drop == pytest.approx(5.719, abs=1e-3)
 
 
 def test_strictly_decreasing():
     d = np.linspace(1.0, 1000.0, 500)
-    p = phy.mean_rx_power(d, NAK, TXP)
+    p = phy.mean_rx_power(d, PHY, TX_POWER)
     assert np.all(np.diff(p) < 0)
 
 
 def test_zero_distance_rejected():
     with pytest.raises(ValueError):
-        phy.mean_rx_power(0.0, NAK, TXP)
+        phy.mean_rx_power(0.0, PHY, TX_POWER)
 
 
 def test_shape_bands():
-    assert phy.shape_m(50.0, NAK) == 1.5
-    assert phy.shape_m(100.0, NAK) == 0.75
-    assert phy.shape_m(400.0, NAK) == 0.75
+    assert phy.shape_m(50.0, PHY) == 1.5
+    assert phy.shape_m(100.0, PHY) == 0.75
+    assert phy.shape_m(400.0, PHY) == 0.75
 
 
 def test_sample_moments_at_100m():
     rng = RngStreams(3).stream("channel")
     d = 100.0
-    samples = phy.sample_rx_power(rng, np.full(100_000, d), NAK, TXP)
-    mean_mw = float(phy.dbm_to_mw(phy.mean_rx_power(d, NAK, TXP)))
-    m = phy.shape_m(d, NAK)
+    samples = phy.sample_rx_power(rng, np.full(100_000, d), PHY, TX_POWER)
+    mean_mw = float(phy.dbm_to_mw(phy.mean_rx_power(d, PHY, TX_POWER)))
+    m = phy.shape_m(d, PHY)
     assert np.mean(samples) == pytest.approx(mean_mw, rel=0.02)
     assert np.var(samples) / mean_mw ** 2 == pytest.approx(1.0 / m, rel=0.05)
 
 
 def test_large_shape_kills_fading():
-    nak = phy.NakagamiParams(m0=1e6, m1=1e6, m2=1e6)
+    no_fading = PhyConfig(m0=1e6, m1=1e6, m2=1e6)
     rng = RngStreams(4).stream("channel")
     d = 100.0
-    mean_mw = float(phy.dbm_to_mw(phy.mean_rx_power(d, nak, TXP)))
-    samples = phy.sample_rx_power(rng, np.full(2000, d), nak, TXP)
+    mean_mw = float(phy.dbm_to_mw(phy.mean_rx_power(d, no_fading, TX_POWER)))
+    samples = phy.sample_rx_power(rng, np.full(2000, d), no_fading, TX_POWER)
     assert np.all(np.abs(samples - mean_mw) < 0.005 * mean_mw)
 
 
 def test_calibration_exact():
-    txp = phy.TxParams(rx_threshold=-82.0, target_range=250.0)
-    txp.tx_power = phy.calibrate_range(NAK, txp)
-    assert phy.mean_rx_power(250.0, NAK, txp) == pytest.approx(-82.0, abs=1e-9)
-    assert phy.mean_rx_power(100.0, NAK, txp) > -82.0
+    tx_power = phy.calibrate_range(PhyConfig(rx_threshold=-82.0, target_range=250.0))
+    assert phy.mean_rx_power(250.0, PHY, tx_power) == pytest.approx(-82.0, abs=1e-9)
+    assert phy.mean_rx_power(100.0, PHY, tx_power) > -82.0
 
 
 def test_reception_probability_at_calibrated_range_matches_gamma_oracle():
-    txp = phy.TxParams(rx_threshold=-82.0, target_range=250.0)
-    txp.tx_power = phy.calibrate_range(NAK, txp)
+    tx_power = phy.calibrate_range(PhyConfig(rx_threshold=-82.0, target_range=250.0))
     rng = RngStreams(9).stream("channel")
     n = 100_000
-    samples = phy.sample_rx_power(rng, np.full(n, 250.0), NAK, txp)
+    samples = phy.sample_rx_power(rng, np.full(n, 250.0), PHY, tx_power)
     threshold = float(phy.dbm_to_mw(-82.0))
     p_hat = float(np.mean(samples >= threshold))
     # at the calibrated range the mean equals the threshold, so the reception
     # probability is Q(m, m) for the local shape factor m = 0.75
-    m = phy.shape_m(250.0, NAK)
+    m = phy.shape_m(250.0, PHY)
     p_oracle = float(special.gammaincc(m, m))
     assert p_oracle == pytest.approx(0.3484, abs=5e-4)
     assert p_hat == pytest.approx(p_oracle, abs=0.02)
 
 
 def test_reception_probability_monotone_in_distance():
-    txp = phy.TxParams(rx_threshold=-82.0, target_range=250.0)
-    txp.tx_power = phy.calibrate_range(NAK, txp)
+    tx_power = phy.calibrate_range(PhyConfig(rx_threshold=-82.0, target_range=250.0))
     rng = RngStreams(12).stream("channel")
     threshold = float(phy.dbm_to_mw(-82.0))
     probs = []
     for d in (50.0, 100.0, 150.0, 200.0, 250.0, 300.0):
-        samples = phy.sample_rx_power(rng, np.full(10_000, d), NAK, txp)
+        samples = phy.sample_rx_power(rng, np.full(10_000, d), PHY, tx_power)
         probs.append(float(np.mean(samples >= threshold)))
     assert all(a >= b - 0.01 for a, b in zip(probs, probs[1:]))
     assert probs[0] > 0.9
@@ -109,36 +107,37 @@ def test_reception_probability_monotone_in_distance():
 
 def test_per_receiver_independence():
     rng = RngStreams(21).stream("channel")
-    a = phy.sample_rx_power(rng, np.full(10_000, 120.0), NAK, TXP)
-    b = phy.sample_rx_power(rng, np.full(10_000, 120.0), NAK, TXP)
+    a = phy.sample_rx_power(rng, np.full(10_000, 120.0), PHY, TX_POWER)
+    b = phy.sample_rx_power(rng, np.full(10_000, 120.0), PHY, TX_POWER)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
 def test_same_stream_same_losses():
     def pattern():
         rng = RngStreams(33).stream("channel")
-        s = phy.sample_rx_power(rng, np.full(500, 250.0), NAK, TXP)
-        return (s >= phy.dbm_to_mw(TXP.rx_threshold - 50)).tolist()
+        s = phy.sample_rx_power(rng, np.full(500, 250.0), PHY, TX_POWER)
+        return (s >= phy.dbm_to_mw(PHY.rx_threshold - 50)).tolist()
     assert pattern() == pattern()
 
 
+THRESHOLD_MW = float(phy.dbm_to_mw(-82.0))
+CAPTURE_RATIO = 10.0 ** (10.0 / 10.0)    # 10 dB capture margin
+
+
 def test_frame_outcome_single_frame():
-    thr = -82.0
     ok = float(phy.dbm_to_mw(-70.0))
-    assert phy.frame_outcome(ok, [], thr, 10.0) == phy.OUTCOME_RECEIVED
+    assert phy.frame_outcome_mw(ok, [], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_RECEIVED
     weak = float(phy.dbm_to_mw(-90.0))
-    assert phy.frame_outcome(weak, [], thr, 10.0) == phy.OUTCOME_FADING
+    assert phy.frame_outcome_mw(weak, [], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_FADING
 
 
 def test_frame_outcome_equal_power_overlap_kills_both():
-    thr = -82.0
     p = float(phy.dbm_to_mw(-60.0))
-    assert phy.frame_outcome(p, [p], thr, 10.0) == phy.OUTCOME_COLLISION
+    assert phy.frame_outcome_mw(p, [p], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_COLLISION
 
 
 def test_frame_outcome_capture_15db():
-    thr = -82.0
     strong = float(phy.dbm_to_mw(-60.0))
     weak = float(phy.dbm_to_mw(-75.0))
-    assert phy.frame_outcome(strong, [weak], thr, 10.0) == phy.OUTCOME_RECEIVED
-    assert phy.frame_outcome(weak, [strong], thr, 10.0) == phy.OUTCOME_COLLISION
+    assert phy.frame_outcome_mw(strong, [weak], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_RECEIVED
+    assert phy.frame_outcome_mw(weak, [strong], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_COLLISION

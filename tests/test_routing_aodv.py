@@ -60,7 +60,7 @@ def test_rerr_propagates_to_precursors():
     net.run_for(2.0)
     assert net.aggregator.received() == 1
     # destination vanishes; next packet trips retries at node 2, RERR walks back
-    net.positions.coords()[3] = (90_000.0, 0.0)
+    net.coords[3] = (90_000.0, 0.0)
     net.channel.bump_geometry()
     net.send_data(0, 3)
     net.run_for(3.0)
@@ -88,7 +88,7 @@ def test_rediscovery_after_midrun_break_with_alternate_path():
     assert net.aggregator.received() == 1
     first_hop = net.stacks[0].routing.table[2].next_hop
     other = 3 if first_hop == 1 else 1
-    net.positions.coords()[first_hop] = (70_000.0, 0.0)
+    net.coords[first_hop] = (70_000.0, 0.0)
     net.channel.bump_geometry()
     net.send_data(0, 2)
     net.run_for(5.0)

@@ -50,7 +50,7 @@ def test_failover_without_new_discovery():
     backup = 3 if primary == 1 else 1
     floods_before = origin_rreq_floods(net)
     # primary next hop disappears; retries fail, the entry fails over in place
-    net.positions.coords()[primary] = (80_000.0, 0.0)
+    net.coords[primary] = (80_000.0, 0.0)
     net.channel.bump_geometry()
     net.send_data(0, 2)
     net.run_for(3.0)

@@ -27,7 +27,7 @@ def test_silent_neighbor_marked_broken_with_odd_seq():
     net = make_net(line_positions(2, 200.0), "dsdv")
     net.run_for(5.0)
     assert net.stacks[0].routing.route_lookup(1) == 1
-    net.positions.coords()[1] = (60_000.0, 0.0)
+    net.coords[1] = (60_000.0, 0.0)
     net.channel.bump_geometry()
     # silence beyond twice the dump interval triggers revocation
     net.run_for(3 * net.cfg.routing.dsdv_full_dump_interval + 1.0)

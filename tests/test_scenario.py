@@ -1,5 +1,7 @@
 """Scenario file parsing, schema validation, defaults and the effective echo."""
 
+from dataclasses import fields
+
 import pytest
 
 from vanetbench.scenario import (ScenarioConfig, SchemaError, effective_ini,
@@ -92,18 +94,50 @@ def test_flows_bounded_by_ordered_pairs():
         parse_scenario_text("[run]\nvehicles = 2\n[traffic]\ncbr_connections = 3\n")
 
 
+# a valid non-default value for every field of every section
+NON_DEFAULT = {
+    "graph": {"grid": None, "vertices": [("a", 0.0, 0.0), ("b", 250.0, 0.5)],
+              "edges": [("a", "b", 1), ("b", "a", 3)], "lanes": 3,
+              "speed_limit": 15.0, "phase_length": 12.5},
+    "mobility": {"model": "idm-lc", "a_max": 0.8, "b": 1.1, "s0": 1.5, "headway": 0.8,
+                 "vehicle_length": 4.5, "visibility": 150.0, "recalc_step": 0.5,
+                 "integration_dt": 0.05, "v_min_kmh": 20.0, "v_max_kmh": 70.0,
+                 "politeness": 0.25, "accel_threshold": 0.1, "safe_decel_limit": 4.0,
+                 "min_stay": 1.0, "max_stay": 5.0},
+    "phy": {"m0": 2.0, "m1": 1.0, "m2": 0.5, "d0_m": 60.0, "d1_m": 180.0, "gamma0": 2.0,
+            "gamma1": 3.5, "gamma2": 4.0, "d0_g": 150.0, "d1_g": 400.0,
+            "ref_distance": 2.0, "frequency": 5.89e9, "rx_threshold": -79.5,
+            "carrier_sense_threshold": -95.0, "target_range": 300.0,
+            "capture_margin": 6.0, "loss_model": "ideal", "collisions": False},
+    "mac": {"bitrate": 1.2e7, "slot": 9e-6, "sifs": 16e-6, "cw_min": 31, "cw_max": 511,
+            "retry_limit": 4, "queue_capacity": 20, "phy_overhead": 2e-5,
+            "mac_overhead": 28},
+    "routing": {"protocol": "olsr", "ttl": 32, "buffer_packets": 16,
+                "buffer_timeout": 10.0, "aodv_route_timeout": 5.0,
+                "aodv_rreq_retries": 3, "aodv_ring_ttls": (2, 4, 8, 16),
+                "aodv_node_traversal": 0.03, "aomdv_max_paths": 2,
+                "dsdv_full_dump_interval": 10.0, "dsdv_settling_time": 3.0,
+                "dsdv_trigger_min_gap": 0.5, "olsr_hello_interval": 1.0,
+                "olsr_tc_interval": 4.0, "hold_multiplier": 2.5},
+    "traffic": {"cbr_connections": 5, "packet_size": 256, "rate": 2.0, "cbr_start": 1.0,
+                "cbr_stop": 50.0, "beacon_interval": 0.2, "beacon_size": 100,
+                "emergency_decel": 3.0, "emergency_rate_limit": 0.5},
+    "run": {"duration": 60.0, "seed": 9, "vehicles": 20, "mobility_trace": True},
+}
+
+
 def test_effective_ini_round_trips():
     cfg = ScenarioConfig()
-    cfg.run.seed = 9
-    cfg.routing.protocol = "olsr"
-    cfg.mobility.model = "idm-lc"
-    cfg.phy.rx_threshold = -79.5
+    assert set(NON_DEFAULT) == {f.name for f in fields(cfg)}
+    for section, values in NON_DEFAULT.items():
+        obj = getattr(cfg, section)
+        assert set(values) == {f.name for f in fields(obj)}, section
+        for name, value in values.items():
+            assert getattr(obj, name) != value, (section, name)
+            setattr(obj, name, value)
     text = effective_ini(cfg)
     again = parse_scenario_text(text)
-    assert again.run.seed == 9
-    assert again.routing.protocol == "olsr"
-    assert again.mobility.model == "idm-lc"
-    assert again.phy.rx_threshold == -79.5
+    assert again == cfg
     assert effective_ini(again) == text
 
 
