@@ -1,0 +1,210 @@
+"""Trace metrics on hand-built records: report fields, series order, corruption
+checks and the trace file round trip."""
+
+import math
+
+import pytest
+
+from vanetbench.metrics import (EV_DROPPED, EV_FORWARDED, EV_RECEIVED, EV_SENT,
+                                LAYER_APP, LAYER_MAC, LAYER_ROUTING, Trace,
+                                TraceAggregator, TraceCorruptionError,
+                                TraceFileWriter, TraceRecord, aggregate,
+                                average_throughput, build_report,
+                                conservation_check, delay_series, jitter_series,
+                                read_trace)
+
+
+def add(agg, time, event, layer, kind, pid, flow, node, size, reason="none"):
+    agg.add(time, event, reason, layer, kind, pid, flow, node, size)
+
+
+def sent(agg, time, pid, flow, node=0, size=100):
+    add(agg, time, EV_SENT, LAYER_APP, "cbr", pid, flow, node, size)
+
+
+def received(agg, time, pid, flow, node=9, size=100):
+    add(agg, time, EV_RECEIVED, LAYER_APP, "cbr", pid, flow, node, size)
+
+
+def two_flows() -> TraceAggregator:
+    """Flow 1 sends 3 x 100 B, flow 2 sends 2 x 200 B; 4 delivered, 1 lost.
+
+    Deliveries (time, delay): flow 1 (1.1, 0.1) (2.3, 0.3); flow 2 (1.8, 0.3)
+    (2.6, 0.1). Two cbr forwards, three 40 B control transmissions, and
+    beacon (pbc) records that no cbr metric may count.
+    """
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 1)
+    sent(agg, 1.5, 10, 2, node=5, size=200)
+    received(agg, 1.1, 1, 1)
+    add(agg, 1.2, EV_SENT, LAYER_MAC, "routing-control", 500, None, 3, 40)
+    add(agg, 1.6, EV_FORWARDED, LAYER_ROUTING, "cbr", 10, 2, 4, 200)
+    received(agg, 1.8, 10, 2, size=200)
+    sent(agg, 2.0, 2, 1)
+    add(agg, 2.1, EV_FORWARDED, LAYER_ROUTING, "cbr", 2, 1, 4, 100)
+    received(agg, 2.3, 2, 1)
+    sent(agg, 2.5, 11, 2, node=5, size=200)
+    received(agg, 2.6, 11, 2, size=200)
+    add(agg, 2.7, EV_SENT, LAYER_MAC, "routing-control", 501, None, 3, 40)
+    add(agg, 2.8, EV_SENT, LAYER_MAC, "routing-control", 502, None, 6, 40)
+    sent(agg, 3.0, 3, 1)
+    add(agg, 3.2, EV_DROPPED, LAYER_MAC, "cbr", 3, 1, 0, 100, reason="collision")
+    add(agg, 1.0, EV_SENT, LAYER_APP, "pbc", 900, None, 7, 300)
+    add(agg, 1.0, EV_SENT, LAYER_MAC, "pbc", 900, None, 7, 300)
+    add(agg, 1.1, EV_RECEIVED, LAYER_APP, "pbc", 900, None, 8, 300)
+    add(agg, 1.1, EV_DROPPED, LAYER_MAC, "pbc", 900, None, 2, 300, reason="fading")
+    return agg
+
+
+# -- the report ------------------------------------------------------------------
+
+def test_report_fields_on_hand_built_records():
+    r = build_report(two_flows(), duration=4.0)
+    assert (r.sent, r.received, r.dropped) == (5, 4, 1)
+    assert r.throughput_sent_bytes == 3 * 100 + 2 * 200
+    assert r.throughput_recv_bytes == 2 * 100 + 2 * 200
+    assert r.pdr == pytest.approx(80.0)
+    assert r.drop_pct == pytest.approx(20.0)
+    assert r.nrl == pytest.approx(3 / 4)                 # control tx per delivery
+    assert r.mean_hop == pytest.approx(1.0 + 2 / 4)      # 1 + forwards / deliveries
+    assert r.mean_hop_raw == pytest.approx(2 / 5)        # forwards / sent
+    assert r.route_cost == pytest.approx(3 * 40 / 700)   # control bytes / data bytes
+    # flow window: last receive 2.6 - first send 1.0
+    assert r.avg_throughput_kbps == pytest.approx(600 * 8 / 1.6 / 1000)
+    assert r.drops_by_reason == {"collision": 1}
+    assert [name for name, _ in r.rows()] == list(r.METRIC_NAMES)
+
+
+def test_both_throughput_windows():
+    agg = two_flows()
+    assert average_throughput(agg, window="flow") == pytest.approx(600 * 8 / 1.6 / 1000)
+    assert average_throughput(agg, window="nominal", duration=4.0) == \
+        pytest.approx(600 * 8 / 4.0 / 1000)
+    nominal = build_report(agg, window="nominal", duration=4.0)
+    assert nominal.avg_throughput_kbps == pytest.approx(1.2)
+    with pytest.raises(ValueError):
+        average_throughput(agg, window="nominal")        # needs the duration
+
+
+def test_report_without_deliveries():
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 1)
+    add(agg, 1.5, EV_DROPPED, LAYER_ROUTING, "cbr", 1, 1, 0, 100, reason="no-route")
+    r = build_report(agg)
+    assert (r.sent, r.received, r.dropped) == (1, 0, 1)
+    assert r.pdr == pytest.approx(0.0) and r.drop_pct == pytest.approx(100.0)
+    assert r.nrl is None and r.mean_hop is None and r.avg_throughput_kbps is None
+    assert r.mean_hop_raw == pytest.approx(0.0)
+    assert r.route_cost == 0.0
+
+
+def test_report_of_an_empty_trace():
+    r = build_report(TraceAggregator())
+    assert (r.sent, r.received, r.dropped) == (0, 0, 0)
+    assert r.pdr is None and r.drop_pct is None and r.mean_hop_raw is None
+    assert r.route_cost == 0.0                           # no control at all
+
+
+def test_route_cost_is_infinite_with_control_but_no_data():
+    agg = TraceAggregator()
+    add(agg, 0.5, EV_SENT, LAYER_MAC, "routing-control", 1, None, 0, 48)
+    assert build_report(agg).route_cost == math.inf
+
+
+# -- delay and jitter series -------------------------------------------------------
+
+def test_delay_series_is_ordered_by_receive_time_across_flows():
+    got = delay_series(two_flows())
+    assert [t for t, _ in got] == [1.1, 1.8, 2.3, 2.6]
+    assert [d for _, d in got] == pytest.approx([0.1, 0.3, 0.3, 0.1])
+
+
+def test_delay_series_breaks_receive_time_ties_by_flow():
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 2)
+    sent(agg, 1.5, 2, 1)
+    received(agg, 2.0, 1, 2)     # flow 2 is recorded first
+    received(agg, 2.0, 2, 1)
+    assert delay_series(agg) == [(2.0, 0.5), (2.0, 1.0)]
+
+
+def test_jitter_series_takes_differences_within_each_flow():
+    got = jitter_series(two_flows())
+    assert [t for t, _ in got] == [2.3, 2.6]
+    assert [j for _, j in got] == pytest.approx([0.2, -0.2])
+
+
+# -- corruption checks ----------------------------------------------------------------
+
+def test_duplicate_send_is_corruption():
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 1)
+    with pytest.raises(TraceCorruptionError, match="duplicate"):
+        sent(agg, 1.2, 1, 1)
+
+
+def test_receive_without_send_is_corruption():
+    with pytest.raises(TraceCorruptionError, match="without matching send"):
+        received(TraceAggregator(), 1.0, 1, 1)
+
+
+def test_double_terminal_is_corruption():
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 1)
+    received(agg, 1.1, 1, 1)
+    with pytest.raises(TraceCorruptionError, match="terminated twice"):
+        add(agg, 1.2, EV_DROPPED, LAYER_MAC, "cbr", 1, 1, 0, 100, reason="fading")
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 1)
+    add(agg, 1.2, EV_DROPPED, LAYER_MAC, "cbr", 1, 1, 0, 100, reason="fading")
+    with pytest.raises(TraceCorruptionError, match="terminated twice"):
+        received(agg, 1.3, 1, 1)
+
+
+def test_conservation_check_counts_drops_by_reason():
+    assert conservation_check(two_flows()) == {
+        "sent": 5, "received": 4, "dropped": 1, "by_reason": {"collision": 1}}
+
+
+def test_conservation_check_fails_on_an_unterminated_packet():
+    agg = two_flows()
+    sent(agg, 3.5, 4, 1)
+    with pytest.raises(TraceCorruptionError, match="conservation violated"):
+        conservation_check(agg)
+
+
+# -- trace file ------------------------------------------------------------------
+
+def test_trace_file_round_trip(tmp_path):
+    records = [
+        TraceRecord(0.1 + 0.2, EV_SENT, "none", LAYER_APP, "cbr", 1, 3, 0, 512),
+        TraceRecord(0.5, EV_SENT, "none", LAYER_MAC, "routing-control", 2, None, 4, 48),
+        TraceRecord(1.0 / 3.0, EV_DROPPED, "ttl", LAYER_ROUTING, "cbr", 1, 3, 2, 512),
+    ]
+    path = tmp_path / "trace.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        trace = Trace()
+        trace.attach(TraceFileWriter(fh))
+        for r in records:
+            trace.add(r.time, r.event, r.reason, r.layer, r.kind, r.packet_id,
+                      r.flow_id, r.node, r.size)
+    assert list(read_trace(path)) == records
+
+
+def test_report_from_a_trace_file_equals_the_live_report(tmp_path):
+    path = tmp_path / "trace.txt"
+    live = TraceAggregator()
+    with open(path, "w", encoding="utf-8") as fh:
+        trace = Trace()
+        trace.attach(live)
+        trace.attach(TraceFileWriter(fh))
+        for t, event, reason, layer, kind, pid, flow, node, size in (
+                (1.0, EV_SENT, "none", LAYER_APP, "cbr", 1, 1, 0, 100),
+                (1.0, EV_SENT, "none", LAYER_MAC, "routing-control", 2, None, 0, 40),
+                (1.25, EV_RECEIVED, "none", LAYER_APP, "cbr", 1, 1, 3, 100),
+                (2.0, EV_SENT, "none", LAYER_APP, "cbr", 3, 1, 0, 100),
+                (2.5, EV_DROPPED, "ifq", LAYER_MAC, "cbr", 3, 1, 0, 100)):
+            trace.add(t, event, reason, layer, kind, pid, flow, node, size)
+    replayed = aggregate(read_trace(path))
+    assert build_report(replayed, duration=3.0) == build_report(live, duration=3.0)
+    assert delay_series(replayed) == delay_series(live) == [(1.25, 0.25)]
