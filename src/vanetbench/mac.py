@@ -74,8 +74,6 @@ class Channel:
         self.tx_power = tx_power              # dBm, calibrated to phy_cfg.target_range
         self.rng = rng
         self.trace = trace
-        self.loss_model = phy_cfg.loss_model
-        self.collisions = phy_cfg.collisions
         self.active: list[Transmission] = []
         self.recent: deque[Transmission] = deque()
         self.contenders: dict[int, "NodeMac"] = {}
@@ -121,8 +119,8 @@ class Channel:
         delta = coords - coords[sender]
         d = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
         np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
-        mean_arr = self.tx_power - phy.path_loss_db(d, self.phy, check=False)
-        mean_mw = np.power(10.0, mean_arr / 10.0)
+        mean_arr = phy.mean_rx_power(d, self.phy, self.tx_power)
+        mean_mw = phy.dbm_to_mw(mean_arr)
         shape = phy.shape_m(d, self.phy)
         mean_dbm = mean_arr.tolist()
         mean_dbm[sender] = math.inf
@@ -136,10 +134,12 @@ class Channel:
             if tx.sender == sender:
                 raise RuntimeError(f"node {sender} already transmitting at t={now}")
         mean_dbm, mean_mw, shape = self._link_budget(sender)
-        if self.loss_model == "nakagami":
-            sample_mw = self.rng.gamma(shape, mean_mw / shape).tolist()
+        if self.phy.loss_model == "nakagami":
+            sample_mw = phy.sample_rx_power(self.rng, mean_mw, shape).tolist()
         else:
             sample_mw = mean_mw.tolist()
+        # the sender's own entry also carries the half-duplex rule: an infinite
+        # power at the sender wins every capture test frame_outcome_mw makes there
         sample_mw[sender] = math.inf
         end = now + frame.duration
         tx = Transmission(sender, frame, now, end, mean_dbm, sample_mw)
@@ -164,20 +164,6 @@ class Channel:
         return [o for o in self.recent
                 if o is not tx and o.start < tx.end and o.end > tx.start]
 
-    def _outcome_at(self, node: int, tx: Transmission, overlapping) -> str:
-        power = tx.sample_mw[node]
-        if power < self._rx_mw:
-            return phy.OUTCOME_FADING
-        if not overlapping:
-            return phy.OUTCOME_RECEIVED
-        for o in overlapping:
-            if o.sender == node:
-                return phy.OUTCOME_COLLISION   # half-duplex: receiver was transmitting
-        if not self.collisions:
-            return phy.OUTCOME_RECEIVED
-        return phy.frame_outcome_mw(power, [o.sample_mw[node] for o in overlapping],
-                                    self._rx_mw, self._capture_ratio)
-
     def _tx_end(self, tx: Transmission):
         now = self.sim.now
         self.active.remove(tx)
@@ -186,6 +172,9 @@ class Channel:
         while recent and recent[0].start < cutoff:
             recent.popleft()
         overlapping = self._overlapping(tx)
+        outcome_at = phy.frame_outcome_mw
+        samples, rx_mw, ratio, collisions = (tx.sample_mw, self._rx_mw,
+                                             self._capture_ratio, self.phy.collisions)
         frame = tx.frame
         if frame.dest == BROADCAST:
             mean_dbm = tx.mean_dbm
@@ -195,19 +184,20 @@ class Channel:
                 # only nodes within carrier range evaluate the frame
                 if node == tx.sender or mean_dbm[node] < cs:
                     continue
-                outcome = self._outcome_at(node, tx, overlapping)
+                outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,
+                                     collisions)
                 if outcome == phy.OUTCOME_RECEIVED:
                     mac = self.macs.get(node)
                     if mac is not None:
                         mac.frame_received(frame, tx)
                 elif is_pbc:
-                    reason = "fading" if outcome == phy.OUTCOME_FADING else "collision"
-                    self.trace.add(now, EV_DROPPED, reason, LAYER_MAC, KIND_PBC,
+                    self.trace.add(now, EV_DROPPED, outcome, LAYER_MAC, KIND_PBC,
                                    frame.packet.packet_id, None, node,
                                    frame.payload_size)
         else:
             node = frame.dest
-            outcome = self._outcome_at(node, tx, overlapping)
+            outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,
+                                 collisions)
             frame.last_outcome = outcome
             if outcome == phy.OUTCOME_RECEIVED:
                 mac = self.macs.get(node)

@@ -8,6 +8,8 @@ flow ids are written as `-`. Header lines start with `#`.
 import math
 from dataclasses import dataclass, field
 
+from .packets import KIND_CBR
+
 TRACE_VERSION = "vanetbench-trace v1"
 TRACE_COLUMNS = ("time", "event", "reason", "layer", "kind",
                  "packet_id", "flow_id", "node", "size")
@@ -92,8 +94,8 @@ class TraceAggregator:
 
     def __init__(self):
         self.counts: dict[tuple, int] = {}           # (layer, kind, event, reason) -> n
-        self.app_sent_bytes: dict[str, int] = {}     # kind -> bytes
-        self.app_recv_bytes: dict[str, int] = {}
+        self.cbr_sent_bytes = 0                      # app-layer cbr bytes
+        self.cbr_recv_bytes = 0
         self.control_tx = 0                          # MAC transmissions of control packets
         self.control_tx_bytes = 0
         self.sent_meta: dict[int, tuple] = {}        # cbr pid -> (t, flow, node, size)
@@ -102,7 +104,6 @@ class TraceAggregator:
         self.drops_by_reason: dict[str, dict[str, int]] = {}   # kind -> reason -> n
         self.first_send: float | None = None
         self.last_receive: float | None = None
-        self.data_kind = "cbr"
 
     def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
         key = (layer, kind, event, reason)
@@ -111,16 +112,15 @@ class TraceAggregator:
             self.control_tx += 1
             self.control_tx_bytes += size
         if layer == LAYER_APP and event == EV_SENT:
-            self.app_sent_bytes[kind] = self.app_sent_bytes.get(kind, 0) + size
-            if kind == self.data_kind:
+            if kind == KIND_CBR:
                 if packet_id in self.sent_meta:
                     raise TraceCorruptionError(f"duplicate sent for packet {packet_id}")
                 self.sent_meta[packet_id] = (time, flow_id, node, size)
+                self.cbr_sent_bytes += size
                 if self.first_send is None or time < self.first_send:
                     self.first_send = time
         elif layer == LAYER_APP and event == EV_RECEIVED:
-            self.app_recv_bytes[kind] = self.app_recv_bytes.get(kind, 0) + size
-            if kind == self.data_kind:
+            if kind == KIND_CBR:
                 if packet_id not in self.sent_meta:
                     raise TraceCorruptionError(
                         f"receive without matching send for packet {packet_id}")
@@ -128,9 +128,10 @@ class TraceAggregator:
                     raise TraceCorruptionError(f"packet {packet_id} terminated twice")
                 self.terminal.add(packet_id)
                 self.recv_events.append((time, packet_id, flow_id))
+                self.cbr_recv_bytes += size
                 if self.last_receive is None or time > self.last_receive:
                     self.last_receive = time
-        elif event == EV_DROPPED and kind == self.data_kind:
+        elif event == EV_DROPPED and kind == KIND_CBR:
             if packet_id in self.terminal:
                 raise TraceCorruptionError(f"packet {packet_id} terminated twice")
             self.terminal.add(packet_id)
@@ -148,16 +149,13 @@ class TraceAggregator:
                 total += n
         return total
 
-    def sent(self, kind="cbr") -> int:
+    def sent(self, kind=KIND_CBR) -> int:
         return self.count(layer=LAYER_APP, kind=kind, event=EV_SENT)
 
-    def received(self, kind="cbr") -> int:
+    def received(self, kind=KIND_CBR) -> int:
         return self.count(layer=LAYER_APP, kind=kind, event=EV_RECEIVED)
 
-    def dropped(self, kind="cbr") -> int:
-        return self.count(kind=kind, event=EV_DROPPED)
-
-    def forwards(self, kind="cbr") -> int:
+    def forwards(self, kind=KIND_CBR) -> int:
         return self.count(layer=LAYER_ROUTING, kind=kind, event=EV_FORWARDED)
 
 
@@ -169,39 +167,11 @@ def aggregate(records) -> TraceAggregator:
     return agg
 
 
-def _as_agg(trace) -> TraceAggregator:
-    if isinstance(trace, TraceAggregator):
-        return trace
-    if isinstance(trace, Trace):
-        return aggregate(trace.records)
-    return aggregate(trace)
-
-
 # ---------------------------------------------------------------------------
-# metric operations
+# metric operations: each reads a run's aggregator and measures the cbr class
 
-def packet_drop(trace, kind="cbr") -> int:
-    """Dropped packets = sent - received for the class."""
-    agg = _as_agg(trace)
-    diff = agg.sent(kind) - agg.received(kind)
-    if diff < 0:
-        raise TraceCorruptionError(f"negative drop count for {kind}: {diff}")
-    return diff
-
-
-def throughput_bytes(trace, kind="cbr", direction="received") -> int:
-    """Raw byte totals over app-layer sent or received packets."""
-    agg = _as_agg(trace)
-    if direction == "received":
-        return agg.app_recv_bytes.get(kind, 0)
-    if direction == "sent":
-        return agg.app_sent_bytes.get(kind, 0)
-    raise ValueError(f"direction must be 'sent' or 'received', not {direction!r}")
-
-
-def delay_series(trace, kind="cbr"):
+def delay_series(agg: TraceAggregator):
     """Per delivered packet (receive time, delay), ordered by receive time."""
-    agg = _as_agg(trace)
     out = []
     for t_recv, pid, flow in agg.recv_events:
         t_sent = agg.sent_meta[pid][0]
@@ -218,10 +188,9 @@ def _delays_per_flow(agg: TraceAggregator):
     return flows
 
 
-def jitter_series(trace, kind="cbr"):
+def jitter_series(agg: TraceAggregator):
     """Signed delay differences between consecutive deliveries of the same flow,
     merged across flows by receive time."""
-    agg = _as_agg(trace)
     out = []
     for flow, delays in _delays_per_flow(agg).items():
         for (t_prev, d_prev), (t_next, d_next) in zip(delays, delays[1:]):
@@ -230,15 +199,13 @@ def jitter_series(trace, kind="cbr"):
     return [(t, j) for t, j, _ in out]
 
 
-def average_throughput(trace, kind="cbr", window="flow", duration=None) -> float:
+def average_throughput(agg: TraceAggregator, window="flow", duration=None) -> float:
     """Received bits over the active window, in kbit/s.
 
     window='flow' uses (last receive - first send); window='nominal' uses the
     configured run duration.
     """
-    agg = _as_agg(trace)
-    bytes_recv = agg.app_recv_bytes.get(kind, 0)
-    if agg.received(kind) == 0:
+    if agg.received() == 0:
         raise ValueError("average throughput undefined with zero deliveries")
     if window == "nominal":
         if not duration:
@@ -248,91 +215,43 @@ def average_throughput(trace, kind="cbr", window="flow", duration=None) -> float
         span = (agg.last_receive or 0.0) - (agg.first_send or 0.0)
     if span <= 0:
         raise ValueError("zero-length throughput window")
-    return bytes_recv * 8.0 / span / 1000.0
+    return agg.cbr_recv_bytes * 8.0 / span / 1000.0
 
 
-def nrl(trace, kind="cbr"):
-    """Routing-control MAC transmissions per delivered data packet; None if no deliveries."""
-    agg = _as_agg(trace)
-    delivered = agg.received(kind)
-    if delivered == 0:
-        return None
-    return agg.control_tx / delivered
-
-
-def mean_hop(trace, kind="cbr"):
-    """Hops per delivery, 1 + forwards/deliveries; None if no deliveries."""
-    agg = _as_agg(trace)
-    delivered = agg.received(kind)
-    if delivered == 0:
-        return None
-    return 1.0 + agg.forwards(kind) / delivered
-
-
-def mean_hop_raw(trace, kind="cbr"):
-    """Forwarded-over-sent ratio exactly as printed; the conflated reading."""
-    agg = _as_agg(trace)
-    sent = agg.sent(kind)
-    if sent == 0:
-        return None
-    return agg.forwards(kind) / sent
-
-
-def pdr(trace, kind="cbr"):
-    """Packet delivery ratio in percent; None when nothing was sent."""
-    agg = _as_agg(trace)
-    sent = agg.sent(kind)
-    if sent == 0:
-        return None
-    return agg.received(kind) / sent * 100.0
-
-
-def route_cost(trace, kind="cbr") -> float:
-    """Routing-control bytes transmitted per data byte sent; 0 with no control."""
-    agg = _as_agg(trace)
-    data_bytes = agg.app_sent_bytes.get(kind, 0)
-    if agg.control_tx_bytes == 0:
-        return 0.0
-    if data_bytes == 0:
-        return math.inf
-    return agg.control_tx_bytes / data_bytes
-
-
-def conservation_check(trace, kind="cbr") -> dict:
-    """sent == received + sum(dropped-by-reason) for a unicast data class.
+def conservation_check(agg: TraceAggregator) -> dict:
+    """sent == received + sum(dropped-by-reason) for the unicast data class.
 
     Broadcast classes carry one outcome record per candidate receiver, so the
     identity is only meaningful for point-to-point traffic.
     """
-    agg = _as_agg(trace)
-    sent = agg.sent(kind)
-    received = agg.received(kind)
-    drops = agg.drops_by_reason.get(kind, {})
+    sent = agg.sent()
+    received = agg.received()
+    drops = agg.drops_by_reason.get(KIND_CBR, {})
     dropped = sum(drops.values())
     if sent != received + dropped:
         raise TraceCorruptionError(
-            f"conservation violated for {kind}: sent={sent} received={received} "
+            f"conservation violated: sent={sent} received={received} "
             f"dropped={dropped} by reason {drops}")
     return {"sent": sent, "received": received, "dropped": dropped, "by_reason": drops}
 
 
 @dataclass
 class MetricsReport:
-    """All table metrics for one run; drop_pct = 100 - pdr by construction."""
+    """All table metrics of the cbr class for one run."""
 
-    kind: str
     sent: int
     received: int
-    dropped: int
+    dropped: int                        # sent - received
     throughput_sent_bytes: int
     throughput_recv_bytes: int
-    pdr: float | None
-    drop_pct: float | None
-    avg_throughput_kbps: float | None
-    nrl: float | None
-    route_cost: float
-    mean_hop: float | None
-    mean_hop_raw: float | None
+    pdr: float | None                   # delivery ratio in percent; None if nothing sent
+    drop_pct: float | None              # 100 - pdr
+    avg_throughput_kbps: float | None   # average_throughput; None when undefined
+    nrl: float | None                   # routing-control MAC transmissions per delivery
+    route_cost: float                   # routing-control bytes per data byte sent;
+                                        # 0 without control, inf without data
+    mean_hop: float | None              # hops per delivery, 1 + forwards / deliveries
+    mean_hop_raw: float | None          # forwards / sent, the conflated reading
     drops_by_reason: dict = field(default_factory=dict)
 
     METRIC_NAMES = ("sent", "received", "dropped", "throughput_sent_bytes",
@@ -344,28 +263,34 @@ class MetricsReport:
         return [(name, getattr(self, name)) for name in self.METRIC_NAMES]
 
 
-def build_report(trace, kind="cbr", window="flow", duration=None) -> MetricsReport:
-    agg = _as_agg(trace)
-    sent = agg.sent(kind)
-    received = agg.received(kind)
-    p = pdr(agg, kind)
+def build_report(agg: TraceAggregator, window="flow", duration=None) -> MetricsReport:
+    """The metrics of one run; ratios over zero deliveries (or sends) are None."""
+    sent, received, forwards = agg.sent(), agg.received(), agg.forwards()
+    if received > sent:
+        raise TraceCorruptionError(f"negative drop count: {sent - received}")
+    pdr = received / sent * 100.0 if sent else None
     try:
-        avg = average_throughput(agg, kind, window=window, duration=duration)
+        avg = average_throughput(agg, window=window, duration=duration)
     except ValueError:
         avg = None
+    if agg.control_tx_bytes == 0:
+        route_cost = 0.0
+    elif agg.cbr_sent_bytes == 0:
+        route_cost = math.inf
+    else:
+        route_cost = agg.control_tx_bytes / agg.cbr_sent_bytes
     return MetricsReport(
-        kind=kind,
         sent=sent,
         received=received,
-        dropped=packet_drop(agg, kind),
-        throughput_sent_bytes=throughput_bytes(agg, kind, "sent"),
-        throughput_recv_bytes=throughput_bytes(agg, kind, "received"),
-        pdr=p,
-        drop_pct=None if p is None else 100.0 - p,
+        dropped=sent - received,
+        throughput_sent_bytes=agg.cbr_sent_bytes,
+        throughput_recv_bytes=agg.cbr_recv_bytes,
+        pdr=pdr,
+        drop_pct=None if pdr is None else 100.0 - pdr,
         avg_throughput_kbps=avg,
-        nrl=nrl(agg, kind),
-        route_cost=route_cost(agg, kind),
-        mean_hop=mean_hop(agg, kind),
-        mean_hop_raw=mean_hop_raw(agg, kind),
-        drops_by_reason=dict(agg.drops_by_reason.get(kind, {})),
+        nrl=agg.control_tx / received if received else None,
+        route_cost=route_cost,
+        mean_hop=1.0 + forwards / received if received else None,
+        mean_hop_raw=forwards / sent if sent else None,
+        drops_by_reason=dict(agg.drops_by_reason.get(KIND_CBR, {})),
     )

@@ -1,29 +1,12 @@
 """Microscopic vehicle motion: IDM car following, intersection handling, MOBIL lane changes."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .roadnet import RoadGraph, Trip, plan_trip
+from .scenario import MobilityConfig
 
 EMERGENCY_BRAKE_FACTOR = 3.0   # multiple of comfortable deceleration when gap <= 0
-
-
-@dataclass
-class IdmParams:
-    a_max: float = 0.6
-    b: float = 0.9
-    s0: float = 1.0
-    headway: float = 0.5
-    v0: float = 80 / 3.6        # desired speed; per-vehicle, drawn at spawn
-    length: float = 5.0
-    visibility: float = 200.0
-
-
-@dataclass
-class MobilParams:
-    politeness: float = 0.5
-    accel_threshold: float = 0.5
-    safe_decel_limit: float = 0.9
 
 
 @dataclass
@@ -45,7 +28,8 @@ class VehicleState:
     accel: float
     trip: Trip
     waypoint_index: int
-    idm: IdmParams
+    v0: float                   # desired speed, drawn at spawn
+    length: float
     paused_until: float = -1.0
     x: float = 0.0
     y: float = 0.0
@@ -55,12 +39,9 @@ class VehicleState:
     def driving(self) -> bool:
         return self.edge is not None
 
-    @property
-    def length(self) -> float:
-        return self.idm.length
 
-
-def idm_acceleration(v: float, v0: float, gap: float, dv: float, p: IdmParams) -> float:
+def idm_acceleration(v: float, v0: float, gap: float, dv: float,
+                     p: MobilityConfig) -> float:
     """Car-following acceleration; gap = inf means free road, gap <= 0 brakes hard."""
     if gap <= 0:
         return -EMERGENCY_BRAKE_FACTOR * p.b
@@ -76,7 +57,7 @@ def idm_acceleration(v: float, v0: float, gap: float, dv: float, p: IdmParams) -
 
 
 def intersection_constraint(vehicle: VehicleState, graph: RoadGraph, lights: dict,
-                            t: float, p: IdmParams) -> VirtualLeader | None:
+                            t: float, p: MobilityConfig) -> VirtualLeader | None:
     """Virtual standing leader at the stop line when the edge end shows red.
 
     Applies only to the first vehicle in its lane; border intersections and
@@ -118,19 +99,21 @@ def _accel_towards(v0, p, subject_offset, subject_speed, ahead) -> float:
 
 def mobil_decide(vehicle: VehicleState, current: LaneNeighbors,
                  candidates: dict[int, LaneNeighbors],
-                 m: MobilParams, p: IdmParams) -> int | None:
+                 p: MobilityConfig) -> int | None:
     """Lane-change decision: politeness-weighted acceleration gain vs threshold.
 
     Returns the target lane index, or None to stay. Safety veto: the
-    prospective follower must not need braking beyond the safe limit, and
-    physical clearance to both target-lane neighbors is required.
+    prospective follower must not need braking beyond the safe limit (the
+    comfortable deceleration b when unset), and physical clearance to both
+    target-lane neighbors is required.
     """
     def own_accel(ahead):
-        return _accel_towards(vehicle.idm.v0, p, vehicle.offset, vehicle.speed, ahead)
+        return _accel_towards(vehicle.v0, p, vehicle.offset, vehicle.speed, ahead)
 
+    safe_decel = p.safe_decel_limit if p.safe_decel_limit is not None else p.b
     a_self_old = own_accel(current.leader)
     best_lane = None
-    best_incentive = m.accel_threshold
+    best_incentive = p.accel_threshold
     for lane in sorted(candidates):
         nb = candidates[lane]
         # clearance: never change into an overlap
@@ -142,16 +125,16 @@ def mobil_decide(vehicle: VehicleState, current: LaneNeighbors,
         a_nf_old = a_nf_new = 0.0
         if nb.follower is not None:
             f = nb.follower
-            a_nf_old = _accel_towards(f.idm.v0, p, f.offset, f.speed, nb.leader)
-            a_nf_new = _accel_towards(f.idm.v0, p, f.offset, f.speed, vehicle)
-            if a_nf_new < -m.safe_decel_limit:
+            a_nf_old = _accel_towards(f.v0, p, f.offset, f.speed, nb.leader)
+            a_nf_new = _accel_towards(f.v0, p, f.offset, f.speed, vehicle)
+            if a_nf_new < -safe_decel:
                 continue
         a_of_old = a_of_new = 0.0
         if current.follower is not None:
             f = current.follower
-            a_of_old = _accel_towards(f.idm.v0, p, f.offset, f.speed, vehicle)
-            a_of_new = _accel_towards(f.idm.v0, p, f.offset, f.speed, current.leader)
-        incentive = (a_self_new - a_self_old) + m.politeness * (
+            a_of_old = _accel_towards(f.v0, p, f.offset, f.speed, vehicle)
+            a_of_new = _accel_towards(f.v0, p, f.offset, f.speed, current.leader)
+        incentive = (a_self_new - a_self_old) + p.politeness * (
             (a_nf_new - a_nf_old) + (a_of_new - a_of_old))
         if incentive > best_incentive:
             best_incentive = incentive
@@ -162,14 +145,12 @@ def mobil_decide(vehicle: VehicleState, current: LaneNeighbors,
 class VehicleWorld:
     """Owns all vehicle states; advances them synchronously from a per-step snapshot."""
 
-    def __init__(self, graph: RoadGraph, cfg, n_vehicles: int, rng, lane_changes: bool):
+    def __init__(self, graph: RoadGraph, cfg: MobilityConfig, n_vehicles: int, rng,
+                 lane_changes: bool):
         self.graph = graph
         self.cfg = cfg
         self.rng = rng
         self.lane_changes = lane_changes
-        self.mobil = MobilParams(cfg.politeness, cfg.accel_threshold,
-                                 cfg.safe_decel_limit if cfg.safe_decel_limit is not None
-                                 else cfg.b)
         self.vehicles: dict[int, VehicleState] = {}
         self.now = 0.0
         self._steps = 0
@@ -177,52 +158,51 @@ class VehicleWorld:
         self.emergency_warnings = 0
         self.lane_change_count = 0
         self.brake_listeners: list = []    # callables (vehicle_id, accel, t)
-        self._base_idm = IdmParams(cfg.a_max, cfg.b, cfg.s0, cfg.headway,
-                                   0.0, cfg.vehicle_length, cfg.visibility)
         for vid in range(n_vehicles):
             self._spawn_initial(vid)
 
     # -- spawning ----------------------------------------------------------
 
-    def _draw_idm(self) -> IdmParams:
-        v0 = float(self.rng.uniform(self.cfg.v_min_kmh, self.cfg.v_max_kmh)) / 3.6
-        return replace(self._base_idm, v0=v0)
-
     def _spawn_initial(self, vid: int):
         g = self.graph
+        cfg = self.cfg
         origins = sorted(g.vertices)
-        idm = self._draw_idm()
+        v0 = float(self.rng.uniform(cfg.v_min_kmh, cfg.v_max_kmh)) / 3.6
+        length = cfg.vehicle_length
         st = None
         for _attempt in range(200):
             origin = origins[int(self.rng.integers(0, len(origins)))]
-            trip = plan_trip(self.rng, g, origin, self.cfg.min_stay, self.cfg.max_stay)
+            trip = plan_trip(self.rng, g, origin, cfg.min_stay, cfg.max_stay)
             edge = g.edges[trip.path[0]]
             lane = int(self.rng.integers(0, edge.lane_count))
-            span = max(0.0, edge.length - idm.length - idm.s0)
+            span = max(0.0, edge.length - length - cfg.s0)
             offset = float(self.rng.uniform(0.0, span)) if span > 0 else 0.0
-            if self._clear_at(edge.id, lane, offset, idm):
-                st = VehicleState(vid, edge.id, lane, offset, 0.0, 0.0, trip, 0, idm)
+            if self._clear_at(edge.id, lane, offset, length):
+                st = VehicleState(vid, edge.id, lane, offset, 0.0, 0.0, trip, 0, v0,
+                                  length)
                 break
         if st is None:
             # dense map: hold the vehicle at its origin and enter when space opens
-            st = VehicleState(vid, None, 0, 0.0, 0.0, 0.0, trip, 0, idm, paused_until=0.0)
+            st = VehicleState(vid, None, 0, 0.0, 0.0, 0.0, trip, 0, v0, length,
+                              paused_until=0.0)
         self._update_xy(st)
         self.vehicles[vid] = st
 
-    def _clear_at(self, edge_id: str, lane: int, offset: float, idm: IdmParams) -> bool:
+    def _clear_at(self, edge_id: str, lane: int, offset: float, length: float) -> bool:
+        s0 = self.cfg.s0
         for other in self.vehicles.values():
             if other.driving and other.edge == edge_id and other.lane == lane:
                 if other.offset >= offset:
-                    if other.offset - other.length - offset < idm.s0:
+                    if other.offset - other.length - offset < s0:
                         return False
-                elif offset - idm.length - other.offset < idm.s0:
+                elif offset - length - other.offset < s0:
                     return False
         return True
 
     def _try_respawn(self, st: VehicleState):
         """Re-enter traffic on the first edge of the pending trip if there is room."""
         edge = self.graph.edges[st.trip.path[0]]
-        if not self._clear_at(edge.id, st.lane, 0.0, st.idm):
+        if not self._clear_at(edge.id, st.lane, 0.0, st.length):
             return False
         st.edge = edge.id
         st.offset = 0.0
@@ -267,7 +247,7 @@ class VehicleWorld:
             candidates.append((leader.offset - leader.length - st.offset, leader.speed))
         else:
             # first in lane: traffic light, then look-ahead into the next edge
-            vl = intersection_constraint(st, self.graph, self.graph.lights, self.now, st.idm)
+            vl = intersection_constraint(st, self.graph, self.graph.lights, self.now, cfg)
             if vl is not None:
                 candidates.append((vl.offset - st.offset, 0.0))
             remaining = edge.length - st.offset
@@ -295,8 +275,7 @@ class VehicleWorld:
                 gap, leader_speed = self._leader_for(st, occ, i, group)
                 if gap <= 0:
                     self.emergency_warnings += 1
-                a = idm_acceleration(st.speed, st.idm.v0, gap, st.speed - leader_speed,
-                                     st.idm)
+                a = idm_acceleration(st.speed, st.v0, gap, st.speed - leader_speed, cfg)
                 st.accel = a
                 for listener in self.brake_listeners:
                     listener(st.vehicle_id, a, self.now)
@@ -304,7 +283,7 @@ class VehicleWorld:
                 # creep inside s0 of a standing leader and rest there
                 bound = None
                 if math.isfinite(gap):
-                    bound = st.offset + max(0.0, gap - st.idm.s0)
+                    bound = st.offset + max(0.0, gap - cfg.s0)
                 plans.append((st, a, bound))
                 if do_lanes:
                     target = self._consider_lane_change(st, occ, group, i)
@@ -346,7 +325,8 @@ class VehicleWorld:
             leader=group[idx + 1] if idx + 1 < len(group) else None,
             follower=group[idx - 1] if idx > 0 else None)
         if current.leader is None:
-            vl = intersection_constraint(st, self.graph, self.graph.lights, self.now, st.idm)
+            vl = intersection_constraint(st, self.graph, self.graph.lights, self.now,
+                                         self.cfg)
             if vl is not None:
                 current = LaneNeighbors(leader=vl, follower=current.follower)
         candidates = {}
@@ -362,12 +342,12 @@ class VehicleWorld:
                 follower = o
             if leader is None:
                 vl = intersection_constraint(st, self.graph, self.graph.lights,
-                                             self.now, st.idm)
+                                             self.now, self.cfg)
                 leader = vl
             candidates[lane] = LaneNeighbors(leader=leader, follower=follower)
         if not candidates:
             return None
-        return mobil_decide(st, current, candidates, self.mobil, st.idm)
+        return mobil_decide(st, current, candidates, self.cfg)
 
     def _advance_waypoints(self, st: VehicleState):
         edge = self.graph.edges[st.edge]

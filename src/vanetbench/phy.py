@@ -1,5 +1,5 @@
 """Nakagami-fading radio channel: dual-slope path loss, Gamma-distributed power,
-frame-reception decision."""
+and the one frame-reception decision (`frame_outcome_mw`) the channel applies."""
 
 import math
 
@@ -9,9 +9,10 @@ from .scenario import PhyConfig
 
 C_LIGHT = 299792458.0
 
+# a lost frame's outcome is also its drop reason in the trace
 OUTCOME_RECEIVED = "received"
-OUTCOME_FADING = "lost-fading"
-OUTCOME_COLLISION = "lost-collision"
+OUTCOME_FADING = "fading"
+OUTCOME_COLLISION = "collision"
 
 
 def reference_loss_db(frequency: float, ref_distance: float = 1.0) -> float:
@@ -19,14 +20,14 @@ def reference_loss_db(frequency: float, ref_distance: float = 1.0) -> float:
     return 20.0 * math.log10(4.0 * math.pi * ref_distance * frequency / C_LIGHT)
 
 
-def path_loss_db(d, p: PhyConfig, check: bool = True):
+def path_loss_db(d, p: PhyConfig):
     """Dual-slope log-distance loss, continuous across band edges. Accepts arrays.
 
     Within band b the loss is C_b + 10*gamma_b*log10(d); the intercepts C_b are
     chosen so the curve is continuous at the band edges.
     """
     d = np.asarray(d, dtype=float)
-    if check and np.any(d <= 0):
+    if np.any(d <= 0):
         raise ValueError("path loss undefined at d <= 0")
     base = reference_loss_db(p.frequency, p.ref_distance)
     r = p.ref_distance
@@ -58,16 +59,13 @@ def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def sample_rx_power(rng, d, p: PhyConfig, tx_power: float):
-    """Gamma-distributed received power sample(s) in mW.
+def sample_rx_power(rng, mean_mw, shape):
+    """Gamma-distributed received power sample(s) in mW around a link budget.
 
-    shape = m(d), scale = mean_mW(d) / m(d), so E[X] = mean and
-    Var[X] = mean^2 / m. Samples are i.i.d. per call.
+    shape = m, scale = mean_mw / m, so E[X] = mean_mw and Var[X] = mean_mw^2 / m.
+    Samples are i.i.d. per call.
     """
-    mean_mw = dbm_to_mw(mean_rx_power(d, p, tx_power))
-    m = shape_m(d, p)
-    out = rng.gamma(m, mean_mw / m)
-    return out if np.ndim(out) else float(out)
+    return rng.gamma(shape, mean_mw / shape)
 
 
 def calibrate_range(p: PhyConfig) -> float:
@@ -75,19 +73,21 @@ def calibrate_range(p: PhyConfig) -> float:
     return p.rx_threshold + path_loss_db(p.target_range, p)
 
 
-def frame_outcome_mw(power_mw: float, concurrent_mw, threshold_mw: float,
-                     capture_ratio: float) -> str:
-    """Reception decision for one frame at one receiver, in linear units.
+def frame_outcome_mw(power_mw: float, node: int, overlapping, threshold_mw: float,
+                     capture_ratio: float, collisions: bool) -> str:
+    """Reception decision for one frame at receiver `node`, in linear units.
 
-    lost-fading below the reception threshold; lost-collision when any
-    time-overlapping frame is within the capture ratio of this frame's power;
-    received otherwise. The caller supplies the overlapping frames' sampled
-    powers at this receiver.
+    Fading below the reception threshold; collision when a time-overlapping
+    transmission's sampled power at `node` is within the capture ratio of this
+    frame's power; received otherwise. A transmission
+    sent by `node` itself holds an infinite power there, so a receiver that
+    was sending always loses the frame (half-duplex). With `collisions` off
+    only those own transmissions count.
     """
     if power_mw < threshold_mw:
         return OUTCOME_FADING
-    for other in concurrent_mw:
-        if other * capture_ratio >= power_mw:
+    for other in overlapping:
+        if other.sample_mw[node] * capture_ratio >= power_mw and (
+                collisions or other.sender == node):
             return OUTCOME_COLLISION
     return OUTCOME_RECEIVED
-

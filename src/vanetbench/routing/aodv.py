@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 
 from ..packets import BROADCAST
-from .base import ReactiveProtocol
+from .base import ReactiveProtocol, RecentKeys
 
 RREQ_SIZE = 24
 RREP_SIZE = 20
@@ -19,6 +19,7 @@ class Rreq:
     dest_seq: int            # last known; -1 when unknown
     hop_count: int
     ttl: int
+    flood_time: float        # when the origin sent the first copy
 
 
 @dataclass
@@ -53,7 +54,7 @@ class Aodv(ReactiveProtocol):
         super().__init__(stack)
         self.table: dict[int, AodvEntry] = {}
         # (origin, rreq_id) -> best hop count seen, for duplicate suppression
-        self.seen: dict[tuple, int] = {}
+        self.seen = RecentKeys(self.sim, self.rreq_horizon)
 
     # -- table helpers ---------------------------------------------------------
 
@@ -99,7 +100,8 @@ class Aodv(ReactiveProtocol):
     def _flood_rreq(self, dest: int, ttl: int):
         e = self.table.get(dest)
         dest_seq = e.dest_seq if (e is not None and e.seq_valid) else -1
-        rreq = Rreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq, 0, ttl)
+        rreq = Rreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq, 0, ttl,
+                    self.sim.now)
         self.seen[(self.node_id, self.rreq_id)] = 0
         self.send_control(rreq, RREQ_SIZE)
 
@@ -115,7 +117,7 @@ class Aodv(ReactiveProtocol):
             self._on_rerr(msg, from_node)
 
     def _on_rreq(self, rreq: Rreq, prev: int):
-        if rreq.origin == self.node_id:
+        if rreq.origin == self.node_id or self._stale_rreq(rreq.flood_time):
             return
         # neighbor route to the transmitter
         self._update_route(prev, 0, False, 1, prev)
@@ -142,7 +144,7 @@ class Aodv(ReactiveProtocol):
             return
         if rreq.ttl - 1 > 0:
             fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.origin_seq, rreq.dest,
-                       rreq.dest_seq, hops_here, rreq.ttl - 1)
+                       rreq.dest_seq, hops_here, rreq.ttl - 1, rreq.flood_time)
             self.send_control(fwd, RREQ_SIZE)
 
     def _reply_as_dest(self, rreq: Rreq, prev: int):

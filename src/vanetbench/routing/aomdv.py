@@ -4,7 +4,7 @@ the advertised-hop-count rule."""
 import math
 from dataclasses import dataclass, field
 
-from .base import ReactiveProtocol
+from .base import ReactiveProtocol, RecentKeys
 
 RREQ_SIZE = 28
 RREP_SIZE = 24
@@ -21,6 +21,7 @@ class MRreq:
     advertised_hops: int     # hop count this copy advertises for the reverse path
     first_hop: int           # first forwarder after the origin; origin itself at hop 0
     ttl: int
+    flood_time: float        # when the origin sent the first copy
 
 
 @dataclass
@@ -62,8 +63,10 @@ class Aomdv(ReactiveProtocol):
     def __init__(self, stack):
         super().__init__(stack)
         self.table: dict[int, AomdvEntry] = {}
-        self.seen_forwarded: set = set()       # (origin, rreq_id) already re-flooded
-        self.replied: dict[tuple, tuple] = {}  # (origin, rreq_id) -> (replies, seq used)
+        # (origin, rreq_id) -> True once re-flooded
+        self.seen_forwarded = RecentKeys(self.sim, self.rreq_horizon)
+        # (origin, rreq_id) -> (replies, seq used)
+        self.replied = RecentKeys(self.sim, self.rreq_horizon)
 
     # -- table ------------------------------------------------------------------
 
@@ -121,8 +124,8 @@ class Aomdv(ReactiveProtocol):
         e = self.table.get(dest)
         dest_seq = e.dest_seq if e is not None else -1
         rreq = MRreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq,
-                     0, self.node_id, ttl)
-        self.seen_forwarded.add((self.node_id, self.rreq_id))
+                     0, self.node_id, ttl, self.sim.now)
+        self.seen_forwarded[(self.node_id, self.rreq_id)] = True
         self.send_control(rreq, RREQ_SIZE)
 
     # -- control --------------------------------------------------------------------
@@ -137,7 +140,7 @@ class Aomdv(ReactiveProtocol):
             self._on_rerr(msg, from_node)
 
     def _on_rreq(self, rreq: MRreq, prev: int):
-        if rreq.origin == self.node_id:
+        if rreq.origin == self.node_id or self._stale_rreq(rreq.flood_time):
             return
         hops_here = rreq.advertised_hops + 1
         last_hop = rreq.first_hop if rreq.first_hop != rreq.origin else prev
@@ -161,14 +164,15 @@ class Aomdv(ReactiveProtocol):
             return
         if key in self.seen_forwarded:
             return
-        self.seen_forwarded.add(key)
+        self.seen_forwarded[key] = True
         if rreq.ttl - 1 > 0:
             entry = self.table.get(rreq.origin)
             if entry is not None:
                 self._freeze_advertised(entry)   # forwarding advertises the reverse path
             first = self.node_id if rreq.first_hop == rreq.origin else rreq.first_hop
             fwd = MRreq(rreq.origin, rreq.rreq_id, rreq.origin_seq, rreq.dest,
-                        rreq.dest_seq, hops_here, first, rreq.ttl - 1)
+                        rreq.dest_seq, hops_here, first, rreq.ttl - 1,
+                        rreq.flood_time)
             self.send_control(fwd, RREQ_SIZE)
 
     def _on_rrep(self, rrep: MRrep, prev: int):

@@ -86,6 +86,31 @@ class RoutingProtocol:
         return pkt
 
 
+class RecentKeys(dict):
+    """Duplicate-suppression table that forgets a key `horizon` seconds after
+    the key was first stored.
+
+    Keys are stored in time order, so each new key first evicts the expired
+    ones from the front of `_born`; lookups are plain dict lookups.
+    """
+
+    def __init__(self, sim, horizon: float):
+        super().__init__()
+        self._sim = sim
+        self._horizon = horizon
+        self._born: deque = deque()      # (first-stored time, key), oldest first
+
+    def __setitem__(self, key, value):
+        if key not in self:
+            now = self._sim.now
+            born = self._born
+            cutoff = now - self._horizon
+            while born and born[0][0] < cutoff:
+                del self[born.popleft()[1]]
+            born.append((now, key))
+        super().__setitem__(key, value)
+
+
 @dataclass
 class _Discovery:
     attempt: int
@@ -110,6 +135,14 @@ class ReactiveProtocol(RoutingProtocol):
         self.rreq_id = 0
         self.pending: dict[int, _Discovery] = {}
         self.buffer: dict[int, deque] = {}      # dest -> deque[(packet, enq time, origin)]
+        # RREQ duplicate keys are forgotten, and RREQ copies ignored, this long
+        # after the flood began: by then every packet that started the flood
+        # has expired from the origin's buffer, so a reply could deliver nothing
+        self.rreq_horizon = self.cfg.buffer_timeout
+
+    def _stale_rreq(self, flood_time: float) -> bool:
+        """A copy this old may belong to a forgotten key; it is not a new request."""
+        return self.sim.now - flood_time >= self.rreq_horizon
 
     def _flood_rreq(self, dest: int, ttl: int):
         raise NotImplementedError

@@ -94,7 +94,8 @@ class RunResult:
 class Network:
     """The run services shared by every node, and one NodeStack per node id.
 
-    Node i sits at row i of `coords`; subclasses place the nodes there.
+    Node i sits at row i of `coords` and has `stacks[i]`; subclasses place the
+    nodes there.
     """
 
     keep_records = False
@@ -116,13 +117,13 @@ class Network:
                                self.rngs.stream("channel"), self.trace)
         rng_mac = self.rngs.stream("mac")
         rng_routing = self.rngs.stream("routing")
-        self.stacks = [NodeStack(i, self.sim, self.channel, cfg.mac, cfg.routing,
-                                 self.trace, rng_mac, rng_routing,
-                                 self.packet_ids, self.ledger)
-                       for i in nodes]
+        self.stacks = {i: NodeStack(i, self.sim, self.channel, cfg.mac, cfg.routing,
+                                    self.trace, rng_mac, rng_routing,
+                                    self.packet_ids, self.ledger)
+                       for i in nodes}
 
     def start_protocols(self):
-        for stack in self.stacks:
+        for stack in self.stacks.values():
             stack.routing.start()
 
     def close(self):

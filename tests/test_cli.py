@@ -1,0 +1,51 @@
+"""The vanetbench command line: run, report and batch on tiny scenarios."""
+
+import csv
+import json
+
+from vanetbench import cli
+from vanetbench.metrics import aggregate, build_report, read_trace
+
+TINY = ["--set", "run.duration=1.0", "--set", "run.vehicles=12",
+        "--set", "traffic.cbr_connections=4"]
+RUN_FILES = {cli.TRACE_NAME, cli.METRICS_NAME, cli.DELAY_NAME, cli.JITTER_NAME,
+             cli.CONFIG_NAME, cli.SUMMARY_NAME}
+
+
+def test_run_writes_its_files_and_report_renders_the_same_metrics(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 0
+    assert {p.name for p in out.iterdir()} == RUN_FILES
+    summary = json.loads((out / cli.SUMMARY_NAME).read_text(encoding="utf-8"))
+    report = build_report(aggregate(read_trace(out / cli.TRACE_NAME)))
+    assert summary["metrics"] == dict(report.rows())
+    assert report.sent > 0
+    capsys.readouterr()
+
+    assert cli.main(["report", str(out)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    cols, cells = header.split(), row.split()
+    assert cells[:3] == ["aodv", "idm-im", "1"]
+    for name, cell in zip(cols[3:], cells[3:]):
+        value = getattr(report, name)
+        assert cell == ("-" if value is None else f"{value:.4f}"), name
+
+
+def test_batch_fails_only_the_job_whose_directory_is_taken(tmp_path, capsys):
+    root = tmp_path / "batch"
+    taken = root / "dsdv-idm-im-s1"
+    taken.mkdir(parents=True)
+    (taken / "keep.txt").write_text("not ours\n", encoding="utf-8")
+    status = cli.main(["batch", "--protocols", "aodv,dsdv,olsr", "--mobilities",
+                       "idm-im", "--seeds", "1", "--jobs", "1", "--out", str(root),
+                       *TINY])
+    assert status == 1
+    err = capsys.readouterr().err
+    failed = [line for line in err.splitlines() if line.startswith("failed:")]
+    assert len(failed) == 1 and failed[0].startswith("failed: dsdv/idm-im/seed 1:")
+    assert (taken / "keep.txt").read_text(encoding="utf-8") == "not ours\n"
+    with open(root / "batch.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["protocol"], r["mobility"]) for r in rows] == [("aodv", "idm-im"),
+                                                              ("olsr", "idm-im")]
+    assert all(r["pdr.seed1"] != "" for r in rows)

@@ -27,6 +27,15 @@ def test_one_hop_no_forward_records():
     assert net.aggregator.forwards() == 0
 
 
+def test_sparse_node_ids_send_and_relay():
+    # stacks are keyed by node id, not by position in the placement
+    net = make_net({0: (0.0, 0.0), 1: (200.0, 0.0), 7: (400.0, 0.0)}, "aodv")
+    net.send_data(7, 0)
+    net.run_for(2.0)
+    assert net.aggregator.received() == 1
+    assert net.aggregator.forwards() == 1
+
+
 def test_three_hop_route_two_forward_records():
     net = make_net(line_positions(4, 240.0), "aodv")
     net.send_data(0, 3)

@@ -5,15 +5,14 @@ import math
 import pytest
 
 from vanetbench.core import RngStreams
-from vanetbench.mobility import (IdmParams, LaneNeighbors, MobilParams,
-                                 VehicleState, VehicleWorld, VirtualLeader,
-                                 idm_acceleration, intersection_constraint,
-                                 mobil_decide)
+from vanetbench.mobility import (LaneNeighbors, VehicleState, VehicleWorld,
+                                 VirtualLeader, idm_acceleration,
+                                 intersection_constraint, mobil_decide)
 from vanetbench.roadnet import (Edge, RoadGraph, TrafficLight, Trip, Vertex,
                                 edge_id)
 from vanetbench.scenario import MobilityConfig
 
-P = IdmParams()   # reference parameters: a_max 0.6, b 0.9, s0 1, T 0.5
+P = MobilityConfig()   # reference parameters: a_max 0.6, b 0.9, s0 1, T 0.5
 
 
 # -- idm_acceleration ---------------------------------------------------------
@@ -75,8 +74,7 @@ def put_vehicle(world, vid, edge_ref, lane, offset, speed, v0, path):
     st = VehicleState(vid, edge_ref, lane, offset, speed, 0.0,
                       Trip(world.graph.edges[path[0]].src,
                            world.graph.edges[path[-1]].dst, list(path), 3.0),
-                      path.index(edge_ref),
-                      IdmParams(v0=v0))
+                      path.index(edge_ref), v0, world.cfg.vehicle_length)
     world._update_xy(st)
     world.vehicles[vid] = st
     return st
@@ -88,7 +86,7 @@ def test_green_phase_returns_none():
     g = plus_graph()
     world = make_world(g)
     st = put_vehicle(world, 0, "n>c", 0, 349.0, 10.0, 15.0, ["n>c", "c>s"])
-    assert intersection_constraint(st, g, g.lights, 0.0, st.idm) is None
+    assert intersection_constraint(st, g, g.lights, 0.0, world.cfg) is None
 
 
 def test_red_within_visibility_places_leader_at_stop_line():
@@ -96,7 +94,7 @@ def test_red_within_visibility_places_leader_at_stop_line():
     world = make_world(g)
     # stop line at 500 - s0 = 499; offset 349 -> distance 150 < visibility 200
     st = put_vehicle(world, 0, "w>c", 0, 349.0, 10.0, 15.0, ["w>c", "c>e"])
-    vl = intersection_constraint(st, g, g.lights, 0.0, st.idm)
+    vl = intersection_constraint(st, g, g.lights, 0.0, world.cfg)
     assert isinstance(vl, VirtualLeader)
     assert vl.offset == pytest.approx(499.0)
     assert vl.offset - st.offset == pytest.approx(150.0)
@@ -107,7 +105,7 @@ def test_red_beyond_visibility_ignored():
     g = plus_graph()
     world = make_world(g)
     st = put_vehicle(world, 0, "w>c", 0, 249.0, 10.0, 15.0, ["w>c", "c>e"])  # 250 m out
-    assert intersection_constraint(st, g, g.lights, 0.0, st.idm) is None
+    assert intersection_constraint(st, g, g.lights, 0.0, world.cfg) is None
 
 
 def test_border_intersections_ignored():
@@ -115,33 +113,29 @@ def test_border_intersections_ignored():
     world = make_world(g)
     # a light at a border vertex would be ignored; emulate by checking edge into 'e'
     st = put_vehicle(world, 0, "c>e", 0, 400.0, 10.0, 15.0, ["c>e"])
-    assert intersection_constraint(st, g, g.lights, 0.0, st.idm) is None
+    assert intersection_constraint(st, g, g.lights, 0.0, world.cfg) is None
 
 
 # -- mobil_decide ------------------------------------------------------------------
 
-MOBIL = MobilParams()
-
-
 def _veh(offset, speed, v0=20.0, vid=0):
     return VehicleState(vid, "w>c", 0, offset, speed, 0.0,
-                        Trip("w", "c", ["w>c"], 3.0), 0, IdmParams(v0=v0))
+                        Trip("w", "c", ["w>c"], 3.0), 0, v0, P.vehicle_length)
 
 
 def test_symmetric_empty_lanes_stay():
     me = _veh(100.0, 15.0)
-    out = mobil_decide(me, LaneNeighbors(), {1: LaneNeighbors()}, MOBIL, me.idm)
+    out = mobil_decide(me, LaneNeighbors(), {1: LaneNeighbors()}, P)
     assert out is None
 
 
 def test_slow_leader_free_target_lane_changes():
     me = _veh(100.0, 15.0, v0=20.0)
     leader = _veh(112.0, 3.0, vid=1)          # gap 7 m, much slower
-    a_old = idm_acceleration(15.0, 20.0, 112.0 - 5.0 - 100.0, 15.0 - 3.0, me.idm)
-    a_new = idm_acceleration(15.0, 20.0, math.inf, 0.0, me.idm)
-    assert a_new - a_old > MOBIL.accel_threshold   # the inequality the rule tests
-    out = mobil_decide(me, LaneNeighbors(leader=leader),
-                       {1: LaneNeighbors()}, MOBIL, me.idm)
+    a_old = idm_acceleration(15.0, 20.0, 112.0 - 5.0 - 100.0, 15.0 - 3.0, P)
+    a_new = idm_acceleration(15.0, 20.0, math.inf, 0.0, P)
+    assert a_new - a_old > P.accel_threshold   # the inequality the rule tests
+    out = mobil_decide(me, LaneNeighbors(leader=leader), {1: LaneNeighbors()}, P)
     assert out == 1
 
 
@@ -149,11 +143,18 @@ def test_safety_veto_blocks_change_regardless_of_gain():
     me = _veh(100.0, 15.0, v0=20.0)
     leader = _veh(112.0, 3.0, vid=1)
     tail = _veh(94.0, 20.0, v0=22.0, vid=2)    # would need brutal braking
-    a_nf_new = idm_acceleration(20.0, 22.0, 100.0 - 5.0 - 94.0, 20.0 - 15.0, me.idm)
-    assert a_nf_new < -MOBIL.safe_decel_limit
+    a_nf_new = idm_acceleration(20.0, 22.0, 100.0 - 5.0 - 94.0, 20.0 - 15.0, P)
+    assert a_nf_new < -P.b       # the safe limit, unset, is the comfortable deceleration
     out = mobil_decide(me, LaneNeighbors(leader=leader),
-                       {1: LaneNeighbors(follower=tail)}, MOBIL, me.idm)
+                       {1: LaneNeighbors(follower=tail)}, P)
     assert out is None
+    # a selfish driver is held back only by the veto, and a set limit replaces b
+    selfish = MobilityConfig(politeness=0.0)
+    lax = MobilityConfig(politeness=0.0, safe_decel_limit=-a_nf_new + 1.0)
+    for cfg, expected in ((selfish, None), (lax, 1)):
+        out = mobil_decide(me, LaneNeighbors(leader=leader),
+                           {1: LaneNeighbors(follower=tail)}, cfg)
+        assert out == expected
 
 
 # -- step_world ---------------------------------------------------------------------
@@ -236,7 +237,7 @@ def test_speed_band_invariant_under_load():
     for _ in range(600):
         world.step(0.1)
         for v in world.vehicles.values():
-            assert 0.0 <= v.speed <= v.idm.v0 * (1 + 1e-6)
+            assert 0.0 <= v.speed <= v.v0 * (1 + 1e-6)
 
 
 def test_idm_im_equals_idm_lc_on_single_lane():

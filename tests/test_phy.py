@@ -1,6 +1,7 @@
 """Path loss, Nakagami sampling moments, calibration and frame outcomes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,13 @@ from vanetbench.scenario import PhyConfig
 
 PHY = PhyConfig()
 TX_POWER = 20.0
+
+
+def draw(rng, d, n, p=PHY, tx_power=TX_POWER):
+    """n fading samples at distance d, from the link budget the channel builds."""
+    dist = np.full(n, d)
+    mean_mw = phy.dbm_to_mw(phy.mean_rx_power(dist, p, tx_power))
+    return phy.sample_rx_power(rng, mean_mw, phy.shape_m(dist, p))
 
 
 def test_reference_point():
@@ -55,7 +63,7 @@ def test_shape_bands():
 def test_sample_moments_at_100m():
     rng = RngStreams(3).stream("channel")
     d = 100.0
-    samples = phy.sample_rx_power(rng, np.full(100_000, d), PHY, TX_POWER)
+    samples = draw(rng, d, 100_000)
     mean_mw = float(phy.dbm_to_mw(phy.mean_rx_power(d, PHY, TX_POWER)))
     m = phy.shape_m(d, PHY)
     assert np.mean(samples) == pytest.approx(mean_mw, rel=0.02)
@@ -67,7 +75,7 @@ def test_large_shape_kills_fading():
     rng = RngStreams(4).stream("channel")
     d = 100.0
     mean_mw = float(phy.dbm_to_mw(phy.mean_rx_power(d, no_fading, TX_POWER)))
-    samples = phy.sample_rx_power(rng, np.full(2000, d), no_fading, TX_POWER)
+    samples = draw(rng, d, 2000, no_fading)
     assert np.all(np.abs(samples - mean_mw) < 0.005 * mean_mw)
 
 
@@ -81,7 +89,7 @@ def test_reception_probability_at_calibrated_range_matches_gamma_oracle():
     tx_power = phy.calibrate_range(PhyConfig(rx_threshold=-82.0, target_range=250.0))
     rng = RngStreams(9).stream("channel")
     n = 100_000
-    samples = phy.sample_rx_power(rng, np.full(n, 250.0), PHY, tx_power)
+    samples = draw(rng, 250.0, n, tx_power=tx_power)
     threshold = float(phy.dbm_to_mw(-82.0))
     p_hat = float(np.mean(samples >= threshold))
     # at the calibrated range the mean equals the threshold, so the reception
@@ -98,7 +106,7 @@ def test_reception_probability_monotone_in_distance():
     threshold = float(phy.dbm_to_mw(-82.0))
     probs = []
     for d in (50.0, 100.0, 150.0, 200.0, 250.0, 300.0):
-        samples = phy.sample_rx_power(rng, np.full(10_000, d), PHY, tx_power)
+        samples = draw(rng, d, 10_000, tx_power=tx_power)
         probs.append(float(np.mean(samples >= threshold)))
     assert all(a >= b - 0.01 for a, b in zip(probs, probs[1:]))
     assert probs[0] > 0.9
@@ -107,37 +115,67 @@ def test_reception_probability_monotone_in_distance():
 
 def test_per_receiver_independence():
     rng = RngStreams(21).stream("channel")
-    a = phy.sample_rx_power(rng, np.full(10_000, 120.0), PHY, TX_POWER)
-    b = phy.sample_rx_power(rng, np.full(10_000, 120.0), PHY, TX_POWER)
+    a = draw(rng, 120.0, 10_000)
+    b = draw(rng, 120.0, 10_000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
 def test_same_stream_same_losses():
     def pattern():
         rng = RngStreams(33).stream("channel")
-        s = phy.sample_rx_power(rng, np.full(500, 250.0), PHY, TX_POWER)
+        s = draw(rng, 250.0, 500)
         return (s >= phy.dbm_to_mw(PHY.rx_threshold - 50)).tolist()
     assert pattern() == pattern()
 
 
 THRESHOLD_MW = float(phy.dbm_to_mw(-82.0))
 CAPTURE_RATIO = 10.0 ** (10.0 / 10.0)    # 10 dB capture margin
+RX = 0                                     # the receiver in the outcome tests
+
+
+def tx_at_rx(power_mw, sender=1):
+    """An overlapping transmission as the channel keeps it: its sampled power at
+    every node, infinite at its own sender."""
+    sample_mw = [0.0] * 3
+    sample_mw[RX] = power_mw
+    sample_mw[sender] = math.inf
+    return SimpleNamespace(sender=sender, sample_mw=sample_mw)
+
+
+def outcome(power_mw, overlapping, collisions=True):
+    return phy.frame_outcome_mw(power_mw, RX, overlapping, THRESHOLD_MW,
+                                CAPTURE_RATIO, collisions)
 
 
 def test_frame_outcome_single_frame():
     ok = float(phy.dbm_to_mw(-70.0))
-    assert phy.frame_outcome_mw(ok, [], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_RECEIVED
+    assert outcome(ok, []) == phy.OUTCOME_RECEIVED
     weak = float(phy.dbm_to_mw(-90.0))
-    assert phy.frame_outcome_mw(weak, [], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_FADING
+    assert outcome(weak, []) == phy.OUTCOME_FADING
 
 
 def test_frame_outcome_equal_power_overlap_kills_both():
     p = float(phy.dbm_to_mw(-60.0))
-    assert phy.frame_outcome_mw(p, [p], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_COLLISION
+    assert outcome(p, [tx_at_rx(p)]) == phy.OUTCOME_COLLISION
 
 
 def test_frame_outcome_capture_15db():
     strong = float(phy.dbm_to_mw(-60.0))
     weak = float(phy.dbm_to_mw(-75.0))
-    assert phy.frame_outcome_mw(strong, [weak], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_RECEIVED
-    assert phy.frame_outcome_mw(weak, [strong], THRESHOLD_MW, CAPTURE_RATIO) == phy.OUTCOME_COLLISION
+    assert outcome(strong, [tx_at_rx(weak)]) == phy.OUTCOME_RECEIVED
+    assert outcome(weak, [tx_at_rx(strong)]) == phy.OUTCOME_COLLISION
+
+
+def test_frame_outcome_receiver_sending_is_half_duplex_loss():
+    strong = float(phy.dbm_to_mw(-40.0))
+    own = tx_at_rx(0.0, sender=RX)
+    assert outcome(strong, [own]) == phy.OUTCOME_COLLISION
+    assert outcome(strong, [own], collisions=False) == phy.OUTCOME_COLLISION
+
+
+def test_frame_outcome_without_collisions_counts_only_own_frames():
+    p = float(phy.dbm_to_mw(-60.0))
+    assert outcome(p, [tx_at_rx(p), tx_at_rx(10 * p, sender=2)],
+                   collisions=False) == phy.OUTCOME_RECEIVED
+    weak = float(phy.dbm_to_mw(-90.0))
+    assert outcome(weak, [], collisions=False) == phy.OUTCOME_FADING

@@ -2,7 +2,12 @@
 
 import pytest
 
-from vanetbench.packets import KIND_CONTROL
+from vanetbench.core import Simulator
+from vanetbench.packets import KIND_CONTROL, Packet
+from vanetbench.routing.aodv import RREQ_SIZE, Rreq
+from vanetbench.routing.base import RecentKeys
+from vanetbench.scenario import ScenarioConfig
+from vanetbench.simulation import Simulation
 
 from conftest import fast_convergence_config, line_positions, make_net
 
@@ -121,3 +126,52 @@ def test_route_expires_without_use():
     assert net.stacks[0].routing.route_lookup(1) == 1
     net.run_for(2.0)
     assert net.stacks[0].routing.route_lookup(1) is None
+
+
+# -- bounded duplicate suppression -------------------------------------------------
+
+def test_recent_keys_forget_a_key_one_horizon_after_it_was_stored():
+    sim = Simulator()
+    seen = RecentKeys(sim, 1.0)
+    seen[(0, 1)] = 3
+    sim.run_until(0.5)
+    seen[(0, 2)] = 1
+    seen[(0, 1)] = 2            # an update keeps the first-stored time
+    sim.run_until(1.2)
+    seen[(5, 1)] = 0            # storing a new key evicts the expired ones
+    assert dict(seen) == {(0, 2): 1, (5, 1): 0}
+
+
+def _seen_keys(buffer_timeout):
+    cfg = ScenarioConfig()
+    cfg.run.vehicles = 30
+    cfg.traffic.cbr_connections = 10
+    cfg.run.duration = 6.0
+    cfg.routing.buffer_timeout = buffer_timeout
+    sim = Simulation(cfg)
+    sim.run()
+    return sum(len(stack.routing.seen) for stack in sim.stacks.values())
+
+
+def test_rreq_duplicate_table_stays_bounded():
+    bounded = _seen_keys(1.0)           # keys expire after 1 s
+    unbounded = _seen_keys(30.0)        # longer than the run: nothing expires
+    assert 0 < 3 * bounded < unbounded
+
+
+def test_rreq_copy_older_than_the_horizon_is_ignored():
+    cfg = fast_convergence_config("aodv")
+    cfg.routing.buffer_timeout = 0.5
+    net = make_net(line_positions(3, 240.0), "aodv", cfg=cfg)
+    net.run_for(1.0)
+    r = net.stacks[1].routing
+
+    def deliver(flood_time, rreq_id):
+        rreq = Rreq(0, rreq_id, 1, 2, -1, 0, 3, flood_time)
+        r.on_control(Packet(KIND_CONTROL, 0, -1, RREQ_SIZE, 900 + rreq_id,
+                            payload=rreq), 0)
+
+    deliver(net.sim.now - 0.5, rreq_id=1)
+    assert (0, 1) not in r.seen and 0 not in r.table
+    deliver(net.sim.now - 0.4, rreq_id=2)
+    assert (0, 2) in r.seen and r.table[0].next_hop == 0

@@ -81,7 +81,7 @@ def test_paths_respect_advertised_hop_count():
     net = make_net(DIAMOND, "aomdv")
     net.send_data(0, 2)
     net.run_for(2.0)
-    for stack in net.stacks:
+    for stack in net.stacks.values():
         for entry in stack.routing.table.values():
             for p in entry.paths:
                 assert p.hop_count <= entry.advertised_hops

@@ -46,7 +46,7 @@ def test_full_mesh_has_empty_mpr_sets():
     mesh = {0: (0, 0), 1: (60, 0), 2: (0, 60), 3: (60, 60)}
     net = make_net(mesh, "olsr")
     net.run_for(4.0)
-    for stack in net.stacks:
+    for stack in net.stacks.values():
         assert stack.routing.mpr_set == set()
 
 
@@ -65,7 +65,7 @@ def test_random_graph_mpr_coverage_and_bfs_after_three_tc_periods():
     net = make_net(pos, "olsr", seed=2)
     net.run_for(3 * net.cfg.routing.olsr_tc_interval + 2.0)
     adj = adjacency(pos)
-    for node, stack in enumerate(net.stacks):
+    for node, stack in net.stacks.items():
         r = stack.routing
         # every strict two-hop neighbor is covered through some MPR
         neighbors = r._sym_neighbors()
