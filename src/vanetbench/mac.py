@@ -46,15 +46,16 @@ class Frame:
 
 
 class Transmission:
-    __slots__ = ("sender", "frame", "start", "end", "mean_dbm", "sample_mw",
-                 "waiters")
+    __slots__ = ("sender", "frame", "start", "end", "sensed", "hearers",
+                 "sample_mw", "waiters")
 
-    def __init__(self, sender, frame, start, end, mean_dbm, sample_mw):
+    def __init__(self, sender, frame, start, end, sensed, hearers, sample_mw):
         self.sender = sender
         self.frame = frame
         self.start = start
         self.end = end
-        self.mean_dbm = mean_dbm      # per-node deterministic mean power (list)
+        self.sensed = sensed          # per node: carrier sensed, by mean power (list)
+        self.hearers = hearers        # ascending ids that sense it, sender excluded
         self.sample_mw = sample_mw    # per-node faded power for this transmission (list)
         self.waiters: list = []       # frozen MACs woken inline when this tx ends
 
@@ -64,12 +65,15 @@ class Channel:
 
     Carrier sensing uses the deterministic mean power; fading samples are drawn
     i.i.d. per (transmission, receiver) from the channel RNG stream.
+
+    Geometry contract: every write to the `coords_fn()` array must be followed
+    by `bump_geometry()`. The first link budget asked for after a bump
+    snapshots all senders at once, and that snapshot holds until the next bump.
     """
 
-    def __init__(self, sim, n_nodes, coords_fn, phy_cfg, tx_power, rng, trace):
+    def __init__(self, sim, coords_fn, phy_cfg, tx_power, rng, trace):
         self.sim = sim
-        self.n_nodes = n_nodes
-        self.coords_fn = coords_fn            # () -> ndarray (n, 2)
+        self.coords_fn = coords_fn            # () -> ndarray (n, 2), row i = node i
         self.phy = phy_cfg                    # the [phy] section
         self.tx_power = tx_power              # dBm, calibrated to phy_cfg.target_range
         self.rng = rng
@@ -82,6 +86,7 @@ class Channel:
         self._rx_mw = float(phy.dbm_to_mw(phy_cfg.rx_threshold))
         self._capture_ratio = 10.0 ** (phy_cfg.capture_margin / 10.0)
         self._horizon = 0.005                 # overlap history window, grown as needed
+        self._epoch = None                    # (sensed, mean mW, shape) matrices
         self._geometry: dict[int, tuple] = {}   # sender -> cached link budget
 
     def register(self, mac: "NodeMac"):
@@ -93,7 +98,7 @@ class Channel:
         """The sensed in-flight transmission ending last; None when idle."""
         latest = None
         for tx in self.active:
-            if tx.mean_dbm[node_id] >= self._cs_dbm:
+            if tx.sensed[node_id]:
                 if latest is None or tx.end > latest.end:
                     latest = tx
         return latest
@@ -107,24 +112,46 @@ class Channel:
     # -- transmission --------------------------------------------------------
 
     def bump_geometry(self):
-        """Invalidate cached per-sender link budgets after node positions moved."""
+        """Start a new geometry epoch: node positions moved, so every cached
+        link budget is stale. The next budget asked for snapshots all senders."""
+        self._epoch = None
         self._geometry.clear()
 
+    def _budget_matrices(self):
+        """Carrier sense, mean power in mW and Nakagami shape for every
+        (sender, receiver) pair of the current geometry; row s is sender s."""
+        coords = self.coords_fn()
+        x, y = coords[:, 0], coords[:, 1]
+        d = x - x[:, None]                    # d[s, j] = x[j] - x[s]
+        dy = y - y[:, None]
+        d *= d
+        dy *= dy
+        d += dy
+        del dy
+        np.sqrt(d, out=d)
+        np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
+        shape = phy.shape_m(d, self.phy)
+        mean_dbm = phy.mean_rx_power(d, self.phy, self.tx_power)
+        del d
+        sensed = mean_dbm >= self._cs_dbm
+        np.fill_diagonal(sensed, False)      # a sender is not its own hearer
+        return sensed, phy.dbm_to_mw(mean_dbm), shape
+
     def _link_budget(self, sender: int):
-        """Per-receiver mean power for this sender at the current geometry."""
+        """This sender's row of the current geometry: who senses it (list, True
+        at the sender), the ascending ids of the other nodes that do, and the
+        mean power in mW and Nakagami shape at every node (arrays)."""
         cached = self._geometry.get(sender)
         if cached is not None:
             return cached
-        coords = self.coords_fn()
-        delta = coords - coords[sender]
-        d = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
-        np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
-        mean_arr = phy.mean_rx_power(d, self.phy, self.tx_power)
-        mean_mw = phy.dbm_to_mw(mean_arr)
-        shape = phy.shape_m(d, self.phy)
-        mean_dbm = mean_arr.tolist()
-        mean_dbm[sender] = math.inf
-        budget = (mean_dbm, mean_mw, shape)
+        if self._epoch is None:
+            self._epoch = self._budget_matrices()
+        sensed, mean_mw, shape = self._epoch
+        row = sensed[sender]
+        sensed_by = row.tolist()
+        sensed_by[sender] = True              # a sender senses its own transmission
+        budget = (sensed_by, np.flatnonzero(row).tolist(), mean_mw[sender],
+                  shape[sender])
         self._geometry[sender] = budget
         return budget
 
@@ -133,7 +160,7 @@ class Channel:
         for tx in self.active:
             if tx.sender == sender:
                 raise RuntimeError(f"node {sender} already transmitting at t={now}")
-        mean_dbm, mean_mw, shape = self._link_budget(sender)
+        sensed, hearers, mean_mw, shape = self._link_budget(sender)
         if self.phy.loss_model == "nakagami":
             sample_mw = phy.sample_rx_power(self.rng, mean_mw, shape).tolist()
         else:
@@ -142,7 +169,7 @@ class Channel:
         # power at the sender wins every capture test frame_outcome_mw makes there
         sample_mw[sender] = math.inf
         end = now + frame.duration
-        tx = Transmission(sender, frame, now, end, mean_dbm, sample_mw)
+        tx = Transmission(sender, frame, now, end, sensed, hearers, sample_mw)
         self.active.append(tx)
         self.recent.append(tx)
         if frame.duration * 4.0 > self._horizon:
@@ -151,11 +178,10 @@ class Channel:
         self.trace.add(now, EV_SENT, "none", LAYER_MAC, frame.trace_kind,
                        pkt.packet_id if pkt else -1,
                        pkt.flow_id if pkt else None, sender, frame.payload_size)
-        cs = self._cs_dbm
         if self.contenders:
             # freeze nodes mid-countdown that sense this transmission
             for mac in list(self.contenders.values()):
-                if mean_dbm[mac.node_id] >= cs:
+                if sensed[mac.node_id]:
                     mac.medium_busy(now, tx)
         self.sim.schedule(end, lambda: self._tx_end(tx), target="channel.tx_end")
         return tx
@@ -177,13 +203,8 @@ class Channel:
                                              self._capture_ratio, self.phy.collisions)
         frame = tx.frame
         if frame.dest == BROADCAST:
-            mean_dbm = tx.mean_dbm
-            cs = self._cs_dbm
             is_pbc = frame.packet is not None and frame.packet.kind == KIND_PBC
-            for node in range(self.n_nodes):
-                # only nodes within carrier range evaluate the frame
-                if node == tx.sender or mean_dbm[node] < cs:
-                    continue
+            for node in tx.hearers:           # only nodes within carrier range
                 outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,
                                      collisions)
                 if outcome == phy.OUTCOME_RECEIVED:

@@ -8,7 +8,7 @@ flow ids are written as `-`. Header lines start with `#`.
 import math
 from dataclasses import dataclass, field
 
-from .packets import KIND_CBR
+from .packets import KIND_CBR, KIND_CONTROL
 
 TRACE_VERSION = "vanetbench-trace v1"
 TRACE_COLUMNS = ("time", "event", "reason", "layer", "kind",
@@ -101,26 +101,26 @@ class TraceAggregator:
         self.sent_meta: dict[int, tuple] = {}        # cbr pid -> (t, flow, node, size)
         self.recv_events: list[tuple] = []           # (t_recv, pid, flow)
         self.terminal: set[int] = set()              # cbr pids with a terminal record
-        self.drops_by_reason: dict[str, dict[str, int]] = {}   # kind -> reason -> n
         self.first_send: float | None = None
         self.last_receive: float | None = None
 
     def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
         key = (layer, kind, event, reason)
-        self.counts[key] = self.counts.get(key, 0) + 1
-        if layer == LAYER_MAC and event == EV_SENT and kind == "routing-control":
-            self.control_tx += 1
-            self.control_tx_bytes += size
-        if layer == LAYER_APP and event == EV_SENT:
-            if kind == KIND_CBR:
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
+        if kind == KIND_CBR:
+            if event == EV_DROPPED:
+                if packet_id in self.terminal:
+                    raise TraceCorruptionError(f"packet {packet_id} terminated twice")
+                self.terminal.add(packet_id)
+            elif event == EV_SENT and layer == LAYER_APP:
                 if packet_id in self.sent_meta:
                     raise TraceCorruptionError(f"duplicate sent for packet {packet_id}")
                 self.sent_meta[packet_id] = (time, flow_id, node, size)
                 self.cbr_sent_bytes += size
                 if self.first_send is None or time < self.first_send:
                     self.first_send = time
-        elif layer == LAYER_APP and event == EV_RECEIVED:
-            if kind == KIND_CBR:
+            elif event == EV_RECEIVED and layer == LAYER_APP:
                 if packet_id not in self.sent_meta:
                     raise TraceCorruptionError(
                         f"receive without matching send for packet {packet_id}")
@@ -131,13 +131,19 @@ class TraceAggregator:
                 self.cbr_recv_bytes += size
                 if self.last_receive is None or time > self.last_receive:
                     self.last_receive = time
-        elif event == EV_DROPPED and kind == KIND_CBR:
-            if packet_id in self.terminal:
-                raise TraceCorruptionError(f"packet {packet_id} terminated twice")
-            self.terminal.add(packet_id)
-        if event == EV_DROPPED:
-            per = self.drops_by_reason.setdefault(kind, {})
-            per[reason] = per.get(reason, 0) + 1
+        elif kind == KIND_CONTROL and event == EV_SENT and layer == LAYER_MAC:
+            self.control_tx += 1
+            self.control_tx_bytes += size
+
+    @property
+    def drops_by_reason(self) -> dict[str, dict[str, int]]:
+        """kind -> reason -> dropped records, over every layer."""
+        out: dict[str, dict[str, int]] = {}
+        for (_, kind, event, reason), n in self.counts.items():
+            if event == EV_DROPPED:
+                per = out.setdefault(kind, {})
+                per[reason] = per.get(reason, 0) + n
+        return out
 
     # -- raw counts ---------------------------------------------------------
 

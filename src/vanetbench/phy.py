@@ -63,9 +63,11 @@ def sample_rx_power(rng, mean_mw, shape):
     """Gamma-distributed received power sample(s) in mW around a link budget.
 
     shape = m, scale = mean_mw / m, so E[X] = mean_mw and Var[X] = mean_mw^2 / m.
-    Samples are i.i.d. per call.
+    Samples are i.i.d. per call. Bit for bit this equals `rng.gamma(shape, scale)`:
+    numpy draws a gamma as scale times a standard gamma, and this form skips
+    gamma's check of the scale argument.
     """
-    return rng.gamma(shape, mean_mw / shape)
+    return rng.standard_gamma(shape) * (mean_mw / shape)
 
 
 def calibrate_range(p: PhyConfig) -> float:

@@ -112,7 +112,7 @@ class Network:
         self.packet_ids = PacketIds()
         self.ledger: dict[int, object] = {}
         self.coords = np.zeros((n, 2))
-        self.channel = Channel(self.sim, n, lambda: self.coords, cfg.phy,
+        self.channel = Channel(self.sim, lambda: self.coords, cfg.phy,
                                phy.calibrate_range(cfg.phy),
                                self.rngs.stream("channel"), self.trace)
         rng_mac = self.rngs.stream("mac")

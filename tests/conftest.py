@@ -5,9 +5,19 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import settings
 
 from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import StaticNetwork
+
+# Tier-1 runs a fixed set of examples; `--hypothesis-profile=ci` runs more.
+settings.register_profile("default", max_examples=300, deadline=None,
+                          derandomize=True, database=None)
+settings.register_profile("ci", parent=settings.get_profile("default"),
+                          max_examples=2000)
+# Hypothesis switches to its own "ci" profile when a CI variable is set; tier-1
+# keeps the default there too, and only --hypothesis-profile=ci selects more.
+settings.load_profile("default")
 
 
 def line_positions(n, spacing=240.0):

@@ -32,7 +32,7 @@ class Harness:
             coords[node] = (x, y)
         rng = _ScriptedRng(rng_values) if rng_values is not None \
             else np.random.default_rng(7)
-        self.channel = Channel(self.sim, len(positions), lambda: coords, phy_cfg,
+        self.channel = Channel(self.sim, lambda: coords, phy_cfg,
                                phy.calibrate_range(phy_cfg), rng, self.trace)
         self.delivered = []
         self.breaks = []
@@ -56,7 +56,7 @@ class _ScriptedRng:
     def integers(self, low, high):
         return self.values.pop(0) if self.values else 0
 
-    def gamma(self, shape, scale):
+    def standard_gamma(self, shape):
         raise AssertionError("ideal channel must not sample fading")
 
 
@@ -259,3 +259,60 @@ def test_saturation_broadcast_throughput_bounded():
         (sum(1 for t in recv3 if lo <= t < lo + 1.0) for lo in (0.0, 0.1, 0.2)),
         default=0)
     assert 0 < window_bits <= 6e6
+
+
+def per_sender_budget(coords, sender, p, tx_power):
+    """The link budget of one sender computed on its own: the reference the
+    channel's per-epoch matrices must reproduce bit for bit."""
+    delta = coords - coords[sender]
+    d = np.sqrt(delta[:, 0] ** 2 + delta[:, 1] ** 2)
+    np.maximum(d, p.ref_distance, out=d)
+    mean_dbm = phy.mean_rx_power(d, p, tx_power)
+    return mean_dbm, phy.dbm_to_mw(mean_dbm), phy.shape_m(d, p)
+
+
+def assert_budget_matches(channel, coords, sender):
+    p = channel.phy
+    mean_dbm, mean_mw, shape = per_sender_budget(coords, sender, p, channel.tx_power)
+    sensed, hearers, got_mw, got_shape = channel._link_budget(sender)
+    assert got_mw.tobytes() == mean_mw.tobytes()
+    assert got_shape.tobytes() == shape.tobytes()
+    cs = p.carrier_sense_threshold
+    assert sensed == [j == sender or v >= cs for j, v in enumerate(mean_dbm.tolist())]
+    # the hearers are exactly the other sensing nodes, in ascending order
+    assert hearers == [j for j, v in enumerate(mean_dbm.tolist())
+                       if j != sender and v >= cs]
+
+
+def random_coords(seed, n=60, box=1500.0):
+    """Random positions plus two co-located nodes and one 50 km away."""
+    coords = np.random.default_rng(seed).uniform(0.0, box, size=(n, 2))
+    coords[1] = coords[0]
+    coords[2] = (50_000.0, 0.0)
+    return coords
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_link_budget_rows_equal_the_per_sender_formula(seed):
+    coords = random_coords(seed)
+    phy_cfg = PhyConfig()
+    channel = Channel(Simulator(), lambda: coords, phy_cfg, phy.calibrate_range(phy_cfg),
+                      np.random.default_rng(seed), Trace())
+    for sender in range(len(coords)):
+        assert_budget_matches(channel, coords, sender)
+    assert 1 in channel._link_budget(0)[1]          # co-located nodes hear each other
+    assert channel._link_budget(2)[1] == []         # the far node hears nobody
+
+
+def test_link_budget_follows_a_moved_node_after_bump_geometry():
+    coords = random_coords(3, n=20, box=400.0)
+    phy_cfg = PhyConfig()
+    channel = Channel(Simulator(), lambda: coords, phy_cfg, phy.calibrate_range(phy_cfg),
+                      np.random.default_rng(3), Trace())
+    assert 5 in channel._link_budget(4)[1]
+    coords[5] = (80_000.0, 0.0)
+    channel.bump_geometry()
+    for sender in range(len(coords)):
+        assert_budget_matches(channel, coords, sender)
+    assert 5 not in channel._link_budget(4)[1]
+    assert channel._link_budget(5)[1] == []

@@ -166,6 +166,22 @@ def test_conservation_check_counts_drops_by_reason():
         "sent": 5, "received": 4, "dropped": 1, "by_reason": {"collision": 1}}
 
 
+def test_aggregator_reads_each_record_at_its_own_layer():
+    agg = two_flows()
+    # control is counted when the MAC sends it, cbr data when the app sends or
+    # receives it; the same events at other layers move no byte or series
+    add(agg, 3.3, EV_SENT, LAYER_ROUTING, "routing-control", 503, None, 3, 40)
+    add(agg, 3.4, EV_RECEIVED, LAYER_MAC, "cbr", 3, 1, 9, 100)
+    add(agg, 3.5, EV_SENT, LAYER_MAC, "cbr", 3, 1, 0, 100)
+    assert (agg.control_tx, agg.control_tx_bytes) == (3, 120)
+    assert len(agg.recv_events) == 4 and agg.cbr_recv_bytes == 600
+    assert agg.cbr_sent_bytes == 700
+    # drop reasons add up over every layer
+    sent(agg, 4.0, 4, 1)
+    add(agg, 4.1, EV_DROPPED, LAYER_ROUTING, "cbr", 4, 1, 4, 100, reason="collision")
+    assert agg.drops_by_reason == {"cbr": {"collision": 2}, "pbc": {"fading": 1}}
+
+
 def test_conservation_check_fails_on_an_unterminated_packet():
     agg = two_flows()
     sent(agg, 3.5, 4, 1)

@@ -60,6 +60,16 @@ def test_shape_bands():
     assert phy.shape_m(400.0, PHY) == 0.75
 
 
+def test_sample_rx_power_is_numpy_gamma_bit_for_bit():
+    dist = np.random.default_rng(5).uniform(1.0, 2000.0, size=1000)
+    mean_mw = phy.dbm_to_mw(phy.mean_rx_power(dist, PHY, TX_POWER))
+    shape = phy.shape_m(dist, PHY)
+    for seed in (0, 1, 77):
+        got = phy.sample_rx_power(np.random.default_rng(seed), mean_mw, shape)
+        want = np.random.default_rng(seed).gamma(shape, mean_mw / shape)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sample_moments_at_100m():
     rng = RngStreams(3).stream("channel")
     d = 100.0
