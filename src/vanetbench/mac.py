@@ -203,18 +203,23 @@ class Channel:
                                              self._capture_ratio, self.phy.collisions)
         frame = tx.frame
         if frame.dest == BROADCAST:
+            # a beacon's outcome at each hearer, received or lost, is traced as
+            # one block after the fan-out; frame_received writes no record for it
             is_pbc = frame.packet is not None and frame.packet.kind == KIND_PBC
+            outcomes = []
             for node in tx.hearers:           # only nodes within carrier range
                 outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,
                                      collisions)
                 if outcome == phy.OUTCOME_RECEIVED:
                     mac = self.macs.get(node)
-                    if mac is not None:
-                        mac.frame_received(frame, tx)
-                elif is_pbc:
-                    self.trace.add(now, EV_DROPPED, outcome, LAYER_MAC, KIND_PBC,
-                                   frame.packet.packet_id, None, node,
-                                   frame.payload_size)
+                    if mac is None:
+                        continue              # an id without a node receives nothing
+                    mac.frame_received(frame, tx)
+                if is_pbc:
+                    outcomes.append((node, outcome))
+            if is_pbc:
+                self.trace.add_pbc_block(now, frame.packet.packet_id, frame.payload_size,
+                                         outcomes)
         else:
             node = frame.dest
             outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,

@@ -3,12 +3,17 @@
 Trace file format (stable, versioned): one record per line, space-separated
 columns `time event reason layer kind packet_id flow_id node size`; absent
 flow ids are written as `-`. Header lines start with `#`.
+
+Most records are the outcomes of beacon (pbc) broadcasts, one per hearer. They
+reach the sinks as one block per broadcast (`Trace.add_pbc_block`), which each
+sink turns into exactly the records, lines and counts that one `add` per
+outcome would give; the file format does not depend on how records arrive.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from .packets import KIND_CBR, KIND_CONTROL
+from .packets import KIND_CBR, KIND_CONTROL, KIND_PBC
 
 TRACE_VERSION = "vanetbench-trace v1"
 TRACE_COLUMNS = ("time", "event", "reason", "layer", "kind",
@@ -25,6 +30,15 @@ REASONS = ("ifq", "no-route", "ttl", "fading", "collision", "none")
 LAYER_APP = "app"
 LAYER_ROUTING = "routing"
 LAYER_MAC = "mac"
+
+# a beacon's outcome at one hearer -> (event, reason, layer) of its record: a
+# reception at the app layer, or a MAC drop whose reason is the channel's outcome
+PBC_OUTCOMES = {EV_RECEIVED: (EV_RECEIVED, "none", LAYER_APP),
+                "fading": (EV_DROPPED, "fading", LAYER_MAC),
+                "collision": (EV_DROPPED, "collision", LAYER_MAC)}
+# the same records as aggregator count keys (layer, kind, event, reason)
+PBC_KEYS = {outcome: (layer, KIND_PBC, event, reason)
+            for outcome, (event, reason, layer) in PBC_OUTCOMES.items()}
 
 
 class TraceCorruptionError(RuntimeError):
@@ -45,23 +59,46 @@ class TraceRecord:
 
 
 class Trace:
-    """Append-only record stream fanned out to sinks (file writer, aggregator, list)."""
+    """Append-only record stream fanned out to sinks (file writer, aggregator,
+    and with `keep_records` the record list `records`).
+
+    A sink takes single records through `add` and the outcomes of one beacon
+    broadcast through `add_pbc_block`; both give the same records in the same
+    order.
+    """
 
     def __init__(self, keep_records: bool = False):
-        self.records: list[TraceRecord] = []
-        self._keep = keep_records
         self._sinks: list = []
+        self.records: list[TraceRecord] = []
+        if keep_records:
+            self.records = self.attach(RecordList())
 
     def attach(self, sink):
         self._sinks.append(sink)
         return sink
 
     def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
-        if self._keep:
-            self.records.append(TraceRecord(time, event, reason, layer, kind,
-                                            packet_id, flow_id, node, size))
         for sink in self._sinks:
             sink.add(time, event, reason, layer, kind, packet_id, flow_id, node, size)
+
+    def add_pbc_block(self, time, packet_id, size, outcomes):
+        """The records of one beacon broadcast at its hearers: `outcomes` holds
+        (node, outcome) in hearer order, each outcome a key of PBC_OUTCOMES."""
+        for sink in self._sinks:
+            sink.add_pbc_block(time, packet_id, size, outcomes)
+
+
+class RecordList(list):
+    """Sink that keeps every record as a TraceRecord."""
+
+    def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
+        self.append(TraceRecord(time, event, reason, layer, kind, packet_id, flow_id,
+                                node, size))
+
+    def add_pbc_block(self, time, packet_id, size, outcomes):
+        self.extend([TraceRecord(time, *PBC_OUTCOMES[outcome], KIND_PBC, packet_id, None,
+                                 node, size)
+                     for node, outcome in outcomes])
 
 
 class TraceFileWriter:
@@ -76,6 +113,13 @@ class TraceFileWriter:
         fid = "-" if flow_id is None else flow_id
         self.fh.write(f"{time!r} {event} {reason} {layer} {kind} "
                       f"{packet_id} {fid} {node} {size}\n")
+
+    def add_pbc_block(self, time, packet_id, size, outcomes):
+        t, tail = repr(time), f" {size}\n"
+        head = {outcome: f"{t} {event} {reason} {layer} {KIND_PBC} {packet_id} - "
+                for outcome, (event, reason, layer) in PBC_OUTCOMES.items()}
+        self.fh.write("".join([f"{head[outcome]}{node}{tail}"
+                               for node, outcome in outcomes]))
 
 
 def read_trace(path):
@@ -134,6 +178,12 @@ class TraceAggregator:
         elif kind == KIND_CONTROL and event == EV_SENT and layer == LAYER_MAC:
             self.control_tx += 1
             self.control_tx_bytes += size
+
+    def add_pbc_block(self, time, packet_id, size, outcomes):
+        counts = self.counts
+        for _, outcome in outcomes:
+            key = PBC_KEYS[outcome]
+            counts[key] = counts.get(key, 0) + 1
 
     @property
     def drops_by_reason(self) -> dict[str, dict[str, int]]:

@@ -56,11 +56,10 @@ class NodeStack:
     # -- upward path ---------------------------------------------------------------
 
     def _on_frame(self, packet, from_node: int):
-        if packet.kind == KIND_PBC:
-            self.trace.add(self.sim.now, EV_RECEIVED, "none", LAYER_APP, KIND_PBC,
-                           packet.packet_id, None, self.node_id, packet.size)
-            return
-        self.routing.on_packet_arrival(packet, from_node)
+        # a beacon ends here; the channel traces its reception, in the block of
+        # its broadcast's outcomes at every hearer
+        if packet.kind != KIND_PBC:
+            self.routing.on_packet_arrival(packet, from_node)
 
     def deliver_local(self, packet):
         self.trace.add(self.sim.now, EV_RECEIVED, "none", LAYER_APP, packet.kind,

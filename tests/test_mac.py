@@ -213,6 +213,38 @@ def test_broadcast_no_receivers_sent_record_only():
     assert len(sent) == 1
 
 
+def test_pbc_outcomes_are_traced_in_hearer_order_one_reception_per_delivery():
+    # 0 beacons while 4 broadcasts cbr at the same instant: 1 receives, 2 sits
+    # past reception range, 3 hears both equally, 4 is sending (half duplex)
+    pos = {0: (0.0, 0.0), 1: (-100.0, 0.0), 2: (-350.0, 0.0), 3: (120.0, 0.0),
+           4: (240.0, 0.0)}
+    h = Harness(pos, rng_values=[])
+    received = []
+    orig = NodeMac.frame_received
+
+    def spy(mac, frame, tx):
+        received.append((mac.node_id, frame.packet.kind))
+        return orig(mac, frame, tx)
+
+    NodeMac.frame_received = spy
+    try:
+        h.macs[0].enqueue_packet(_packet(7, dst=BROADCAST, size=300, kind=KIND_PBC),
+                                 BROADCAST)
+        h.macs[4].enqueue_packet(_packet(8, src=4, dst=BROADCAST, size=300), BROADCAST)
+        h.sim.run_until(0.5)
+    finally:
+        NodeMac.frame_received = orig
+    outcomes = [(r.node, r.layer, r.event, r.reason) for r in h.trace.records
+                if r.kind == KIND_PBC and r.event != "sent"]
+    assert outcomes == [(1, "app", "received", "none"), (2, "mac", "dropped", "fading"),
+                        (3, "mac", "dropped", "collision"),
+                        (4, "mac", "dropped", "collision")]
+    assert received == [(1, KIND_PBC)]
+    assert [(n, p.packet_id) for n, p, _ in h.delivered] == [(1, 7)]
+    # the cbr broadcast's lost copies leave no record
+    assert [r.event for r in h.trace.records if r.kind == KIND_CBR] == ["sent"]
+
+
 def test_never_two_simultaneous_own_transmissions():
     cfg = fast_convergence_config("aodv", seed=3)
     cfg.traffic.cbr_connections = 0

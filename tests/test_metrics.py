@@ -1,6 +1,8 @@
 """Trace metrics on hand-built records: report fields, series order, corruption
-checks and the trace file round trip."""
+checks, the trace file round trip, and beacon outcome blocks against the
+records they stand for."""
 
+import io
 import math
 
 import pytest
@@ -224,3 +226,59 @@ def test_report_from_a_trace_file_equals_the_live_report(tmp_path):
     replayed = aggregate(read_trace(path))
     assert build_report(replayed, duration=3.0) == build_report(live, duration=3.0)
     assert delay_series(replayed) == delay_series(live) == [(1.25, 0.25)]
+
+
+# -- beacon outcome blocks ---------------------------------------------------------
+
+# (time, packet id, size, [(node, outcome)]) of one beacon broadcast
+PBC_BLOCKS = {
+    "receptions": (1.5, 40, 300, [(1, "received"), (4, "received")]),
+    "drops": (2.0, 41, 300, [(2, "fading"), (3, "collision"), (6, "fading")]),
+    "mixed": (2.5, 42, 200, [(0, "collision"), (2, "received"), (5, "fading"),
+                             (7, "received"), (9, "collision")]),
+    "empty": (3.0, 43, 300, []),
+    "17-digit time": (0.1 + 0.2, 44, 300, [(3, "fading"), (8, "received")]),
+}
+
+
+def pbc_block_records(time, pid, size, outcomes):
+    """One block as single records: an app-layer reception, or a MAC drop
+    whose reason is the outcome."""
+    return [TraceRecord(time, EV_RECEIVED, "none", LAYER_APP, "pbc", pid, None, node, size)
+            if outcome == "received" else
+            TraceRecord(time, EV_DROPPED, outcome, LAYER_MAC, "pbc", pid, None, node, size)
+            for node, outcome in outcomes]
+
+
+def traced_blocks(blocks, as_blocks):
+    """Each sink's view of the blocks, fed as blocks or one record at a time:
+    the file text, the counts in iteration order and the kept records."""
+    fh = io.StringIO()
+    trace = Trace(keep_records=True)
+    agg = trace.attach(TraceAggregator())
+    trace.attach(TraceFileWriter(fh))
+    trace.add(1.0, EV_SENT, "none", LAYER_MAC, "pbc", 40, None, 7, 300)
+    for block in blocks:
+        if as_blocks:
+            trace.add_pbc_block(*block)
+        else:
+            for r in pbc_block_records(*block):
+                trace.add(r.time, r.event, r.reason, r.layer, r.kind, r.packet_id,
+                          r.flow_id, r.node, r.size)
+    return fh.getvalue(), list(agg.counts.items()), trace.records
+
+
+@pytest.mark.parametrize("name", [*PBC_BLOCKS, "all in turn"])
+def test_a_pbc_block_equals_its_records_in_every_sink(name):
+    blocks = list(PBC_BLOCKS.values()) if name == "all in turn" else [PBC_BLOCKS[name]]
+    text, counts, records = traced_blocks(blocks, as_blocks=True)
+    assert (text, counts, records) == traced_blocks(blocks, as_blocks=False)
+    assert records[1:] == [r for b in blocks for r in pbc_block_records(*b)]
+    assert len(text.splitlines()) == 2 + len(records)       # header lines + records
+
+
+def test_a_pbc_block_writes_the_full_repr_of_its_time():
+    text, _, _ = traced_blocks([PBC_BLOCKS["17-digit time"]], as_blocks=True)
+    assert text.splitlines()[-2:] == [
+        "0.30000000000000004 dropped fading mac pbc 44 - 3 300",
+        "0.30000000000000004 received none app pbc 44 - 8 300"]

@@ -1,10 +1,14 @@
 """Properties of every scenario that passes validate(): the run completes,
-cbr packets are conserved, events are dispatched in time order, and the same
-seed replays the same run."""
+cbr packets are conserved, events are dispatched in time order, the written
+trace re-aggregates to the run's live aggregator, and the same seed replays
+the same run."""
+
+import os
+import tempfile
 
 from hypothesis import given, strategies as st
 
-from vanetbench.metrics import conservation_check
+from vanetbench.metrics import aggregate, conservation_check, read_trace
 from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig
 from vanetbench.simulation import Simulation
 
@@ -28,17 +32,25 @@ def scenarios(draw):
     return cfg.validate()
 
 
-def run(cfg):
+def run(cfg, trace_file=None):
     """One run with its dispatch log recorded."""
-    net = Simulation(cfg)
+    net = Simulation(cfg, trace_file)
     net.sim.record_log = True
     return net.run(), net.sim.dispatch_log
 
 
 @given(scenarios())
 def test_valid_scenario_runs_conserves_and_replays(cfg):
-    result, log = run(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            result, log = run(cfg, fh)
+        written = aggregate(read_trace(path))
     agg = result.aggregator
+    assert list(written.counts.items()) == list(agg.counts.items())
+    assert written.recv_events == agg.recv_events
+    assert (written.control_tx, written.control_tx_bytes) == (agg.control_tx,
+                                                              agg.control_tx_bytes)
     conservation_check(agg)
     times = [t for t, _, _ in log]
     assert all(a <= b for a, b in zip(times, times[1:]))
