@@ -53,13 +53,9 @@ class CbrAgent:
 
     def _emit(self):
         f = self.flow
-        pkt = Packet(KIND_CBR, f.src, f.dst, f.packet_size,
-                     self.stack.new_packet_id(), f.flow_id,
-                     self.stack.routing_cfg.ttl, self.sim.now)
-        self.stack.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, KIND_CBR,
-                             pkt.packet_id, f.flow_id, f.src, f.packet_size)
-        self.stack.note_data_packet(pkt)
-        self.stack.routing.on_data_to_send(pkt)
+        self.stack.originate(Packet(KIND_CBR, f.src, f.dst, f.packet_size,
+                                    self.stack.new_packet_id(), f.flow_id,
+                                    self.stack.routing_cfg.ttl, self.sim.now))
         self._k += 1
         t_next = f.start + self._k / f.rate      # multiplicative grid, no drift
         if t_next < f.stop:

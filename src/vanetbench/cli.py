@@ -1,7 +1,9 @@
 """Operator entry point: run one scenario, run seeded batches, render reports."""
 
 import argparse
+import copy
 import csv
+import itertools
 import json
 import os
 import sys
@@ -137,16 +139,12 @@ def cmd_run(args) -> int:
 
 def _batch_worker(payload):
     """One isolated batch run; executed in a worker process."""
-    ini_text, protocol, mobility, seed, out_dir, force = payload
+    cfg, out_dir, force = payload
+    key = (cfg.routing.protocol, cfg.mobility.model, cfg.run.seed)
     try:
-        cfg = parse_scenario_text(ini_text)
-        cfg.routing.protocol = protocol
-        cfg.mobility.model = mobility
-        cfg.run.seed = seed
-        summary = execute_run(cfg, Path(out_dir), force=force)
-        return (protocol, mobility, seed, summary, None)
+        return (*key, execute_run(cfg, Path(out_dir), force=force), None)
     except Exception as exc:   # surface the failure, keep the batch going
-        return (protocol, mobility, seed, None, str(exc))
+        return (*key, None, str(exc))
 
 
 _BATCH_METRICS = ("pdr", "drop_pct", "avg_throughput_kbps", "nrl",
@@ -184,27 +182,19 @@ def cmd_batch(args) -> int:
     protocols = args.protocols.split(",") if args.protocols else [cfg.routing.protocol]
     mobilities = args.mobilities.split(",") if args.mobilities else [cfg.mobility.model]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.run.seed]
-    for p in protocols:
-        if p not in PROTOCOLS:
-            print(f"error: unknown protocol '{p}'; valid options: "
-                  f"{', '.join(PROTOCOLS)}", file=sys.stderr)
-            return 2
-    for m in mobilities:
-        if m not in MOBILITY_MODELS:
-            print(f"error: unknown mobility model '{m}'; valid options: "
-                  f"{', '.join(MOBILITY_MODELS)}", file=sys.stderr)
-            return 2
     out_root = Path(args.out or "batch")
-    out_root.mkdir(parents=True, exist_ok=True)
-    ini_text = effective_ini(cfg)
-    jobs = args.jobs or int(os.environ.get("VANETBENCH_JOBS", "0")) or os.cpu_count() or 1
     payloads = []
-    for protocol in protocols:
-        for mobility in mobilities:
-            for seed in seeds:
-                run_dir = out_root / f"{protocol}-{mobility}-s{seed}"
-                payloads.append((ini_text, protocol, mobility, seed,
-                                 str(run_dir), args.force))
+    for protocol, mobility, seed in itertools.product(protocols, mobilities, seeds):
+        job = copy.deepcopy(cfg)
+        job.routing.protocol, job.mobility.model, job.run.seed = protocol, mobility, seed
+        try:
+            job.validate()
+        except SchemaError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        payloads.append((job, str(out_root / f"{protocol}-{mobility}-s{seed}"), args.force))
+    out_root.mkdir(parents=True, exist_ok=True)
+    jobs = args.jobs or os.cpu_count() or 1
     results = []
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -237,8 +227,7 @@ def cmd_report(args) -> int:
             agg = aggregate(read_trace(trace_path))
             meta = json.loads(summary_path.read_text(encoding="utf-8")) \
                 if summary_path.exists() else {}
-            duration = None
-            report = build_report(agg, duration=duration)
+            report = build_report(agg)
             _write_series_csv(run_dir / DELAY_NAME, ["time", "delay"],
                               delay_series(agg))
             _write_series_csv(run_dir / JITTER_NAME, ["time", "jitter"],
@@ -287,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--mobilities", help="comma-separated mobility models")
     batch_p.add_argument("--seeds", help="comma-separated seeds")
     batch_p.add_argument("--jobs", type=int,
-                         help="parallel workers (default $VANETBENCH_JOBS or CPUs)")
+                         help="parallel workers (default: CPUs)")
     batch_p.add_argument("--out", help="batch output root")
     batch_p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     batch_p.add_argument("--force", action="store_true")

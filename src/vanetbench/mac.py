@@ -245,7 +245,7 @@ class NodeMac:
     """
 
     def __init__(self, node_id, sim, channel: Channel, params, rng, trace,
-                 deliver_cb, link_break_cb, drop_cb):
+                 deliver_cb, link_break_cb):
         self.node_id = node_id
         self.sim = sim
         self.channel = channel
@@ -254,7 +254,6 @@ class NodeMac:
         self.trace = trace
         self.deliver_cb = deliver_cb          # (packet, from_node) -> None
         self.link_break_cb = link_break_cb    # (neighbor, packet) -> None
-        self.drop_cb = drop_cb                # (packet, reason) -> None
         self.queue: deque[Frame] = deque()
         self.state = IDLE
         self.cw = params.cw_min
@@ -276,8 +275,6 @@ class NodeMac:
         if len(self.queue) >= self.p.queue_capacity:
             self.trace.add(self.sim.now, EV_DROPPED, "ifq", LAYER_MAC, packet.kind,
                            packet.packet_id, packet.flow_id, self.node_id, packet.size)
-            if self.drop_cb is not None:
-                self.drop_cb(packet, "ifq")
             return False
         self._mac_seq += 1
         frame = Frame(self.p, FRAME_DATA, self.node_id, dest, packet,
@@ -373,14 +370,13 @@ class NodeMac:
             self.queue.popleft()
             self.state = IDLE
             packet = frame.packet
-            # the run owns the outcome: suppress the terminal drop when the data
-            # actually landed and only the ACKs were lost (packet lives downstream)
-            if not frame.delivered_to_dest and self.drop_cb is not None:
+            # no terminal drop when the data landed and only the ACKs were
+            # lost: the packet lives on downstream
+            if not frame.delivered_to_dest:
                 reason = "collision" if frame.last_outcome == phy.OUTCOME_COLLISION else "fading"
                 self.trace.add(self.sim.now, EV_DROPPED, reason, LAYER_MAC, packet.kind,
                                packet.packet_id, packet.flow_id, self.node_id,
                                packet.size)
-                self.drop_cb(packet, reason)
             if self.link_break_cb is not None:
                 # may re-enter enqueue_packet on this node (e.g. a RERR broadcast)
                 self.link_break_cb(frame.dest, packet)

@@ -134,7 +134,13 @@ def read_trace(path):
 
 
 class TraceAggregator:
-    """Streaming aggregation of the counts and series every metric needs."""
+    """Streaming aggregation of the counts and series every metric needs.
+
+    It is also the one record of each cbr packet's state: a packet is open from
+    its app sent record until its one terminal record, a reception at the app
+    layer or a drop at any layer. The nodes write those records; the
+    aggregator checks them and says which packets are still open.
+    """
 
     def __init__(self):
         self.counts: dict[tuple, int] = {}           # (layer, kind, event, reason) -> n
@@ -178,6 +184,13 @@ class TraceAggregator:
         elif kind == KIND_CONTROL and event == EV_SENT and layer == LAYER_MAC:
             self.control_tx += 1
             self.control_tx_bytes += size
+
+    def open_packets(self):
+        """(pid, flow, node, size) of each cbr packet sent but not yet
+        terminated, by ascending pid; node is the packet's source."""
+        for pid in sorted(self.sent_meta.keys() - self.terminal):
+            _, flow, node, size = self.sent_meta[pid]
+            yield pid, flow, node, size
 
     def add_pbc_block(self, time, packet_id, size, outcomes):
         counts = self.counts

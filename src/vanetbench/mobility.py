@@ -236,8 +236,9 @@ class VehicleWorld:
     def _leader_for(self, st: VehicleState, occ, idx_in_lane, lane_group):
         """Real leader in lane, look-ahead onto the next trip edge, or red-light stop.
 
-        Returns (leader-or-None, gap, leader-speed); gap is measured from this
-        vehicle's front bumper in its own edge coordinates.
+        Returns (gap, leader_speed) of the nearest of these, or (inf, 0.0) when
+        there is none; gap is measured from this vehicle's front bumper in its
+        own edge coordinates, and a red-light stop has speed 0.
         """
         cfg = self.cfg
         leader = lane_group[idx_in_lane + 1] if idx_in_lane + 1 < len(lane_group) else None

@@ -11,18 +11,6 @@ KIND_ACK = "ack"
 BROADCAST = -1  # MAC destination for single-transmission broadcast frames
 
 
-class PacketIds:
-    """Per-run packet-id allocator (process-global state would break run isolation)."""
-
-    def __init__(self):
-        self._next = 0
-
-    def new(self) -> int:
-        pid = self._next
-        self._next += 1
-        return pid
-
-
 @dataclass
 class Packet:
     """One network-layer packet; `payload` holds protocol messages or beacons."""

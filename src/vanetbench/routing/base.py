@@ -173,14 +173,8 @@ class ReactiveProtocol(RoutingProtocol):
 
     def flush_buffer(self, dest: int):
         """Send everything buffered for dest via the (now valid) route."""
-        q = self.buffer.pop(dest, None)
-        if not q:
-            return
-        horizon = self.sim.now - self.cfg.buffer_timeout
-        for packet, enq_t, origin in q:
-            if enq_t < horizon:
-                self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
-                continue
+        self._expire_buffer(dest)
+        for packet, _, origin in self.buffer.pop(dest, ()):
             nh = self.route_lookup(dest)
             if nh is None:
                 self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
@@ -191,10 +185,7 @@ class ReactiveProtocol(RoutingProtocol):
 
     def drop_buffer(self, dest: int):
         """Discovery failed: drop everything buffered for dest."""
-        q = self.buffer.pop(dest, None)
-        if not q:
-            return
-        for packet, _, _ in q:
+        for packet, _, _ in self.buffer.pop(dest, ()):
             self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
 
     # -- discovery -------------------------------------------------------------

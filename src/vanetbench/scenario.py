@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-from .roadnet import Edge, RoadGraph, Vertex, generate_grid
+from .roadnet import Edge, GraphError, RoadGraph, Vertex, generate_grid
 
 PROTOCOLS = ("aodv", "aomdv", "dsdv", "olsr")
 MOBILITY_MODELS = ("idm-im", "idm-lc")
@@ -162,6 +162,10 @@ class ScenarioConfig:
         return generate_grid(rows, cols, spacing, g.lanes, g.speed_limit, g.phase_length)
 
     def validate(self):
+        try:
+            self.build_graph()
+        except GraphError as exc:
+            raise SchemaError(f"graph: {exc}") from exc
         m = self.mobility
         if m.model not in MOBILITY_MODELS:
             raise SchemaError(f"mobility.model '{m.model}' not one of {MOBILITY_MODELS}")
@@ -189,6 +193,9 @@ class ScenarioConfig:
             raise SchemaError("phy.carrier_sense_threshold must be <= rx_threshold")
         if p.loss_model not in ("nakagami", "ideal"):
             raise SchemaError("phy.loss_model must be 'nakagami' or 'ideal'")
+        for name in ("target_range", "ref_distance", "frequency"):
+            if getattr(p, name) <= 0:
+                raise SchemaError(f"phy.{name} must be positive")
         c = self.mac
         for name in ("cw_min", "cw_max"):
             v = getattr(c, name)
@@ -198,12 +205,26 @@ class ScenarioConfig:
             raise SchemaError("mac.cw_min must be < cw_max")
         if c.queue_capacity <= 0:
             raise SchemaError("mac.queue_capacity must be positive")
-        if self.routing.protocol not in PROTOCOLS:
-            raise SchemaError(f"routing.protocol '{self.routing.protocol}' "
-                              f"not one of {PROTOCOLS}")
+        if c.bitrate <= 0:
+            raise SchemaError("mac.bitrate must be positive")
+        for name in ("slot", "sifs", "phy_overhead", "mac_overhead"):
+            if getattr(c, name) < 0:
+                raise SchemaError(f"mac.{name} must be >= 0")
+        r = self.routing
+        if r.protocol not in PROTOCOLS:
+            raise SchemaError(f"routing.protocol '{r.protocol}' not one of {PROTOCOLS}")
+        if not r.aodv_ring_ttls or min(r.aodv_ring_ttls) < 0:
+            raise SchemaError("routing.aodv_ring_ttls must list one or more TTLs >= 0")
+        if r.buffer_packets <= 0:
+            raise SchemaError("routing.buffer_packets must be positive")
+        for name in ("olsr_hello_interval", "olsr_tc_interval", "dsdv_full_dump_interval"):
+            if getattr(r, name) <= 0:
+                raise SchemaError(f"routing.{name} must be positive")
         t = self.traffic
         if t.cbr_connections < 0 or t.packet_size <= 0 or t.rate <= 0:
             raise SchemaError("traffic requires cbr_connections >= 0, packet_size > 0, rate > 0")
+        if t.cbr_start < 0:
+            raise SchemaError("traffic.cbr_start must be >= 0")
         if t.beacon_interval <= 0 or t.beacon_size <= 0:
             raise SchemaError("traffic beacon settings must be positive")
         if self.run.duration <= 0 or self.run.vehicles < 0:

@@ -1,5 +1,6 @@
 """Run assembly: build the world, stacks and agents from a scenario and execute it."""
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,41 +12,43 @@ from .mac import Channel, NodeMac
 from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace,
                       TraceAggregator, TraceFileWriter)
 from .mobility import VehicleWorld
-from .packets import BROADCAST, KIND_CBR, KIND_CONTROL, KIND_PBC, Packet, PacketIds
+from .packets import BROADCAST, KIND_CBR, KIND_CONTROL, KIND_PBC, Packet
 from .routing import make_protocol
 from .scenario import ScenarioConfig
 
 
 class NodeStack:
-    """Binds one node's MAC and routing protocol to the shared run services."""
+    """One node's MAC and routing protocol, bound to the run services of `net`.
 
-    def __init__(self, node_id, sim, channel, mac_params, routing_cfg, trace,
-                 rng_mac, rng_routing, packet_ids, ledger):
+    Every data packet enters the network through `originate` and ends at this
+    node in `deliver_local` or `drop_packet`, or in the MAC's own drop record.
+    Which packets are still open is the run's TraceAggregator's to say: it
+    sees each of those records.
+    """
+
+    def __init__(self, net, node_id):
         self.node_id = node_id
-        self.sim = sim
-        self.trace = trace
-        self.routing_cfg = routing_cfg
-        self.rng_routing = rng_routing
-        self._packet_ids = packet_ids
-        self._ledger = ledger
-        self.mac = NodeMac(node_id, sim, channel, mac_params, rng_mac, trace,
+        self.sim = net.sim
+        self.trace = net.trace
+        self.routing_cfg = net.cfg.routing
+        self.rng_routing = net.rngs.stream("routing")
+        self._packet_ids = net.packet_ids
+        self.mac = NodeMac(node_id, self.sim, net.channel, net.cfg.mac,
+                           net.rngs.stream("mac"), self.trace,
                            deliver_cb=self._on_frame,
-                           link_break_cb=self._on_link_break,
-                           drop_cb=self._on_mac_drop)
-        self.routing = make_protocol(routing_cfg.protocol, self)
-
-    # -- id and accounting services -------------------------------------------
+                           link_break_cb=self._on_link_break)
+        self.routing = make_protocol(self.routing_cfg.protocol, self)
 
     def new_packet_id(self) -> int:
-        return self._packet_ids.new()
-
-    def note_data_packet(self, packet):
-        self._ledger[packet.packet_id] = packet
-
-    def _settle(self, packet):
-        self._ledger.pop(packet.packet_id, None)
+        return next(self._packet_ids)
 
     # -- downward path -----------------------------------------------------------
+
+    def originate(self, packet):
+        """A data packet enters the network: its app sent record, then routing."""
+        self.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, packet.kind,
+                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
+        self.routing.on_data_to_send(packet)
 
     def send_unicast(self, packet, next_hop: int):
         self.mac.enqueue_packet(packet, next_hop)
@@ -64,19 +67,12 @@ class NodeStack:
     def deliver_local(self, packet):
         self.trace.add(self.sim.now, EV_RECEIVED, "none", LAYER_APP, packet.kind,
                        packet.packet_id, packet.flow_id, self.node_id, packet.size)
-        self._settle(packet)
 
     def drop_packet(self, packet, reason: str, layer: str):
         if packet.kind == KIND_CONTROL:
             return   # lost control packets are not tracked per packet
         self.trace.add(self.sim.now, EV_DROPPED, reason, layer, packet.kind,
                        packet.packet_id, packet.flow_id, self.node_id, packet.size)
-        self._settle(packet)
-
-    def _on_mac_drop(self, packet, reason: str):
-        # the MAC wrote the trace record; only settle the accounting here
-        if packet.kind != KIND_CONTROL:
-            self._settle(packet)
 
     def _on_link_break(self, neighbor: int, packet):
         self.routing.on_link_break(neighbor, packet)
@@ -87,7 +83,6 @@ class RunResult:
     aggregator: TraceAggregator
     events: int
     warnings: dict = field(default_factory=dict)
-    config: ScenarioConfig | None = None
 
 
 class Network:
@@ -108,31 +103,24 @@ class Network:
         self.aggregator = self.trace.attach(TraceAggregator())
         if trace_file is not None:
             self.trace.attach(TraceFileWriter(trace_file))
-        self.packet_ids = PacketIds()
-        self.ledger: dict[int, object] = {}
+        self.packet_ids = itertools.count()
         self.coords = np.zeros((n, 2))
         self.channel = Channel(self.sim, lambda: self.coords, cfg.phy,
                                phy.calibrate_range(cfg.phy),
                                self.rngs.stream("channel"), self.trace)
-        rng_mac = self.rngs.stream("mac")
-        rng_routing = self.rngs.stream("routing")
-        self.stacks = {i: NodeStack(i, self.sim, self.channel, cfg.mac, cfg.routing,
-                                    self.trace, rng_mac, rng_routing,
-                                    self.packet_ids, self.ledger)
-                       for i in nodes}
+        self.stacks = {i: NodeStack(self, i) for i in nodes}
 
     def start_protocols(self):
         for stack in self.stacks.values():
             stack.routing.start()
 
     def close(self):
-        """Flush packets with no terminal state so conservation holds exactly."""
+        """Drop every data packet still open, reason none, at its source, so
+        that conservation holds exactly."""
         now = self.sim.now
-        for pid in sorted(self.ledger):
-            pkt = self.ledger[pid]
-            self.trace.add(now, EV_DROPPED, "none", LAYER_APP, pkt.kind,
-                           pkt.packet_id, pkt.flow_id, pkt.src, pkt.size)
-        self.ledger.clear()
+        for pid, flow, node, size in list(self.aggregator.open_packets()):
+            self.trace.add(now, EV_DROPPED, "none", LAYER_APP, KIND_CBR, pid, flow,
+                           node, size)
 
 
 class Simulation(Network):
@@ -205,7 +193,7 @@ class Simulation(Network):
             "emergency_brakes": self.world.emergency_warnings,
             "lane_changes": self.world.lane_change_count,
         }
-        return RunResult(self.aggregator, events, warnings, cfg)
+        return RunResult(self.aggregator, events, warnings)
 
 
 class StaticNetwork(Network):
@@ -229,10 +217,7 @@ class StaticNetwork(Network):
         stack = self.stacks[src]
         pkt = Packet(KIND_CBR, src, dst, size, stack.new_packet_id(), flow_id,
                      self.cfg.routing.ttl, self.sim.now)
-        self.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, KIND_CBR,
-                       pkt.packet_id, flow_id, src, size)
-        stack.note_data_packet(pkt)
-        stack.routing.on_data_to_send(pkt)
+        stack.originate(pkt)
         return pkt
 
     def run_for(self, seconds: float):

@@ -83,23 +83,13 @@ def test_cbr_stop_equals_start_emits_exactly_one():
         class routing_cfg:
             ttl = 64
 
-        class routing:
-            @staticmethod
-            def on_data_to_send(p):
-                sent.append(p)
-
-        class trace:
-            @staticmethod
-            def add(*a):
-                pass
+        @staticmethod
+        def originate(p):
+            sent.append(p)
 
         @staticmethod
         def new_packet_id():
             return len(sent)
-
-        @staticmethod
-        def note_data_packet(p):
-            pass
 
     sim = Simulator()
     agent = CbrAgent(sim, StubStack, CbrFlow(0, 0, 1, 512, 4.0, 2.0, 2.0))

@@ -49,3 +49,12 @@ def test_batch_fails_only_the_job_whose_directory_is_taken(tmp_path, capsys):
     assert [(r["protocol"], r["mobility"]) for r in rows] == [("aodv", "idm-im"),
                                                               ("olsr", "idm-im")]
     assert all(r["pdr.seed1"] != "" for r in rows)
+
+
+def test_batch_rejects_a_bad_job_before_any_output(tmp_path, capsys):
+    root = tmp_path / "batch"
+    status = cli.main(["batch", "--protocols", "aodv,bogus", "--seeds", "1",
+                       "--jobs", "1", "--out", str(root), *TINY])
+    assert status == 2
+    assert "routing.protocol 'bogus'" in capsys.readouterr().err
+    assert not root.exists()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from vanetbench.metrics import conservation_check
 from vanetbench.packets import KIND_CBR, Packet
 
 from conftest import fast_convergence_config, line_positions, make_net
@@ -97,3 +98,20 @@ def test_buffer_timeout_drops_stale_packets():
     net.close()
     drops = net.aggregator.drops_by_reason.get("cbr", {})
     assert drops.get("no-route") == 1
+
+
+def test_close_drops_a_buffered_packet_once_at_its_source():
+    pos = line_positions(2, 150.0)
+    pos[7] = (50_000.0, 0.0)                # unreachable: the packet waits for a route
+    net = make_net(pos, "aodv")
+    pkt = net.send_data(0, 7, size=300, flow_id=5)
+    net.run_for(0.01)
+    assert [p for p, _, _ in net.stacks[0].routing.buffer[7]] == [pkt]
+    net.close()
+    closing = [(r.layer, r.packet_id, r.flow_id, r.node, r.size) for r in net.trace.records
+               if r.event == "dropped" and r.reason == "none"]
+    assert closing == [("app", pkt.packet_id, 5, 0, 300)]
+    conservation_check(net.aggregator)
+    written = len(net.trace.records)
+    net.close()
+    assert len(net.trace.records) == written

@@ -36,14 +36,12 @@ class Harness:
                                phy.calibrate_range(phy_cfg), rng, self.trace)
         self.delivered = []
         self.breaks = []
-        self.drops = []
         self.macs = []
         for node in sorted(positions):
             mac = NodeMac(node, self.sim, self.channel, self.mac_cfg, rng,
                           self.trace,
                           deliver_cb=lambda p, frm, n=node: self.delivered.append((n, p, frm)),
-                          link_break_cb=lambda nbr, p, n=node: self.breaks.append((n, nbr)),
-                          drop_cb=lambda p, r, n=node: self.drops.append((n, p, r)))
+                          link_break_cb=lambda nbr, p, n=node: self.breaks.append((n, nbr)))
             self.macs.append(mac)
 
 
@@ -145,7 +143,9 @@ def test_unicast_out_of_range_fails_after_retry_limit_plus_one():
                 and r.kind == "cbr"]
     assert len(attempts) == h.mac_cfg.retry_limit + 1 == 8
     assert h.breaks == [(0, 1)]
-    assert [(n, r) for n, _, r in h.drops] == [(0, "fading")]
+    drops = [(r.node, r.reason) for r in h.trace.records
+             if r.layer == "mac" and r.event == "dropped"]
+    assert drops == [(0, "fading")]
 
 
 def test_cw_doubling_sequence():

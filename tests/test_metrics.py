@@ -191,6 +191,14 @@ def test_conservation_check_fails_on_an_unterminated_packet():
         conservation_check(agg)
 
 
+def test_open_packets_are_the_unterminated_sends_by_pid():
+    agg = two_flows()
+    assert list(agg.open_packets()) == []
+    sent(agg, 3.5, 12, 2, node=5, size=200)
+    sent(agg, 3.6, 4, 1)
+    assert list(agg.open_packets()) == [(4, 1, 0, 100), (12, 2, 5, 200)]
+
+
 # -- trace file ------------------------------------------------------------------
 
 def test_trace_file_round_trip(tmp_path):

@@ -54,7 +54,7 @@ def test_lane_count_zero_is_schema_error(tmp_path):
 vertices = a 0 0; b 250 0
 edges = a b 0; b a 0
 """)
-    with pytest.raises(Exception):
+    with pytest.raises(SchemaError):
         load_scenario(path)
 
 
@@ -92,6 +92,22 @@ def test_recalc_must_be_multiple_of_dt():
 def test_flows_bounded_by_ordered_pairs():
     with pytest.raises(SchemaError, match="cbr_connections"):
         parse_scenario_text("[run]\nvehicles = 2\n[traffic]\ncbr_connections = 3\n")
+
+
+# each value crashed or hung a 10-vehicle run when validate() let it through
+@pytest.mark.parametrize("section,key,value", [
+    ("graph", "lanes", "0"), ("graph", "grid", "1 5 250"), ("graph", "speed_limit", "0"),
+    ("graph", "phase_length", "0"), ("mac", "bitrate", "0"), ("mac", "phy_overhead", "-1"),
+    ("mac", "slot", "-1"), ("mac", "sifs", "-1"), ("mac", "mac_overhead", "-100"),
+    ("traffic", "cbr_start", "-1"), ("phy", "target_range", "0"),
+    ("phy", "ref_distance", "0"), ("phy", "frequency", "0"),
+    ("routing", "aodv_ring_ttls", ""), ("routing", "aodv_ring_ttls", "-2"),
+    ("routing", "buffer_packets", "0"), ("routing", "olsr_hello_interval", "0"),
+    ("routing", "olsr_tc_interval", "0"), ("routing", "dsdv_full_dump_interval", "0"),
+])
+def test_value_that_breaks_a_run_is_schema_error(section, key, value):
+    with pytest.raises(SchemaError, match=key if section != "graph" else "graph"):
+        parse_scenario_text(f"[{section}]\n{key} = {value}\n")
 
 
 # a valid non-default value for every field of every section
