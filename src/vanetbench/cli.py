@@ -41,8 +41,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "mobility", None) is not None:
         lines.append(("mobility", f"model = {args.mobility}"))
     if not lines:
-        cfg.validate()
-        return cfg
+        return cfg   # unchanged: parsing validated a loaded file, and the run validates
     by_section: dict[str, list] = {}
     for section, line in lines:
         by_section.setdefault(section, []).append(line)
@@ -52,7 +51,7 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 def _load_config(args) -> ScenarioConfig:
     if args.scenario:
-        cfg, _ = load_scenario(args.scenario)
+        cfg = load_scenario(args.scenario)
     else:
         cfg = ScenarioConfig()
     return _apply_overrides(cfg, args)
@@ -82,7 +81,6 @@ def execute_run(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> dict
         raise FileExistsError(f"output directory {out_dir} is not empty "
                               f"(use --force to overwrite)")
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg.validate()
     with open(out_dir / TRACE_NAME, "w", encoding="utf-8") as trace_fh:
         sim = Simulation(cfg, trace_file=trace_fh)
         result = sim.run()
@@ -181,7 +179,12 @@ def cmd_batch(args) -> int:
         return 2
     protocols = args.protocols.split(",") if args.protocols else [cfg.routing.protocol]
     mobilities = args.mobilities.split(",") if args.mobilities else [cfg.mobility.model]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.run.seed]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.run.seed]
+    except ValueError:
+        print(f"error: --seeds expects comma-separated integers, got '{args.seeds}'",
+              file=sys.stderr)
+        return 2
     out_root = Path(args.out or "batch")
     payloads = []
     for protocol, mobility, seed in itertools.product(protocols, mobilities, seeds):

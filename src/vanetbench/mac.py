@@ -47,7 +47,7 @@ class Frame:
 
 class Transmission:
     __slots__ = ("sender", "frame", "start", "end", "sensed", "hearers",
-                 "sample_mw", "waiters")
+                 "sample_mw", "waiters", "overlaps")
 
     def __init__(self, sender, frame, start, end, sensed, hearers, sample_mw):
         self.sender = sender
@@ -58,6 +58,7 @@ class Transmission:
         self.hearers = hearers        # ascending ids that sense it, sender excluded
         self.sample_mw = sample_mw    # per-node faded power for this transmission (list)
         self.waiters: list = []       # frozen MACs woken inline when this tx ends
+        self.overlaps: list = []      # transmissions overlapping it in time, in send order
 
 
 class Channel:
@@ -65,6 +66,10 @@ class Channel:
 
     Carrier sensing uses the deterministic mean power; fading samples are drawn
     i.i.d. per (transmission, receiver) from the channel RNG stream.
+
+    Overlap record: a starting transmission and each in-flight one that ends
+    after this instant join each other's `overlaps`, so the record is complete
+    when a transmission ends; `_tx_end` reads it to decide receptions, then clears it.
 
     Geometry contract: every write to the `coords_fn()` array must be followed
     by `bump_geometry()`. The first link budget asked for after a bump
@@ -79,18 +84,13 @@ class Channel:
         self.rng = rng
         self.trace = trace
         self.active: list[Transmission] = []
-        self.recent: deque[Transmission] = deque()
         self.contenders: dict[int, "NodeMac"] = {}
         self.macs: dict[int, "NodeMac"] = {}
         self._cs_dbm = phy_cfg.carrier_sense_threshold
         self._rx_mw = float(phy.dbm_to_mw(phy_cfg.rx_threshold))
         self._capture_ratio = 10.0 ** (phy_cfg.capture_margin / 10.0)
-        self._horizon = 0.005                 # overlap history window, grown as needed
         self._epoch = None                    # (sensed, mean mW, shape) matrices
         self._geometry: dict[int, tuple] = {}   # sender -> cached link budget
-
-    def register(self, mac: "NodeMac"):
-        self.macs[mac.node_id] = mac
 
     # -- medium state --------------------------------------------------------
 
@@ -102,12 +102,6 @@ class Channel:
                 if latest is None or tx.end > latest.end:
                     latest = tx
         return latest
-
-    def add_countdown(self, mac: "NodeMac"):
-        self.contenders[mac.node_id] = mac
-
-    def remove_countdown(self, node_id: int):
-        self.contenders.pop(node_id, None)
 
     # -- transmission --------------------------------------------------------
 
@@ -170,10 +164,11 @@ class Channel:
         sample_mw[sender] = math.inf
         end = now + frame.duration
         tx = Transmission(sender, frame, now, end, sensed, hearers, sample_mw)
+        for other in self.active:
+            if other.start < end and other.end > now:
+                other.overlaps.append(tx)
+                tx.overlaps.append(other)
         self.active.append(tx)
-        self.recent.append(tx)
-        if frame.duration * 4.0 > self._horizon:
-            self._horizon = frame.duration * 4.0
         pkt = frame.packet
         self.trace.add(now, EV_SENT, "none", LAYER_MAC, frame.trace_kind,
                        pkt.packet_id if pkt else -1,
@@ -186,18 +181,10 @@ class Channel:
         self.sim.schedule(end, lambda: self._tx_end(tx), target="channel.tx_end")
         return tx
 
-    def _overlapping(self, tx: Transmission):
-        return [o for o in self.recent
-                if o is not tx and o.start < tx.end and o.end > tx.start]
-
     def _tx_end(self, tx: Transmission):
         now = self.sim.now
         self.active.remove(tx)
-        recent = self.recent
-        cutoff = now - self._horizon
-        while recent and recent[0].start < cutoff:
-            recent.popleft()
-        overlapping = self._overlapping(tx)
+        overlapping = tx.overlaps
         outcome_at = phy.frame_outcome_mw
         samples, rx_mw, ratio, collisions = (tx.sample_mw, self._rx_mw,
                                              self._capture_ratio, self.phy.collisions)
@@ -234,7 +221,7 @@ class Channel:
             sender_mac.own_tx_ended(frame)
         for mac in tx.waiters:
             mac.resume_contention()
-        tx.waiters = ()
+        tx.waiters = tx.overlaps = ()      # no reference cycle between overlapping pairs
 
 
 class NodeMac:
@@ -261,12 +248,14 @@ class NodeMac:
         self.backoff_remaining = 0
         self.wait_started = 0.0
         self._difs = params.difs
+        ack_duration = params.phy_overhead + 8.0 * params.mac_overhead / params.bitrate
+        self._ack_wait = params.sifs + ack_duration + params.slot
         self._done_ev = None
         self._timeout_ev = None
         self._ack = None                      # ACK frame pending or in flight
         self._mac_seq = 0
         self._dedupe: dict[int, int] = {}     # src -> last delivered mac_seq
-        channel.register(self)
+        channel.macs[node_id] = self
 
     # -- queue admission -----------------------------------------------------
 
@@ -302,7 +291,7 @@ class NodeMac:
             blocker.waiters.append(self)
             return
         self.state = CONTEND
-        self.channel.add_countdown(self)
+        self.channel.contenders[self.node_id] = self
         self.wait_started = self.sim.now
         fire = self.sim.now + self._difs + self.backoff_remaining * self.p.slot
         self._done_ev = self.sim.schedule(fire, self._backoff_done, target="mac.backoff")
@@ -315,26 +304,28 @@ class NodeMac:
         if self.state == FROZEN:
             self._begin_wait()
 
-    def _consume_slots(self, t_busy: float):
+    def _freeze(self, t_busy: float):
+        """Stop the countdown (CONTEND only) at t_busy, keeping the slots not yet
+        counted down, and leave the contenders."""
+        self.sim.cancel(self._done_ev)
+        self._done_ev = None
         elapsed = t_busy - (self.wait_started + self._difs)
         consumed = int(math.floor(elapsed / self.p.slot + 1e-9)) if elapsed > 0 else 0
         self.backoff_remaining -= min(max(consumed, 0), self.backoff_remaining)
+        self.channel.contenders.pop(self.node_id, None)
+        self.state = FROZEN
 
     def medium_busy(self, t_busy: float, blocker):
         if self.state != CONTEND:
             return   # frozen nodes re-check the medium when their blocker ends
         if self._done_ev is not None and self._done_ev.fire_time <= self.sim.now:
             return   # backoff hit zero this same instant: transmit (and collide)
-        self.sim.cancel(self._done_ev)
-        self._done_ev = None
-        self._consume_slots(t_busy)
-        self.state = FROZEN
-        self.channel.remove_countdown(self.node_id)
+        self._freeze(t_busy)
         blocker.waiters.append(self)
 
     def _backoff_done(self):
         self._done_ev = None
-        self.channel.remove_countdown(self.node_id)
+        self.channel.contenders.pop(self.node_id, None)
         frame = self.queue[0]
         self.state = TX
         self.channel.transmit(self.node_id, frame)
@@ -351,9 +342,7 @@ class NodeMac:
             self._frame_done()
         else:
             self.state = WAIT_ACK
-            ack_duration = self.p.phy_overhead + 8.0 * self.p.mac_overhead / self.p.bitrate
-            timeout = self.p.sifs + ack_duration + self.p.slot
-            self._timeout_ev = self.sim.after(timeout, self._ack_timeout,
+            self._timeout_ev = self.sim.after(self._ack_wait, self._ack_timeout,
                                               target="mac.ack_timeout")
 
     def _frame_done(self):
@@ -392,15 +381,9 @@ class NodeMac:
         """Decoding a frame occupies the radio even when the transmitter sits
         below the carrier-sense threshold; the countdown must not have run
         through the frame, and nothing may transmit before the SIFS ack slot."""
-        if self.state != CONTEND:
-            return
-        if self._done_ev is not None:
-            self.sim.cancel(self._done_ev)
-            self._done_ev = None
-        self._consume_slots(tx_start)
-        self.channel.remove_countdown(self.node_id)
-        self.state = FROZEN
-        self._begin_wait()
+        if self.state == CONTEND:
+            self._freeze(tx_start)
+            self._begin_wait()
 
     def frame_received(self, frame: Frame, tx: Transmission):
         self._freeze_for_reception(tx.start)

@@ -233,8 +233,9 @@ class VehicleWorld:
             group.sort(key=lambda s: (s.offset, s.vehicle_id))
         return occ
 
-    def _leader_for(self, st: VehicleState, occ, idx_in_lane, lane_group):
-        """Real leader in lane, look-ahead onto the next trip edge, or red-light stop.
+    def _leader_for(self, st: VehicleState, occ, idx_in_lane, lane_group, stop):
+        """Real leader in lane, look-ahead onto the next trip edge, or red-light
+        `stop` (this step's intersection_constraint, or None).
 
         Returns (gap, leader_speed) of the nearest of these, or (inf, 0.0) when
         there is none; gap is measured from this vehicle's front bumper in its
@@ -248,9 +249,8 @@ class VehicleWorld:
             candidates.append((leader.offset - leader.length - st.offset, leader.speed))
         else:
             # first in lane: traffic light, then look-ahead into the next edge
-            vl = intersection_constraint(st, self.graph, self.graph.lights, self.now, cfg)
-            if vl is not None:
-                candidates.append((vl.offset - st.offset, 0.0))
+            if stop is not None:
+                candidates.append((stop.offset - st.offset, 0.0))
             remaining = edge.length - st.offset
             if remaining <= cfg.visibility and st.waypoint_index + 1 < len(st.trip.path):
                 nxt = self.graph.edges[st.trip.path[st.waypoint_index + 1]]
@@ -271,9 +271,14 @@ class VehicleWorld:
         plans: list[tuple[VehicleState, float, object]] = []
         lane_moves: list[tuple[VehicleState, int]] = []
 
+        lights = self.graph.lights
         for group in occ.values():
+            last = len(group) - 1
             for i, st in enumerate(group):
-                gap, leader_speed = self._leader_for(st, occ, i, group)
+                # only the first in its lane, or a lane change, looks at the light
+                stop = (intersection_constraint(st, self.graph, lights, self.now, cfg)
+                        if i == last or do_lanes else None)
+                gap, leader_speed = self._leader_for(st, occ, i, group, stop)
                 if gap <= 0:
                     self.emergency_warnings += 1
                 a = idm_acceleration(st.speed, st.v0, gap, st.speed - leader_speed, cfg)
@@ -287,7 +292,7 @@ class VehicleWorld:
                     bound = st.offset + max(0.0, gap - cfg.s0)
                 plans.append((st, a, bound))
                 if do_lanes:
-                    target = self._consider_lane_change(st, occ, group, i)
+                    target = self._consider_lane_change(st, occ, group, i, stop)
                     if target is not None:
                         lane_moves.append((st, target))
 
@@ -318,18 +323,13 @@ class VehicleWorld:
         self._steps += 1
         self.now += dt
 
-    def _consider_lane_change(self, st, occ, group, idx):
+    def _consider_lane_change(self, st, occ, group, idx, stop):
         edge = self.graph.edges[st.edge]
         if edge.lane_count < 2:
             return None
         current = LaneNeighbors(
-            leader=group[idx + 1] if idx + 1 < len(group) else None,
+            leader=group[idx + 1] if idx + 1 < len(group) else stop,
             follower=group[idx - 1] if idx > 0 else None)
-        if current.leader is None:
-            vl = intersection_constraint(st, self.graph, self.graph.lights, self.now,
-                                         self.cfg)
-            if vl is not None:
-                current = LaneNeighbors(leader=vl, follower=current.follower)
         candidates = {}
         for lane in (st.lane - 1, st.lane + 1):
             if not 0 <= lane < edge.lane_count:
@@ -341,11 +341,8 @@ class VehicleWorld:
                     leader = o
                     break
                 follower = o
-            if leader is None:
-                vl = intersection_constraint(st, self.graph, self.graph.lights,
-                                             self.now, self.cfg)
-                leader = vl
-            candidates[lane] = LaneNeighbors(leader=leader, follower=follower)
+            candidates[lane] = LaneNeighbors(leader=leader if leader is not None else stop,
+                                             follower=follower)
         if not candidates:
             return None
         return mobil_decide(st, current, candidates, self.cfg)

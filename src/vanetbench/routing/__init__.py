@@ -2,7 +2,7 @@
 
 from .aodv import Aodv
 from .aomdv import Aomdv
-from .base import RoutingProtocol
+from .base import RoutingProtocol  # noqa: F401 - the interface, re-exported
 from .dsdv import Dsdv
 from .olsr import Olsr
 
@@ -13,11 +13,3 @@ PROTOCOLS = {
     "olsr": Olsr,
 }
 
-
-def make_protocol(name: str, stack) -> RoutingProtocol:
-    try:
-        cls = PROTOCOLS[name]
-    except KeyError:
-        raise ValueError(f"unknown routing protocol '{name}'; "
-                         f"valid options: {', '.join(sorted(PROTOCOLS))}") from None
-    return cls(stack)

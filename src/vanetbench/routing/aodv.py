@@ -49,6 +49,7 @@ class AodvEntry:
 
 class Aodv(ReactiveProtocol):
     discovery_target = "aodv.discovery"
+    control_handlers = {Rreq: "_on_rreq", Rrep: "_on_rrep", Rerr: "_on_rerr"}
 
     def __init__(self, stack):
         super().__init__(stack)
@@ -107,15 +108,6 @@ class Aodv(ReactiveProtocol):
 
     # -- control handling ---------------------------------------------------------
 
-    def on_control(self, packet, from_node: int):
-        msg = packet.payload
-        if isinstance(msg, Rreq):
-            self._on_rreq(msg, from_node)
-        elif isinstance(msg, Rrep):
-            self._on_rrep(msg, from_node, packet)
-        elif isinstance(msg, Rerr):
-            self._on_rerr(msg, from_node)
-
     def _on_rreq(self, rreq: Rreq, prev: int):
         if rreq.origin == self.node_id or self._stale_rreq(rreq.flood_time):
             return
@@ -154,7 +146,7 @@ class Aodv(ReactiveProtocol):
         self.send_control(Rrep(rreq.origin, self.node_id, self.seq, 0),
                           RREP_SIZE, dest=prev)
 
-    def _on_rrep(self, rrep: Rrep, prev: int, packet):
+    def _on_rrep(self, rrep: Rrep, prev: int):
         hops_here = rrep.hop_count + 1
         self._update_route(prev, 0, False, 1, prev)
         self._update_route(rrep.dest, rrep.dest_seq, True, hops_here, prev)

@@ -59,6 +59,7 @@ class AomdvEntry:
 
 class Aomdv(ReactiveProtocol):
     discovery_target = "aomdv.discovery"
+    control_handlers = {MRreq: "_on_rreq", MRrep: "_on_rrep", MRerr: "_on_rerr"}
 
     def __init__(self, stack):
         super().__init__(stack)
@@ -129,15 +130,6 @@ class Aomdv(ReactiveProtocol):
         self.send_control(rreq, RREQ_SIZE)
 
     # -- control --------------------------------------------------------------------
-
-    def on_control(self, packet, from_node: int):
-        msg = packet.payload
-        if isinstance(msg, MRreq):
-            self._on_rreq(msg, from_node)
-        elif isinstance(msg, MRrep):
-            self._on_rrep(msg, from_node)
-        elif isinstance(msg, MRerr):
-            self._on_rerr(msg, from_node)
 
     def _on_rreq(self, rreq: MRreq, prev: int):
         if rreq.origin == self.node_id or self._stale_rreq(rreq.flood_time):

@@ -14,6 +14,9 @@ class RoutingProtocol:
     ReactiveProtocol buffers it pending discovery instead.
     """
 
+    # control payload type -> name of the method that handles it as (msg, from_node)
+    control_handlers: dict = {}
+
     def __init__(self, stack):
         self.stack = stack
         self.node_id = stack.node_id
@@ -32,7 +35,10 @@ class RoutingProtocol:
         pass
 
     def on_control(self, packet: Packet, from_node: int):
-        raise NotImplementedError
+        """Hand the payload to its type's handler; other payloads are ignored."""
+        name = self.control_handlers.get(type(packet.payload))
+        if name is not None:
+            getattr(self, name)(packet.payload, from_node)
 
     # -- data plane ----------------------------------------------------------
 

@@ -27,6 +27,8 @@ class DsdvEntry:
 
 
 class Dsdv(RoutingProtocol):
+    control_handlers = {DsdvUpdate: "_on_update"}
+
     def __init__(self, stack):
         super().__init__(stack)
         self.own_seq = 0
@@ -59,11 +61,14 @@ class Dsdv(RoutingProtocol):
                 out.append((e.dest, e.metric, e.dest_seq))
         return out
 
-    def _full_dump(self):
+    def _advertise(self):
         self.own_seq += 2
         entries = self._advertised_entries()
         self.send_control(DsdvUpdate(entries),
                           UPDATE_HEADER + ENTRY_SIZE * len(entries))
+
+    def _full_dump(self):
+        self._advertise()
         self._check_neighbors()
         self.sim.after(self.cfg.dsdv_full_dump_interval, self._full_dump,
                        target="dsdv.dump")
@@ -80,10 +85,7 @@ class Dsdv(RoutingProtocol):
     def _emit_trigger(self):
         self._trigger_pending = False
         self.last_trigger = self.sim.now
-        self.own_seq += 2
-        entries = self._advertised_entries()
-        self.send_control(DsdvUpdate(entries),
-                          UPDATE_HEADER + ENTRY_SIZE * len(entries))
+        self._advertise()
 
     def _check_neighbors(self):
         timeout = 2.0 * self.cfg.dsdv_full_dump_interval
@@ -95,10 +97,7 @@ class Dsdv(RoutingProtocol):
 
     # -- updates -------------------------------------------------------------------
 
-    def on_control(self, packet, from_node: int):
-        msg = packet.payload
-        if not isinstance(msg, DsdvUpdate):
-            return
+    def _on_update(self, msg: DsdvUpdate, from_node: int):
         now = self.sim.now
         self.last_heard[from_node] = now
         changed = False

@@ -67,6 +67,8 @@ def select_mprs(neighbors: set, two_hop: dict) -> set:
 
 
 class Olsr(RoutingProtocol):
+    control_handlers = {Hello: "_on_hello", Tc: "_on_tc"}
+
     def __init__(self, stack):
         super().__init__(stack)
         self.links: dict[int, LinkInfo] = {}
@@ -126,13 +128,6 @@ class Olsr(RoutingProtocol):
 
     # -- control ------------------------------------------------------------------
 
-    def on_control(self, packet, from_node: int):
-        msg = packet.payload
-        if isinstance(msg, Hello):
-            self._on_hello(msg, from_node)
-        elif isinstance(msg, Tc):
-            self._on_tc(msg, from_node, packet)
-
     def _on_hello(self, hello: Hello, nbr: int):
         now = self.sim.now
         hold = self.cfg.hold_multiplier * self.cfg.olsr_hello_interval
@@ -151,7 +146,7 @@ class Olsr(RoutingProtocol):
         self._recompute_mprs()
         self._dirty = True
 
-    def _on_tc(self, tc: Tc, prev: int, packet):
+    def _on_tc(self, tc: Tc, prev: int):
         if tc.origin == self.node_id:
             return
         if self.seen_tc.get(tc.origin, -1) >= tc.seq:

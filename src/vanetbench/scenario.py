@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .roadnet import Edge, GraphError, RoadGraph, Vertex, generate_grid
+from .routing import PROTOCOLS as _PROTOCOL_CLASSES
 
-PROTOCOLS = ("aodv", "aomdv", "dsdv", "olsr")
+PROTOCOLS = tuple(_PROTOCOL_CLASSES)
 MOBILITY_MODELS = ("idm-im", "idm-lc")
 
 
@@ -161,9 +162,11 @@ class ScenarioConfig:
         rows, cols, spacing = g.grid
         return generate_grid(rows, cols, spacing, g.lanes, g.speed_limit, g.phase_length)
 
-    def validate(self):
+    def validate(self) -> RoadGraph:
+        """Check every section; returns the road graph the check built, so a
+        run needs no second build."""
         try:
-            self.build_graph()
+            graph = self.build_graph()
         except GraphError as exc:
             raise SchemaError(f"graph: {exc}") from exc
         m = self.mobility
@@ -233,7 +236,7 @@ class ScenarioConfig:
         if t.cbr_connections > n * (n - 1):
             raise SchemaError(f"traffic.cbr_connections={t.cbr_connections} exceeds "
                               f"available ordered pairs for {n} vehicles")
-        return self
+        return graph
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +344,11 @@ def parse_scenario_text(text: str, base: ScenarioConfig | None = None) -> Scenar
     return cfg
 
 
-def load_scenario(path) -> tuple[ScenarioConfig, RoadGraph]:
-    """Parse and validate a scenario file; returns the config and its road graph."""
+def load_scenario(path) -> ScenarioConfig:
+    """Parse and validate a scenario file; returns the config only (a run
+    builds its road graph when it validates the config)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    cfg = parse_scenario_text(text)
-    graph = cfg.build_graph()
-    return cfg, graph
+        return parse_scenario_text(fh.read())
 
 
 def effective_ini(cfg: ScenarioConfig) -> str:

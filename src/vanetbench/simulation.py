@@ -13,7 +13,7 @@ from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace,
                       TraceAggregator, TraceFileWriter)
 from .mobility import VehicleWorld
 from .packets import BROADCAST, KIND_CBR, KIND_CONTROL, KIND_PBC, Packet
-from .routing import make_protocol
+from .routing import PROTOCOLS
 from .scenario import ScenarioConfig
 
 
@@ -37,7 +37,7 @@ class NodeStack:
                            net.rngs.stream("mac"), self.trace,
                            deliver_cb=self._on_frame,
                            link_break_cb=self._on_link_break)
-        self.routing = make_protocol(self.routing_cfg.protocol, self)
+        self.routing = PROTOCOLS[self.routing_cfg.protocol](self)
 
     def new_packet_id(self) -> int:
         return next(self._packet_ids)
@@ -127,10 +127,9 @@ class Simulation(Network):
     """One deterministic run: mobility + channel + MAC + routing + traffic."""
 
     def __init__(self, cfg: ScenarioConfig, trace_file=None):
-        cfg.validate()
+        self.graph = cfg.validate()
         n = cfg.run.vehicles
         super().__init__(cfg, range(n), trace_file)
-        self.graph = cfg.build_graph()
         self.world = VehicleWorld(self.graph, cfg.mobility, n,
                                   self.rngs.stream("mobility"),
                                   lane_changes=(cfg.mobility.model == "idm-lc"))

@@ -3,8 +3,11 @@
 import csv
 import json
 
+import pytest
+
 from vanetbench import cli
 from vanetbench.metrics import aggregate, build_report, read_trace
+from vanetbench.scenario import ScenarioConfig
 
 TINY = ["--set", "run.duration=1.0", "--set", "run.vehicles=12",
         "--set", "traffic.cbr_connections=4"]
@@ -58,3 +61,35 @@ def test_batch_rejects_a_bad_job_before_any_output(tmp_path, capsys):
     assert status == 2
     assert "routing.protocol 'bogus'" in capsys.readouterr().err
     assert not root.exists()
+
+
+def test_batch_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
+    root = tmp_path / "batch"
+    status = cli.main(["batch", "--seeds", "1,x", "--jobs", "1", "--out", str(root),
+                       *TINY])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: --seeds")
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["run", "--out", "{tmp}/run"], 2),          # once at parse, once in the run
+    (["batch", "--seeds", "1,2", "--jobs", "1", "--out", "{tmp}/batch"], 5),
+])
+def test_a_run_from_a_scenario_file_builds_its_road_graph_once(tmp_path, capsys,
+                                                               monkeypatch, argv, most):
+    path = tmp_path / "tiny.ini"
+    path.write_text("[run]\nduration = 1.0\nvehicles = 12\n\n"
+                    "[traffic]\ncbr_connections = 4\n", encoding="utf-8")
+    build = ScenarioConfig.build_graph
+    builds = []
+
+    def counted(cfg):
+        builds.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "build_graph", counted)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main([argv[0], "--scenario", str(path), *argv[1:]]) == 0
+    assert len(builds) <= most
+    capsys.readouterr()

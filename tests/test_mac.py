@@ -5,7 +5,7 @@ import pytest
 
 from vanetbench import phy
 from vanetbench.core import Simulator
-from vanetbench.mac import Channel, NodeMac
+from vanetbench.mac import FRAME_DATA, Channel, Frame, NodeMac
 from vanetbench.metrics import Trace, TraceAggregator, conservation_check
 from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig
@@ -243,6 +243,23 @@ def test_pbc_outcomes_are_traced_in_hearer_order_one_reception_per_delivery():
     assert [(n, p.packet_id) for n, p, _ in h.delivered] == [(1, 7)]
     # the cbr broadcast's lost copies leave no record
     assert [r.event for r in h.trace.records if r.kind == KIND_CBR] == ["sent"]
+
+
+def test_frames_that_only_touch_do_not_overlap():
+    # hearer 2 sits between the senders of A and B, which reach it with equal
+    # power; C's sender is near the edge of range, so B captures over C there
+    h = Harness({0: (-10.0, 0.0), 1: (10.0, 0.0), 2: (0.0, 0.0), 3: (240.0, 0.0)})
+    p = h.mac_cfg
+    a = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(0, src=0, dst=BROADCAST), 512, 1)
+    b = Frame(p, FRAME_DATA, 1, BROADCAST, _packet(1, src=1, dst=BROADCAST), 512, 1)
+    c = Frame(p, FRAME_DATA, 3, 2, _packet(2, src=3, dst=2), 512, 1)
+    # B starts at the instant A ends, sequenced before A's channel.tx_end
+    h.sim.schedule(a.duration, lambda: h.channel.transmit(1, b))
+    h.sim.schedule(0.0, lambda: h.channel.transmit(0, a))
+    h.sim.schedule(a.duration + b.duration / 2, lambda: h.channel.transmit(3, c))
+    h.sim.run_until(1.0)
+    assert [pkt.packet_id for node, pkt, _ in h.delivered if node == 2] == [0, 1]
+    assert c.last_outcome == phy.OUTCOME_COLLISION
 
 
 def test_never_two_simultaneous_own_transmissions():

@@ -89,6 +89,18 @@ def test_large_shape_kills_fading():
     assert np.all(np.abs(samples - mean_mw) < 0.005 * mean_mw)
 
 
+@pytest.mark.parametrize("seed", (0, 1, 77))
+@pytest.mark.parametrize("d", (50.0, 150.0, 300.0))   # one distance per shape band
+def test_fading_draw_is_the_nakagami_power_distribution(d, seed):
+    samples = draw(np.random.default_rng(seed), d, 5000)
+    mean_mw = float(phy.dbm_to_mw(phy.mean_rx_power(d, PHY, TX_POWER)))
+    m = phy.shape_m(d, PHY)
+    assert stats.kstest(samples, stats.gamma(a=m, scale=mean_mw / m).cdf).pvalue > 0.01
+    # power: the same samples reject a shape 20 % too large
+    wrong = 1.2 * m
+    assert stats.kstest(samples, stats.gamma(a=wrong, scale=mean_mw / wrong).cdf).pvalue < 1e-3
+
+
 def test_calibration_exact():
     tx_power = phy.calibrate_range(PhyConfig(rx_threshold=-82.0, target_range=250.0))
     assert phy.mean_rx_power(250.0, PHY, tx_power) == pytest.approx(-82.0, abs=1e-9)

@@ -29,7 +29,8 @@ def scenarios(draw):
     cfg.mac.queue_capacity = draw(st.integers(1, 50))
     cfg.graph.grid = (draw(st.integers(2, 4)), draw(st.integers(2, 4)),
                       draw(st.floats(100.0, 600.0)))
-    return cfg.validate()
+    cfg.validate()
+    return cfg
 
 
 def run(cfg, trace_file=None):

@@ -21,7 +21,8 @@ vehicles = 2
 [traffic]
 cbr_connections = 1
 """)
-    cfg, graph = load_scenario(path)
+    cfg = load_scenario(path)
+    graph = cfg.build_graph()
     assert len(graph.edges) == 2
     assert graph.edges["a>b"].length == 250.0
     # defaults fill everything absent
