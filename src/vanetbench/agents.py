@@ -108,8 +108,6 @@ class PbcAgent:
             self.sim.schedule(t_next, self._tick, target="pbc.tick")
 
     def on_accel(self, vehicle_id: int, accel: float, t: float):
-        if vehicle_id != self.stack.node_id:
-            return
         if accel > -self.cfg.emergency_decel:
             return
         if t - self._last_emergency < self.cfg.emergency_rate_limit:

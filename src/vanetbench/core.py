@@ -34,10 +34,6 @@ class Event:
         self.cancelled = False
 
 
-# EventHandle is the event itself; exposed under the contract name.
-EventHandle = Event
-
-
 class Simulator:
     """Single-threaded event loop with a monotone virtual clock (seconds)."""
 
@@ -49,7 +45,7 @@ class Simulator:
         self.record_log = record_log
         self.dispatch_log: list[tuple[float, int, str]] = []
 
-    def schedule(self, at: float, action, target: str = "") -> EventHandle:
+    def schedule(self, at: float, action, target: str = "") -> Event:
         """Schedule `action()` at absolute time `at`; returns a cancellable handle."""
         if at < self.now:
             raise SchedulingError(f"cannot schedule at t={at!r}, clock is {self.now!r}")
@@ -58,10 +54,10 @@ class Simulator:
         self._seq += 1
         return ev
 
-    def after(self, delay: float, action, target: str = "") -> EventHandle:
+    def after(self, delay: float, action, target: str = "") -> Event:
         return self.schedule(self.now + delay, action, target)
 
-    def cancel(self, handle: EventHandle) -> bool:
+    def cancel(self, handle: Event) -> bool:
         """True if the event was pending and is now removed; False otherwise."""
         if handle.fired or handle.cancelled:
             return False

@@ -151,9 +151,6 @@ class Channel:
 
     def transmit(self, sender: int, frame: Frame):
         now = self.sim.now
-        for tx in self.active:
-            if tx.sender == sender:
-                raise RuntimeError(f"node {sender} already transmitting at t={now}")
         sensed, hearers, mean_mw, shape = self._link_budget(sender)
         if self.phy.loss_model == "nakagami":
             sample_mw = phy.sample_rx_power(self.rng, mean_mw, shape).tolist()
@@ -165,6 +162,8 @@ class Channel:
         end = now + frame.duration
         tx = Transmission(sender, frame, now, end, sensed, hearers, sample_mw)
         for other in self.active:
+            if other.sender == sender:
+                raise RuntimeError(f"node {sender} already transmitting at t={now}")
             if other.start < end and other.end > now:
                 other.overlaps.append(tx)
                 tx.overlaps.append(other)
@@ -182,6 +181,8 @@ class Channel:
         return tx
 
     def _tx_end(self, tx: Transmission):
+        """Hand the frame to each receiver whose outcome is a reception: every
+        hearer of a broadcast, or the one destination of a unicast frame."""
         now = self.sim.now
         self.active.remove(tx)
         overlapping = tx.overlaps
@@ -189,36 +190,27 @@ class Channel:
         samples, rx_mw, ratio, collisions = (tx.sample_mw, self._rx_mw,
                                              self._capture_ratio, self.phy.collisions)
         frame = tx.frame
-        if frame.dest == BROADCAST:
-            # a beacon's outcome at each hearer, received or lost, is traced as
-            # one block after the fan-out; frame_received writes no record for it
-            is_pbc = frame.packet is not None and frame.packet.kind == KIND_PBC
-            outcomes = []
-            for node in tx.hearers:           # only nodes within carrier range
-                outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,
-                                     collisions)
-                if outcome == phy.OUTCOME_RECEIVED:
-                    mac = self.macs.get(node)
-                    if mac is None:
-                        continue              # an id without a node receives nothing
-                    mac.frame_received(frame, tx)
-                if is_pbc:
-                    outcomes.append((node, outcome))
-            if is_pbc:
-                self.trace.add_pbc_block(now, frame.packet.packet_id, frame.payload_size,
-                                         outcomes)
-        else:
-            node = frame.dest
+        broadcast = frame.dest == BROADCAST
+        # a beacon's outcome at each hearer, received or lost, is traced as
+        # one block after the fan-out; frame_received writes no record for it
+        is_pbc = frame.packet is not None and frame.packet.kind == KIND_PBC
+        outcomes = []
+        for node in tx.hearers if broadcast else (frame.dest,):
             outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,
                                  collisions)
-            frame.last_outcome = outcome
             if outcome == phy.OUTCOME_RECEIVED:
                 mac = self.macs.get(node)
-                if mac is not None:
-                    mac.frame_received(frame, tx)
-        sender_mac = self.macs.get(tx.sender)
-        if sender_mac is not None:
-            sender_mac.own_tx_ended(frame)
+                if mac is None:
+                    continue                  # an id without a node receives nothing
+                mac.frame_received(frame, tx)
+            if is_pbc:
+                outcomes.append((node, outcome))
+        if is_pbc:
+            self.trace.add_pbc_block(now, frame.packet.packet_id, frame.payload_size,
+                                     outcomes)
+        elif not broadcast:
+            frame.last_outcome = outcome      # the sender's _ack_timeout reads it
+        self.macs[tx.sender].own_tx_ended(frame)
         for mac in tx.waiters:
             mac.resume_contention()
         tx.waiters = tx.overlaps = ()      # no reference cycle between overlapping pairs
@@ -240,7 +232,7 @@ class NodeMac:
         self.rng = rng
         self.trace = trace
         self.deliver_cb = deliver_cb          # (packet, from_node) -> None
-        self.link_break_cb = link_break_cb    # (neighbor, packet) -> None
+        self.link_break_cb = link_break_cb    # (neighbor) -> None
         self.queue: deque[Frame] = deque()
         self.state = IDLE
         self.cw = params.cw_min
@@ -316,9 +308,10 @@ class NodeMac:
         self.state = FROZEN
 
     def medium_busy(self, t_busy: float, blocker):
-        if self.state != CONTEND:
-            return   # frozen nodes re-check the medium when their blocker ends
-        if self._done_ev is not None and self._done_ev.fire_time <= self.sim.now:
+        """Only `Channel.transmit` calls this, for each contender that senses the
+        new transmission `blocker`; a contender is in CONTEND with a live countdown
+        from `_begin_wait` until `_freeze` or `_backoff_done` takes it out."""
+        if self._done_ev.fire_time <= self.sim.now:
             return   # backoff hit zero this same instant: transmit (and collide)
         self._freeze(t_busy)
         blocker.waiters.append(self)
@@ -366,9 +359,8 @@ class NodeMac:
                 self.trace.add(self.sim.now, EV_DROPPED, reason, LAYER_MAC, packet.kind,
                                packet.packet_id, packet.flow_id, self.node_id,
                                packet.size)
-            if self.link_break_cb is not None:
-                # may re-enter enqueue_packet on this node (e.g. a RERR broadcast)
-                self.link_break_cb(frame.dest, packet)
+            # may re-enter enqueue_packet on this node (e.g. a RERR broadcast)
+            self.link_break_cb(frame.dest)
             if self.queue and self.state == IDLE:
                 self._start_access()
             return
@@ -391,15 +383,12 @@ class NodeMac:
             if (self.state == WAIT_ACK and self.queue
                     and frame.ack_for == self.queue[0].mac_seq
                     and frame.src == self.queue[0].dest):
-                if self._timeout_ev is not None:
-                    self.sim.cancel(self._timeout_ev)
-                    self._timeout_ev = None
+                self.sim.cancel(self._timeout_ev)     # armed for as long as WAIT_ACK lasts
+                self._timeout_ev = None
                 self._frame_done()
             return
         if frame.dest == BROADCAST:
             self.deliver_cb(frame.packet, frame.src)
-            return
-        if frame.dest != self.node_id:
             return
         self._send_ack(frame)
         if self._dedupe.get(frame.src) == frame.mac_seq:

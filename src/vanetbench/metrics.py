@@ -11,7 +11,7 @@ outcome would give; the file format does not depend on how records arrive.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .packets import KIND_CBR, KIND_CONTROL, KIND_PBC
 
@@ -151,8 +151,6 @@ class TraceAggregator:
         self.sent_meta: dict[int, tuple] = {}        # cbr pid -> (t, flow, node, size)
         self.recv_events: list[tuple] = []           # (t_recv, pid, flow)
         self.terminal: set[int] = set()              # cbr pids with a terminal record
-        self.first_send: float | None = None
-        self.last_receive: float | None = None
 
     def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
         key = (layer, kind, event, reason)
@@ -168,8 +166,6 @@ class TraceAggregator:
                     raise TraceCorruptionError(f"duplicate sent for packet {packet_id}")
                 self.sent_meta[packet_id] = (time, flow_id, node, size)
                 self.cbr_sent_bytes += size
-                if self.first_send is None or time < self.first_send:
-                    self.first_send = time
             elif event == EV_RECEIVED and layer == LAYER_APP:
                 if packet_id not in self.sent_meta:
                     raise TraceCorruptionError(
@@ -179,8 +175,6 @@ class TraceAggregator:
                 self.terminal.add(packet_id)
                 self.recv_events.append((time, packet_id, flow_id))
                 self.cbr_recv_bytes += size
-                if self.last_receive is None or time > self.last_receive:
-                    self.last_receive = time
         elif kind == KIND_CONTROL and event == EV_SENT and layer == LAYER_MAC:
             self.control_tx += 1
             self.control_tx_bytes += size
@@ -281,7 +275,8 @@ def average_throughput(agg: TraceAggregator, window="flow", duration=None) -> fl
             raise ValueError("nominal window needs the run duration")
         span = float(duration)
     else:
-        span = (agg.last_receive or 0.0) - (agg.first_send or 0.0)
+        span = (max(t for t, _, _ in agg.recv_events)
+                - min(meta[0] for meta in agg.sent_meta.values()))
     if span <= 0:
         raise ValueError("zero-length throughput window")
     return agg.cbr_recv_bytes * 8.0 / span / 1000.0
@@ -323,13 +318,10 @@ class MetricsReport:
     mean_hop_raw: float | None          # forwards / sent, the conflated reading
     drops_by_reason: dict = field(default_factory=dict)
 
-    METRIC_NAMES = ("sent", "received", "dropped", "throughput_sent_bytes",
-                    "throughput_recv_bytes", "pdr", "drop_pct",
-                    "avg_throughput_kbps", "nrl", "route_cost",
-                    "mean_hop", "mean_hop_raw")
-
     def rows(self):
-        return [(name, getattr(self, name)) for name in self.METRIC_NAMES]
+        """(name, value) of every metric field, in field order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if f.name != "drops_by_reason"]
 
 
 def build_report(agg: TraceAggregator, window="flow", duration=None) -> MetricsReport:

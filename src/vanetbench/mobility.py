@@ -154,7 +154,7 @@ class VehicleWorld:
         self.vehicles: dict[int, VehicleState] = {}
         self.now = 0.0
         self._steps = 0
-        self._recalc_every = max(1, round(cfg.recalc_step / cfg.integration_dt))
+        self.recalc_every = max(1, round(cfg.recalc_step / cfg.integration_dt))
         self.emergency_warnings = 0
         self.lane_change_count = 0
         self.brake_listeners: list = []    # callables (vehicle_id, accel, t)
@@ -267,7 +267,7 @@ class VehicleWorld:
         """One synchronous world update: accelerations from the snapshot, then integrate."""
         cfg = self.cfg
         occ = self._lane_occupancy()
-        do_lanes = self.lane_changes and (self._steps % self._recalc_every == 0)
+        do_lanes = self.lane_changes and (self._steps % self.recalc_every == 0)
         plans: list[tuple[VehicleState, float, object]] = []
         lane_moves: list[tuple[VehicleState, int]] = []
 
@@ -343,8 +343,6 @@ class VehicleWorld:
                 follower = o
             candidates[lane] = LaneNeighbors(leader=leader if leader is not None else stop,
                                              follower=follower)
-        if not candidates:
-            return None
         return mobil_decide(st, current, candidates, self.cfg)
 
     def _advance_waypoints(self, st: VehicleState):

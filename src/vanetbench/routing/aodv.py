@@ -115,19 +115,16 @@ class Aodv(ReactiveProtocol):
         self._update_route(prev, 0, False, 1, prev)
         hops_here = rreq.hop_count + 1
         key = (rreq.origin, rreq.rreq_id)
-        if key in self.seen:
-            # duplicate: keep the better reverse path, never re-flood
-            if hops_here < self.seen[key]:
-                self.seen[key] = hops_here
-                self._update_route(rreq.origin, rreq.origin_seq, True, hops_here, prev)
-                if rreq.dest == self.node_id:
-                    self._reply_as_dest(rreq, prev)
+        duplicate = key in self.seen
+        if duplicate and hops_here >= self.seen[key]:
             return
         self.seen[key] = hops_here
         self._update_route(rreq.origin, rreq.origin_seq, True, hops_here, prev)
         if rreq.dest == self.node_id:
             self._reply_as_dest(rreq, prev)
             return
+        if duplicate:
+            return   # a better duplicate keeps the better reverse path, never re-floods
         e = self.table.get(rreq.dest)
         if self._entry_usable(e) and e.seq_valid and e.dest_seq >= rreq.dest_seq:
             rrep = Rrep(rreq.origin, rreq.dest, e.dest_seq, e.hop_count)
@@ -164,7 +161,7 @@ class Aodv(ReactiveProtocol):
 
     # -- failure handling -----------------------------------------------------------
 
-    def on_link_break(self, neighbor: int, packet=None):
+    def on_link_break(self, neighbor: int):
         unreachable = []
         for e in self.table.values():
             if e.valid and e.next_hop == neighbor:

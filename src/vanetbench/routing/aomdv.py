@@ -190,7 +190,7 @@ class Aomdv(ReactiveProtocol):
 
     # -- failure ----------------------------------------------------------------------
 
-    def on_link_break(self, neighbor: int, packet=None):
+    def on_link_break(self, neighbor: int):
         lost = []
         for e in self.table.values():
             before = bool(e.paths)

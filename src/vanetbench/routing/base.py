@@ -31,8 +31,8 @@ class RoutingProtocol:
     def route_lookup(self, dest: int):
         raise NotImplementedError
 
-    def on_link_break(self, neighbor: int, packet=None):
-        pass
+    def on_link_break(self, neighbor: int):
+        """The MAC gave up on a unicast frame to `neighbor`."""
 
     def on_control(self, packet: Packet, from_node: int):
         """Hand the payload to its type's handler; other payloads are ignored."""
@@ -213,9 +213,7 @@ class ReactiveProtocol(RoutingProtocol):
         self.pending[dest] = _Discovery(attempt, timer)
 
     def _discovery_timeout(self, dest: int):
-        disc = self.pending.pop(dest, None)
-        if disc is None:
-            return
+        disc = self.pending.pop(dest)        # _discovery_done cancels this timer
         if self._has_route(dest):
             self.flush_buffer(dest)
             return
@@ -226,7 +224,6 @@ class ReactiveProtocol(RoutingProtocol):
 
     def _discovery_done(self, dest: int):
         """A reply reached the origin: stop the timer and send what waited."""
-        disc = self.pending.pop(dest, None)
-        if disc is not None:
-            self.sim.cancel(disc.timer)
+        if dest in self.pending:            # later replies find the discovery over
+            self.sim.cancel(self.pending.pop(dest).timer)
         self.flush_buffer(dest)

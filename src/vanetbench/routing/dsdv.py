@@ -134,7 +134,7 @@ class Dsdv(RoutingProtocol):
 
     # -- failures --------------------------------------------------------------------
 
-    def on_link_break(self, neighbor: int, packet=None):
+    def on_link_break(self, neighbor: int):
         self._mark_broken_via(neighbor)
 
     def _mark_broken_via(self, neighbor: int):

@@ -213,7 +213,7 @@ class Olsr(RoutingProtocol):
             return nh
         return None
 
-    def on_link_break(self, neighbor: int, packet=None):
+    def on_link_break(self, neighbor: int):
         if neighbor in self.links:
             del self.links[neighbor]
             self.two_hop.pop(neighbor, None)

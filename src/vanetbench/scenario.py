@@ -9,11 +9,10 @@ type. `scenario.effective.ini` in a run directory lists every key with its value
 """
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, field, fields
 
-from .roadnet import Edge, GraphError, RoadGraph, Vertex, generate_grid
+from .roadnet import Edge, GraphError, RoadGraph, Vertex, edge_id, generate_grid
 from .routing import PROTOCOLS as _PROTOCOL_CLASSES
 
 PROTOCOLS = tuple(_PROTOCOL_CLASSES)
@@ -157,7 +156,7 @@ class ScenarioConfig:
                         raise SchemaError(f"edge references unknown vertex '{vid}'")
                 a, b = coords[src], coords[dst]
                 length = math.hypot(b.x - a.x, b.y - a.y)
-                edges.append(Edge(f"{src}>{dst}", src, dst, lanes, length, g.speed_limit))
+                edges.append(Edge(edge_id(src, dst), src, dst, lanes, length, g.speed_limit))
             return RoadGraph(verts, edges).validate()
         rows, cols, spacing = g.grid
         return generate_grid(rows, cols, spacing, g.lanes, g.speed_limit, g.phase_length)
@@ -169,6 +168,8 @@ class ScenarioConfig:
             graph = self.build_graph()
         except GraphError as exc:
             raise SchemaError(f"graph: {exc}") from exc
+        if len(graph.vertices) < 2:
+            raise SchemaError("graph: trips need two or more vertices")
         m = self.mobility
         if m.model not in MOBILITY_MODELS:
             raise SchemaError(f"mobility.model '{m.model}' not one of {MOBILITY_MODELS}")
@@ -196,7 +197,7 @@ class ScenarioConfig:
             raise SchemaError("phy.carrier_sense_threshold must be <= rx_threshold")
         if p.loss_model not in ("nakagami", "ideal"):
             raise SchemaError("phy.loss_model must be 'nakagami' or 'ideal'")
-        for name in ("target_range", "ref_distance", "frequency"):
+        for name in ("target_range", "ref_distance", "frequency", "d0_g"):
             if getattr(p, name) <= 0:
                 raise SchemaError(f"phy.{name} must be positive")
         c = self.mac
@@ -220,6 +221,8 @@ class ScenarioConfig:
             raise SchemaError("routing.aodv_ring_ttls must list one or more TTLs >= 0")
         if r.buffer_packets <= 0:
             raise SchemaError("routing.buffer_packets must be positive")
+        if r.aodv_node_traversal < 0:
+            raise SchemaError("routing.aodv_node_traversal must be >= 0")
         for name in ("olsr_hello_interval", "olsr_tc_interval", "dsdv_full_dump_interval"):
             if getattr(r, name) <= 0:
                 raise SchemaError(f"routing.{name} must be positive")
@@ -309,13 +312,15 @@ def _key_line(text: str, section: str, key: str) -> int:
 
 
 def parse_scenario_text(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
+    """Parse scenario text over `base` (defaults when None) and validate it.
+    An inline graph (`vertices` and `edges`) replaces the grid: the parsed
+    config has `grid = None`, and edges without a lane count get `lanes`."""
     cfg = base if base is not None else ScenarioConfig()
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise SchemaError(f"scenario parse error: {exc}") from exc
-    grid_given = inline_given = False
     for section in parser.sections():
         sec = section.lower()
         for key, raw in parser.items(section):
@@ -330,16 +335,11 @@ def parse_scenario_text(text: str, base: ScenarioConfig | None = None) -> Scenar
                 raise SchemaError(
                     f"bad value for [{sec}] {key} (line {line}): {exc}") from exc
             setattr(getattr(cfg, sec), attr, value)
-            if (sec, attr) == ("graph", "grid"):
-                grid_given = True
-            if (sec, attr) in (("graph", "vertices"), ("graph", "edges")):
-                inline_given = True
-    if inline_given and not grid_given:
-        cfg.graph.grid = None
-    if inline_given:
+    g = cfg.graph
+    if g.vertices or g.edges:
+        g.grid = None
         # -1 marks "lanes not given": fill the section default, keep explicit values
-        cfg.graph.edges = [(s, d, n if n >= 0 else cfg.graph.lanes)
-                           for s, d, n in cfg.graph.edges]
+        g.edges = [(s, d, n if n >= 0 else g.lanes) for s, d, n in g.edges]
     cfg.validate()
     return cfg
 
@@ -351,34 +351,28 @@ def load_scenario(path) -> ScenarioConfig:
         return parse_scenario_text(fh.read())
 
 
+def _format(value) -> str:
+    """A field value as scenario text; the field parsers read it back."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):                 # inline vertices or edges
+        return "; ".join(_format(item) for item in value)
+    if isinstance(value, tuple):
+        return " ".join(_format(item) for item in value)
+    return str(value)                           # str of a float is its repr
+
+
 def effective_ini(cfg: ScenarioConfig) -> str:
-    """Render the complete effective configuration; re-loading it reproduces the run."""
-    out = io.StringIO()
-    g = cfg.graph
-    out.write("[graph]\n")
-    if g.vertices or g.edges:
-        out.write("vertices = " + "; ".join(f"{v} {x!r} {y!r}" for v, x, y in g.vertices) + "\n")
-        out.write("edges = " + "; ".join(f"{s} {d} {n}" for s, d, n in g.edges) + "\n")
-    else:
-        rows, cols, spacing = g.grid
-        out.write(f"grid = {rows} {cols} {spacing!r}\n")
-    out.write(f"lanes = {g.lanes}\n")
-    out.write(f"speed_limit = {g.speed_limit!r}\n")
-    out.write(f"phase_length = {g.phase_length!r}\n")
-    for section in ("mobility", "phy", "mac", "routing", "traffic", "run"):
-        obj = getattr(cfg, section)
-        out.write(f"\n[{section}]\n")
+    """The complete effective configuration, one `key = value` line per field
+    in field order, leaving out unset (None) and empty values; a parsed config
+    never has both a grid and an inline graph. Re-loading it reproduces the run."""
+    blocks = []
+    for section in fields(cfg):
+        obj = getattr(cfg, section.name)
+        lines = [f"[{section.name}]\n"]
         for f in fields(obj):
             value = getattr(obj, f.name)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                text = "true" if value else "false"
-            elif isinstance(value, float):
-                text = repr(value)
-            elif isinstance(value, tuple):
-                text = " ".join(str(x) for x in value)
-            else:
-                text = str(value)
-            out.write(f"{f.name} = {text}\n")
-    return out.getvalue()
+            if value is not None and value != []:
+                lines.append(f"{f.name} = {_format(value)}\n")
+        blocks.append("".join(lines))
+    return "\n".join(blocks)

@@ -12,7 +12,7 @@ from .mac import Channel, NodeMac
 from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace,
                       TraceAggregator, TraceFileWriter)
 from .mobility import VehicleWorld
-from .packets import BROADCAST, KIND_CBR, KIND_CONTROL, KIND_PBC, Packet
+from .packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 from .routing import PROTOCOLS
 from .scenario import ScenarioConfig
 
@@ -69,13 +69,12 @@ class NodeStack:
                        packet.packet_id, packet.flow_id, self.node_id, packet.size)
 
     def drop_packet(self, packet, reason: str, layer: str):
-        if packet.kind == KIND_CONTROL:
-            return   # lost control packets are not tracked per packet
+        """A data packet ends here; routing never drops a control packet."""
         self.trace.add(self.sim.now, EV_DROPPED, reason, layer, packet.kind,
                        packet.packet_id, packet.flow_id, self.node_id, packet.size)
 
-    def _on_link_break(self, neighbor: int, packet):
-        self.routing.on_link_break(neighbor, packet)
+    def _on_link_break(self, neighbor: int):
+        self.routing.on_link_break(neighbor)
 
 
 @dataclass
@@ -164,12 +163,10 @@ class Simulation(Network):
         self.world.step(dt)
         self._refresh_coords()
         self.channel.bump_geometry()
-        if self.cfg.run.mobility_trace:
-            steps_per_report = round(self.cfg.mobility.recalc_step / dt)
-            if (k + 1) % steps_per_report == 0:
-                t = self.sim.now
-                for vid, st in self.world.vehicles.items():
-                    self.mobility_rows.append((t, vid, st.x, st.y, st.speed))
+        if self.cfg.run.mobility_trace and (k + 1) % self.world.recalc_every == 0:
+            t = self.sim.now
+            for vid, st in self.world.vehicles.items():
+                self.mobility_rows.append((t, vid, st.x, st.y, st.speed))
         t_next = (k + 1) * dt
         if t_next < self.cfg.run.duration:
             self.sim.schedule(t_next, lambda: self._mobility_tick(k + 1),
@@ -207,7 +204,6 @@ class StaticNetwork(Network):
     def __init__(self, positions: dict[int, tuple[float, float]],
                  cfg: ScenarioConfig | None = None):
         cfg = cfg if cfg is not None else ScenarioConfig()
-        cfg.run.vehicles = len(positions)
         super().__init__(cfg, sorted(positions))
         for node, xy in positions.items():
             self.coords[node] = xy

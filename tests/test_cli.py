@@ -72,6 +72,21 @@ def test_batch_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
     assert not root.exists()
 
 
+def test_batch_on_two_workers_writes_the_bytes_of_one_worker(tmp_path, capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        root = tmp_path / f"jobs{jobs}"
+        assert cli.main(["batch", "--protocols", "aodv,dsdv", "--jobs", jobs,
+                         "--out", str(root), "--set", "run.duration=0.5",
+                         "--set", "run.vehicles=10"]) == 0
+        traces = {d.name: (d / cli.TRACE_NAME).read_bytes()
+                  for d in root.iterdir() if d.is_dir()}
+        outputs.append(((root / "batch.csv").read_bytes(), traces))
+    assert sorted(outputs[0][1]) == ["aodv-idm-im-s1", "dsdv-idm-im-s1"]
+    assert outputs[1] == outputs[0]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, most", [
     (["run", "--out", "{tmp}/run"], 2),          # once at parse, once in the run
     (["batch", "--seeds", "1,2", "--jobs", "1", "--out", "{tmp}/batch"], 5),

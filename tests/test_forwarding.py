@@ -100,6 +100,24 @@ def test_buffer_timeout_drops_stale_packets():
     assert drops.get("no-route") == 1
 
 
+def test_buffered_packet_expires_when_the_next_one_for_its_destination_waits():
+    cfg = fast_convergence_config("aodv")
+    cfg.routing.buffer_timeout = 0.2
+    cfg.routing.aodv_node_traversal = 1.0   # the first discovery lasts 2 s
+    pos = line_positions(2, 150.0)
+    pos[7] = (50_000.0, 0.0)                # unreachable destination
+    net = make_net(pos, "aodv", cfg=cfg)
+    net.run_for(0.1)
+    first = net.send_data(0, 7)
+    net.run_for(0.5)
+    assert not [r for r in net.trace.records if r.event == "dropped"]
+    second = net.send_data(0, 7)
+    drops = [(r.time, r.packet_id, r.reason) for r in net.trace.records
+             if r.event == "dropped"]
+    assert drops == [(pytest.approx(0.6), first.packet_id, "no-route")]
+    assert [p for p, _, _ in net.stacks[0].routing.buffer[7]] == [second]
+
+
 def test_close_drops_a_buffered_packet_once_at_its_source():
     pos = line_positions(2, 150.0)
     pos[7] = (50_000.0, 0.0)                # unreachable: the packet waits for a route

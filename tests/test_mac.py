@@ -41,7 +41,7 @@ class Harness:
             mac = NodeMac(node, self.sim, self.channel, self.mac_cfg, rng,
                           self.trace,
                           deliver_cb=lambda p, frm, n=node: self.delivered.append((n, p, frm)),
-                          link_break_cb=lambda nbr, p, n=node: self.breaks.append((n, nbr)))
+                          link_break_cb=lambda nbr, n=node: self.breaks.append((n, nbr)))
             self.macs.append(mac)
 
 

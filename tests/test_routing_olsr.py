@@ -6,7 +6,7 @@ import pytest
 
 from vanetbench.routing.olsr import select_mprs
 
-from conftest import (adjacency, bfs_distances, make_net,
+from conftest import (adjacency, bfs_distances, line_positions, make_net,
                       random_connected_positions, walk_next_hops)
 
 STAR = {0: (0.0, 0.0), 1: (200.0, 0.0), 2: (-200.0, 0.0),
@@ -98,3 +98,19 @@ def test_link_break_drops_neighbor_immediately():
     assert r.route_lookup(0) == 0
     r.on_link_break(0)
     assert r.route_lookup(0) is None
+
+
+def test_state_of_a_node_that_left_expires():
+    net = make_net(line_positions(4, 200.0), "olsr")
+    net.run_for(6.0)
+    r0, r1, r2 = (net.stacks[i].routing for i in range(3))
+    assert r0.route_lookup(3) == 1
+    assert 2 in r0.topology
+    assert r1.mpr_set == {2} and set(r2.mpr_selectors) == {1, 3}
+    net.coords[3] = (1e6, 0.0)                 # node 3 leaves everyone's range
+    net.channel.bump_geometry()
+    net.run_for(6.0)                           # past every hold time
+    assert r0.route_lookup(3) is None
+    assert 2 not in r0.topology                # nobody selects 2 as MPR: 2 sends no TC
+    assert r1.mpr_set == set() and r2.mpr_selectors == {}
+    assert sorted(r2.links) == [1]

@@ -105,10 +105,17 @@ def test_flows_bounded_by_ordered_pairs():
     ("routing", "aodv_ring_ttls", ""), ("routing", "aodv_ring_ttls", "-2"),
     ("routing", "buffer_packets", "0"), ("routing", "olsr_hello_interval", "0"),
     ("routing", "olsr_tc_interval", "0"), ("routing", "dsdv_full_dump_interval", "0"),
+    ("phy", "d0_g", "0"), ("routing", "aodv_node_traversal", "-1"),
 ])
 def test_value_that_breaks_a_run_is_schema_error(section, key, value):
     with pytest.raises(SchemaError, match=key if section != "graph" else "graph"):
         parse_scenario_text(f"[{section}]\n{key} = {value}\n")
+
+
+def test_inline_graph_with_one_vertex_is_schema_error():
+    # strongly connected through its self-loop, but no trip has a destination
+    with pytest.raises(SchemaError, match="graph"):
+        parse_scenario_text("[graph]\nvertices = a 0 0\nedges = a a\n")
 
 
 # a valid non-default value for every field of every section
