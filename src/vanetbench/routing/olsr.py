@@ -1,7 +1,7 @@
 """Proactive link-state routing with multipoint relays: HELLO link sensing,
 greedy MPR election, TC flooding via MPRs, hop-count shortest paths."""
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .base import RoutingProtocol
@@ -44,12 +44,12 @@ def select_mprs(neighbors: set, two_hop: dict) -> set:
     for n, covered in two_hop.items():
         strict |= covered
     strict -= neighbors
-    mprs = set()
+    holder = {}                      # covered node -> its only neighbor, None if several
+    for n in neighbors:
+        for target in two_hop.get(n, ()):
+            holder[target] = None if target in holder else n
+    mprs = {holder[t] for t in strict if holder.get(t) is not None}
     uncovered = set(strict)
-    for target in sorted(strict):
-        holders = [n for n in neighbors if target in two_hop.get(n, ())]
-        if len(holders) == 1:
-            mprs.add(holders[0])
     for m in mprs:
         uncovered -= two_hop.get(m, set())
     while uncovered:
@@ -67,13 +67,20 @@ def select_mprs(neighbors: set, two_hop: dict) -> set:
 
 
 class Olsr(RoutingProtocol):
+    """One node's OLSR state. The MPR set and the route table are derived from
+    `links`, `two_hop` and `topology`, and only a change to those marks them
+    stale: a new neighbor, a changed link status or symmetric-neighbor set, a TC
+    from a new origin or with changed selectors, an expiry or a link break. Each
+    is recomputed on its next read: the MPR set by the node's own HELLO, the
+    routes by `route_lookup`."""
+
     control_handlers = {Hello: "_on_hello", Tc: "_on_tc"}
 
     def __init__(self, stack):
         super().__init__(stack)
         self.links: dict[int, LinkInfo] = {}
         self.two_hop: dict[int, tuple] = {}          # nbr -> (set of its sym nbrs, expiry)
-        self.mpr_set: set = set()
+        self._mprs: set | None = None                # None while stale
         self.mpr_selectors: dict[int, float] = {}    # nbr -> expiry
         self.topology: dict[int, tuple] = {}         # origin -> (seq, selectors, expiry)
         self.tc_seq = 0
@@ -92,7 +99,8 @@ class Olsr(RoutingProtocol):
 
     def _hello_tick(self):
         self._expire()
-        links = [(n, info.status, n in self.mpr_set)
+        mprs = self.mpr_set
+        links = [(n, info.status, n in mprs)
                  for n, info in sorted(self.links.items())]
         self.send_control(Hello(links), HELLO_HEADER + HELLO_LINK_SIZE * len(links))
         self.sim.after(self.cfg.olsr_hello_interval, self._hello_tick,
@@ -123,7 +131,7 @@ class Olsr(RoutingProtocol):
             del self.topology[o]
             dirty = True
         if dirty:
-            self._recompute_mprs()
+            self._mprs = None
             self._dirty = True
 
     # -- control ------------------------------------------------------------------
@@ -141,10 +149,12 @@ class Olsr(RoutingProtocol):
             elif status == SYM:
                 nbr_sym.add(other)
         status = SYM if heard_me else HEARD
+        old = self.links.get(nbr)
+        if old is None or old.status != status or self.two_hop[nbr][0] != nbr_sym:
+            self._mprs = None
+            self._dirty = True
         self.links[nbr] = LinkInfo(status, now + hold)
         self.two_hop[nbr] = (nbr_sym, now + hold)
-        self._recompute_mprs()
-        self._dirty = True
 
     def _on_tc(self, tc: Tc, prev: int):
         if tc.origin == self.node_id:
@@ -153,8 +163,10 @@ class Olsr(RoutingProtocol):
             return
         self.seen_tc[tc.origin] = tc.seq
         hold = self.cfg.hold_multiplier * self.cfg.olsr_tc_interval
+        known = self.topology.get(tc.origin)
+        if known is None or known[1] != tc.selectors:
+            self._dirty = True
         self.topology[tc.origin] = (tc.seq, list(tc.selectors), self.sim.now + hold)
-        self._dirty = True
         # only multipoint relays of the previous hop retransmit the flood
         if prev in self.mpr_selectors:
             self.send_control(Tc(tc.origin, tc.seq, list(tc.selectors)),
@@ -165,30 +177,27 @@ class Olsr(RoutingProtocol):
     def _sym_neighbors(self) -> set:
         return {n for n, i in self.links.items() if i.status == SYM}
 
-    def _recompute_mprs(self):
-        neighbors = self._sym_neighbors()
-        two_hop = {n: set(self.two_hop.get(n, (set(), 0))[0]) - {self.node_id}
-                   for n in neighbors}
-        self.mpr_set = select_mprs(neighbors, two_hop)
+    @property
+    def mpr_set(self) -> set:
+        """Multipoint relays among the symmetric neighbors, elected on read when stale."""
+        if self._mprs is None:
+            neighbors = self._sym_neighbors()
+            two_hop = {n: self.two_hop[n][0] - {self.node_id} for n in neighbors}
+            self._mprs = select_mprs(neighbors, two_hop)
+        return self._mprs
 
     def _recompute_routes(self):
         """Hop-count BFS over the learned topology; deterministic next hops."""
-        adj: dict[int, set] = {}
-
-        def connect(a, b):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-
         me = self.node_id
-        for n in self._sym_neighbors():
-            connect(me, n)
-        for n, (sym_set, _) in self.two_hop.items():
-            if n in self.links:
-                for x in sym_set:
-                    connect(n, x)
-        for origin, (_, selectors, _) in self.topology.items():
-            for s in selectors:
-                connect(origin, s)
+        stars = [(me, self._sym_neighbors())]      # (node, nodes it links to)
+        stars += [(n, sym_set) for n, (sym_set, _) in self.two_hop.items()
+                  if n in self.links]
+        stars += [(origin, selectors) for origin, (_, selectors, _) in self.topology.items()]
+        adj: dict[int, set] = defaultdict(set)
+        for a, others in stars:
+            adj[a].update(others)
+            for b in others:
+                adj[b].add(a)
 
         routes: dict[int, int] = {}
         first_hop: dict[int, int] = {me: me}
@@ -218,5 +227,5 @@ class Olsr(RoutingProtocol):
             del self.links[neighbor]
             self.two_hop.pop(neighbor, None)
             self.mpr_selectors.pop(neighbor, None)
-            self._recompute_mprs()
+            self._mprs = None
             self._dirty = True

@@ -164,6 +164,13 @@ class ScenarioConfig:
     def validate(self) -> RoadGraph:
         """Check every section; returns the road graph the check built, so a
         run needs no second build."""
+        for sec in fields(self):
+            obj = getattr(self, sec.name)
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if f.type in (float, float | None) and value is not None \
+                        and not math.isfinite(value):
+                    raise SchemaError(f"{sec.name}.{f.name} must be finite, not {value}")
         try:
             graph = self.build_graph()
         except GraphError as exc:
@@ -200,6 +207,10 @@ class ScenarioConfig:
         for name in ("target_range", "ref_distance", "frequency", "d0_g"):
             if getattr(p, name) <= 0:
                 raise SchemaError(f"phy.{name} must be positive")
+        try:
+            10.0 ** (p.capture_margin / 10.0)           # the channel's linear capture ratio
+        except OverflowError:
+            raise SchemaError("phy.capture_margin overflows a float as a linear ratio") from None
         c = self.mac
         for name in ("cw_min", "cw_max"):
             v = getattr(c, name)

@@ -1,10 +1,15 @@
 """Link sensing, MPR election, TC flooding and shortest-path tables."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, strategies as st
 
-from vanetbench.routing.olsr import select_mprs
+from vanetbench.routing import olsr
+from vanetbench.routing.olsr import SYM, select_mprs
+from vanetbench.scenario import ScenarioConfig
+from vanetbench.simulation import Simulation
 
 from conftest import (adjacency, bfs_distances, line_positions, make_net,
                       random_connected_positions, walk_next_hops)
@@ -114,3 +119,127 @@ def test_state_of_a_node_that_left_expires():
     assert 2 not in r0.topology                # nobody selects 2 as MPR: 2 sends no TC
     assert r1.mpr_set == set() and r2.mpr_selectors == {}
     assert sorted(r2.links) == [1]
+
+
+def listing_select_mprs(neighbors: set, two_hop: dict) -> set:
+    """The election as first written: a scan over every neighbor for each
+    strict two-hop target. Reference for the coverage-counting version."""
+    strict = set()
+    for n, covered in two_hop.items():
+        strict |= covered
+    strict -= neighbors
+    mprs = set()
+    uncovered = set(strict)
+    for target in sorted(strict):
+        holders = [n for n in neighbors if target in two_hop.get(n, ())]
+        if len(holders) == 1:
+            mprs.add(holders[0])
+    for m in mprs:
+        uncovered -= two_hop.get(m, set())
+    while uncovered:
+        best = None
+        best_gain = -1
+        for n in sorted(neighbors - mprs):
+            gain = len(uncovered & two_hop.get(n, set()))
+            if gain > best_gain:
+                best, best_gain = n, gain
+        if best is None or best_gain <= 0:
+            break
+        mprs.add(best)
+        uncovered -= two_hop.get(best, set())
+    return mprs
+
+
+node_ids = st.integers(0, 24)
+
+
+# two-hop sets may name neighbors, and may be missing for some neighbors or
+# given for nodes that are not neighbors, as stale link state can leave them
+@given(st.sets(node_ids, max_size=12),
+       st.dictionaries(node_ids, st.sets(node_ids, max_size=12)))
+def test_select_mprs_equals_the_listing_election(neighbors, two_hop):
+    assert select_mprs(neighbors, two_hop) == listing_select_mprs(neighbors, two_hop)
+
+
+def olsr_simulation(vehicles, duration):
+    """Short OLSR intervals, so that links and TC entries also expire in the run."""
+    cfg = ScenarioConfig()
+    cfg.routing.protocol = "olsr"
+    cfg.routing.olsr_hello_interval = 0.5
+    cfg.routing.olsr_tc_interval = 1.0
+    cfg.run.vehicles = vehicles
+    cfg.run.duration = duration
+    return Simulation(cfg)
+
+
+def fresh_mprs(r):
+    neighbors = {n for n, info in r.links.items() if info.status == SYM}
+    return select_mprs(neighbors, {n: r.two_hop[n][0] - {r.node_id} for n in neighbors})
+
+
+def fresh_next_hops(r):
+    """Next hop per destination from a BFS over links, two-hop sets and topology."""
+    adj = {}
+
+    def connect(a, b):
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+
+    me = r.node_id
+    for n, info in r.links.items():
+        if info.status == SYM:
+            connect(me, n)
+    for n, (sym_set, _) in r.two_hop.items():
+        if n in r.links:
+            for x in sym_set:
+                connect(n, x)
+    for origin, (_, selectors, _) in r.topology.items():
+        for s in selectors:
+            connect(origin, s)
+    first_hop = {me: me}
+    q = deque([me])
+    while q:
+        u = q.popleft()
+        for v in sorted(adj.get(u, ())):
+            if v not in first_hop:
+                first_hop[v] = v if u == me else first_hop[u]
+                q.append(v)
+    return {d: nh for d, nh in first_hop.items()
+            if d != me and nh in r.links and r.links[nh].status == SYM}
+
+
+def test_lazy_mprs_and_routes_equal_a_fresh_recompute():
+    net = olsr_simulation(vehicles=40, duration=6.0)
+    checked = []
+
+    def check():
+        for node, stack in net.stacks.items():
+            r = stack.routing
+            assert r.mpr_set == fresh_mprs(r), (net.sim.now, node)
+            expected = fresh_next_hops(r)
+            for dest in net.stacks:
+                assert r.route_lookup(dest) == expected.get(dest), (net.sim.now, node, dest)
+        checked.append(net.sim.now)
+
+    stops = [k / 8 for k in range(1, 48)]
+    for t in stops:
+        net.sim.schedule(t, check, target="test.check")
+    net.run()
+    assert checked == stops
+    # TC floods reached the nodes, so the checked routes also crossed TC topology
+    assert any(len(s.routing.topology) > 0 for s in net.stacks.values())
+
+
+def test_mpr_election_runs_at_most_once_per_hello_tick(monkeypatch):
+    calls = []
+
+    def counting(neighbors, two_hop):
+        calls.append(1)
+        return select_mprs(neighbors, two_hop)
+
+    monkeypatch.setattr(olsr, "select_mprs", counting)
+    net = olsr_simulation(vehicles=30, duration=5.0)
+    net.sim.record_log = True
+    net.run()
+    ticks = sum(1 for _, _, target in net.sim.dispatch_log if target == "olsr.hello")
+    assert 0 < len(calls) <= ticks

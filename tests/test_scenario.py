@@ -106,9 +106,24 @@ def test_flows_bounded_by_ordered_pairs():
     ("routing", "buffer_packets", "0"), ("routing", "olsr_hello_interval", "0"),
     ("routing", "olsr_tc_interval", "0"), ("routing", "dsdv_full_dump_interval", "0"),
     ("phy", "d0_g", "0"), ("routing", "aodv_node_traversal", "-1"),
+    ("phy", "capture_margin", "1e9"),       # its linear ratio overflows a float
 ])
 def test_value_that_breaks_a_run_is_schema_error(section, key, value):
     with pytest.raises(SchemaError, match=key if section != "graph" else "graph"):
+        parse_scenario_text(f"[{section}]\n{key} = {value}\n")
+
+
+FLOAT_FIELDS = [(sec.name, f.name) for sec in fields(ScenarioConfig)
+                for f in fields(sec.type) if f.type in (float, float | None)]
+
+
+# at a 10-vehicle run, traffic.rate = inf and run.duration = inf hung,
+# traffic.beacon_interval = nan and mobility.integration_dt = nan crashed, and
+# phy.capture_margin, mac.slot and phy.rx_threshold = nan gave meaningless numbers
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_FIELDS)
+def test_non_finite_float_is_schema_error(section, key, value):
+    with pytest.raises(SchemaError, match=f"{section}.{key} must be finite"):
         parse_scenario_text(f"[{section}]\n{key} = {value}\n")
 
 
