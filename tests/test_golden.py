@@ -45,6 +45,11 @@ RUN_PINS = {
         "0096646e54a6c1300ce515413cc1a509aa0438df218efc374bb0f071eaa13cea"),
 }
 
+# sha256 of the trace text of the aodv idm-im run with `phy.collisions = false`:
+# Nakagami loss where only a receiver's own transmission (half duplex) makes a
+# collision, the branch of the reception decision that the full runs never take
+COLLISIONS_OFF_PIN = "0295f7245d4e98d8b3e7747175abc57c27c5437e531bfb70b97530d72fa6f237"
+
 # protocol -> sha256 of repr(net.trace.records) of the static-network pin
 STATIC_PINS = {
     "aodv": "ada2d311bdc727c17756ae58410de30dec67c616b59637b914f0b9886524c0d9",
@@ -81,6 +86,16 @@ def test_run_matches_golden_hashes(protocol, model):
         assert result.warnings["lane_changes"] > 0
     got = (_sha256(buf.getvalue()), _sha256(repr(sim.mobility_rows)))
     assert got == RUN_PINS[(protocol, model)]
+
+
+def test_half_duplex_only_run_matches_golden_hash():
+    cfg = golden_config("aodv", "idm-im")
+    cfg.phy.collisions = False
+    buf = io.StringIO()
+    Simulation(cfg, trace_file=buf).run()
+    text = buf.getvalue()
+    assert " dropped collision " in text      # the half-duplex rule is exercised
+    assert _sha256(text) == COLLISIONS_OFF_PIN
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
