@@ -55,8 +55,8 @@ class Transmission:
         self.start = start
         self.end = end
         self.sensed = sensed          # per node: carrier sensed, by mean power (list)
-        self.hearers = hearers        # ascending ids that sense it, sender excluded
-        self.sample_mw = sample_mw    # per-node faded power for this transmission (list)
+        self.hearers = hearers        # ascending ids that sense it, sender excluded (array)
+        self.sample_mw = sample_mw    # per-node faded power for this transmission (array)
         self.waiters: list = []       # frozen MACs woken inline when this tx ends
         self.overlaps: list = []      # transmissions overlapping it in time, in send order
 
@@ -133,8 +133,9 @@ class Channel:
 
     def _link_budget(self, sender: int):
         """This sender's row of the current geometry: who senses it (list, True
-        at the sender), the ascending ids of the other nodes that do, and the
-        mean power in mW and Nakagami shape at every node (arrays)."""
+        at the sender), the ascending ids of the other nodes that do (index
+        array), and the mean power in mW and Nakagami shape at every node
+        (arrays)."""
         cached = self._geometry.get(sender)
         if cached is not None:
             return cached
@@ -144,8 +145,7 @@ class Channel:
         row = sensed[sender]
         sensed_by = row.tolist()
         sensed_by[sender] = True              # a sender senses its own transmission
-        budget = (sensed_by, np.flatnonzero(row).tolist(), mean_mw[sender],
-                  shape[sender])
+        budget = (sensed_by, np.flatnonzero(row), mean_mw[sender], shape[sender])
         self._geometry[sender] = budget
         return budget
 
@@ -153,9 +153,9 @@ class Channel:
         now = self.sim.now
         sensed, hearers, mean_mw, shape = self._link_budget(sender)
         if self.phy.loss_model == "nakagami":
-            sample_mw = phy.sample_rx_power(self.rng, mean_mw, shape).tolist()
+            sample_mw = phy.sample_rx_power(self.rng, mean_mw, shape)
         else:
-            sample_mw = mean_mw.tolist()
+            sample_mw = mean_mw.copy()        # a view into the epoch's matrix
         # the sender's own entry also carries the half-duplex rule: an infinite
         # power at the sender wins every capture test frame_outcome_mw makes there
         sample_mw[sender] = math.inf
@@ -183,33 +183,29 @@ class Channel:
     def _tx_end(self, tx: Transmission):
         """Hand the frame to each receiver whose outcome is a reception: every
         hearer of a broadcast, or the one destination of a unicast frame."""
-        now = self.sim.now
         self.active.remove(tx)
-        overlapping = tx.overlaps
-        outcome_at = phy.frame_outcome_mw
-        samples, rx_mw, ratio, collisions = (tx.sample_mw, self._rx_mw,
-                                             self._capture_ratio, self.phy.collisions)
         frame = tx.frame
-        broadcast = frame.dest == BROADCAST
-        # a beacon's outcome at each hearer, received or lost, is traced as
-        # one block after the fan-out; frame_received writes no record for it
-        is_pbc = frame.packet is not None and frame.packet.kind == KIND_PBC
-        outcomes = []
-        for node in tx.hearers if broadcast else (frame.dest,):
-            outcome = outcome_at(samples[node], node, overlapping, rx_mw, ratio,
-                                 collisions)
+        args = (tx.overlaps, self._rx_mw, self._capture_ratio, self.phy.collisions)
+        if frame.dest == BROADCAST:
+            # the hearers that miss the threshold lose the frame to fading
+            decided = phy.broadcast_outcomes_mw(tx.sample_mw, tx.hearers, *args)
+        else:
+            node = frame.dest
+            decided = [(node, phy.frame_outcome_mw(float(tx.sample_mw[node]), node,
+                                                   *args))]
+            frame.last_outcome = decided[0][1]   # the sender's _ack_timeout reads it
+        macs = self.macs
+        for node, outcome in decided:
             if outcome == phy.OUTCOME_RECEIVED:
-                mac = self.macs.get(node)
-                if mac is None:
-                    continue                  # an id without a node receives nothing
-                mac.frame_received(frame, tx)
-            if is_pbc:
-                outcomes.append((node, outcome))
-        if is_pbc:
-            self.trace.add_pbc_block(now, frame.packet.packet_id, frame.payload_size,
-                                     outcomes)
-        elif not broadcast:
-            frame.last_outcome = outcome      # the sender's _ack_timeout reads it
+                mac = macs.get(node)
+                if mac is not None:           # an id without a node receives nothing
+                    mac.frame_received(frame, tx)
+        # a beacon's outcome at each hearer, received or lost, is traced as one
+        # block after the fan-out; frame_received writes no record for it
+        packet = frame.packet
+        if packet is not None and packet.kind == KIND_PBC:
+            self.trace.add_pbc_block(self.sim.now, packet.packet_id, frame.payload_size,
+                                     tx.hearers.tolist(), decided)
         self.macs[tx.sender].own_tx_ended(frame)
         for mac in tx.waiters:
             mac.resume_contention()
@@ -388,7 +384,9 @@ class NodeMac:
                 self._frame_done()
             return
         if frame.dest == BROADCAST:
-            self.deliver_cb(frame.packet, frame.src)
+            # a beacon ends here: the channel traces its reception
+            if frame.packet.kind != KIND_PBC:
+                self.deliver_cb(frame.packet, frame.src)
             return
         self._send_ack(frame)
         if self._dedupe.get(frame.src) == frame.mac_seq:

@@ -5,8 +5,9 @@ columns `time event reason layer kind packet_id flow_id node size`; absent
 flow ids are written as `-`. Header lines start with `#`.
 
 Most records are the outcomes of beacon (pbc) broadcasts, one per hearer. They
-reach the sinks as one block per broadcast (`Trace.add_pbc_block`), which each
-sink turns into exactly the records, lines and counts that one `add` per
+reach the sinks as one block per broadcast (`Trace.add_pbc_block`): the
+hearers, and the outcomes of those that were not lost to fading. Each sink
+turns a block into exactly the records, lines and counts that one `add` per
 outcome would give; the file format does not depend on how records arrive.
 """
 
@@ -36,9 +37,17 @@ LAYER_MAC = "mac"
 PBC_OUTCOMES = {EV_RECEIVED: (EV_RECEIVED, "none", LAYER_APP),
                 "fading": (EV_DROPPED, "fading", LAYER_MAC),
                 "collision": (EV_DROPPED, "collision", LAYER_MAC)}
+# a hearer a block gives no outcome for lost the beacon to fading
+PBC_DEFAULT = "fading"
 # the same records as aggregator count keys (layer, kind, event, reason)
 PBC_KEYS = {outcome: (layer, KIND_PBC, event, reason)
             for outcome, (event, reason, layer) in PBC_OUTCOMES.items()}
+
+
+def pbc_outcomes(hearers, outcomes):
+    """A block's outcome at every hearer, in hearer order."""
+    got = dict(outcomes)
+    return [(node, got.get(node, PBC_DEFAULT)) for node in hearers]
 
 
 class TraceCorruptionError(RuntimeError):
@@ -81,11 +90,12 @@ class Trace:
         for sink in self._sinks:
             sink.add(time, event, reason, layer, kind, packet_id, flow_id, node, size)
 
-    def add_pbc_block(self, time, packet_id, size, outcomes):
-        """The records of one beacon broadcast at its hearers: `outcomes` holds
-        (node, outcome) in hearer order, each outcome a key of PBC_OUTCOMES."""
+    def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
+        """The records of one beacon broadcast at its hearers, ascending ids in
+        `hearers`: `outcomes` holds (node, outcome) in hearer order for each
+        hearer whose outcome is not PBC_DEFAULT, each a key of PBC_OUTCOMES."""
         for sink in self._sinks:
-            sink.add_pbc_block(time, packet_id, size, outcomes)
+            sink.add_pbc_block(time, packet_id, size, hearers, outcomes)
 
 
 class RecordList(list):
@@ -95,10 +105,10 @@ class RecordList(list):
         self.append(TraceRecord(time, event, reason, layer, kind, packet_id, flow_id,
                                 node, size))
 
-    def add_pbc_block(self, time, packet_id, size, outcomes):
+    def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
         self.extend([TraceRecord(time, *PBC_OUTCOMES[outcome], KIND_PBC, packet_id, None,
                                  node, size)
-                     for node, outcome in outcomes])
+                     for node, outcome in pbc_outcomes(hearers, outcomes)])
 
 
 class TraceFileWriter:
@@ -114,12 +124,12 @@ class TraceFileWriter:
         self.fh.write(f"{time!r} {event} {reason} {layer} {kind} "
                       f"{packet_id} {fid} {node} {size}\n")
 
-    def add_pbc_block(self, time, packet_id, size, outcomes):
+    def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
         t, tail = repr(time), f" {size}\n"
         head = {outcome: f"{t} {event} {reason} {layer} {KIND_PBC} {packet_id} - "
                 for outcome, (event, reason, layer) in PBC_OUTCOMES.items()}
         self.fh.write("".join([f"{head[outcome]}{node}{tail}"
-                               for node, outcome in outcomes]))
+                               for node, outcome in pbc_outcomes(hearers, outcomes)]))
 
 
 def read_trace(path):
@@ -186,8 +196,14 @@ class TraceAggregator:
             _, flow, node, size = self.sent_meta[pid]
             yield pid, flow, node, size
 
-    def add_pbc_block(self, time, packet_id, size, outcomes):
+    def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
         counts = self.counts
+        lost = PBC_KEYS[PBC_DEFAULT]
+        if lost not in counts:
+            # count hearer by hearer, so the keys enter `counts` in record order
+            outcomes = pbc_outcomes(hearers, outcomes)
+        else:
+            counts[lost] += len(hearers) - len(outcomes)
         for _, outcome in outcomes:
             key = PBC_KEYS[outcome]
             counts[key] = counts.get(key, 0) + 1

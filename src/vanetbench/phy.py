@@ -1,5 +1,7 @@
 """Nakagami-fading radio channel: dual-slope path loss, Gamma-distributed power,
-and the one frame-reception decision (`frame_outcome_mw`) the channel applies."""
+and the one frame-reception decision (`frame_outcome_mw`) the channel applies,
+with its threshold test made for all hearers of a broadcast at once
+(`broadcast_outcomes_mw`)."""
 
 import math
 
@@ -93,3 +95,21 @@ def frame_outcome_mw(power_mw: float, node: int, overlapping, threshold_mw: floa
                 collisions or other.sender == node):
             return OUTCOME_COLLISION
     return OUTCOME_RECEIVED
+
+
+def broadcast_outcomes_mw(sample_mw, hearers, overlapping, threshold_mw: float,
+                          capture_ratio: float, collisions: bool) -> list:
+    """`frame_outcome_mw` at every hearer of one broadcast, threshold first.
+
+    `sample_mw` is the frame's power at each node and `hearers` the ascending
+    ids that hear it (arrays). The threshold test of `frame_outcome_mw` is made
+    for all hearers in one array step: a hearer below it loses the frame to
+    fading. Only the hearers at or above it are decided by `frame_outcome_mw`;
+    their (node, outcome) pairs are returned in hearer order, and every hearer
+    not among them has outcome fading.
+    """
+    powers = sample_mw[hearers]
+    above = powers >= threshold_mw
+    return [(node, frame_outcome_mw(power, node, overlapping, threshold_mw,
+                                    capture_ratio, collisions))
+            for node, power in zip(hearers[above].tolist(), powers[above].tolist())]

@@ -79,7 +79,8 @@ class Olsr(RoutingProtocol):
     def __init__(self, stack):
         super().__init__(stack)
         self.links: dict[int, LinkInfo] = {}
-        self.two_hop: dict[int, tuple] = {}          # nbr -> (set of its sym nbrs, expiry)
+        # nbr -> (set of its sym nbrs, expiry); written and deleted with links[nbr]
+        self.two_hop: dict[int, tuple] = {}
         self._mprs: set | None = None                # None while stale
         self.mpr_selectors: dict[int, float] = {}    # nbr -> expiry
         self.topology: dict[int, tuple] = {}         # origin -> (seq, selectors, expiry)
@@ -120,9 +121,6 @@ class Olsr(RoutingProtocol):
         dirty = False
         for n in [n for n, i in self.links.items() if i.expiry <= now]:
             del self.links[n]
-            self.two_hop.pop(n, None)
-            dirty = True
-        for n in [n for n, (_, exp) in self.two_hop.items() if exp <= now]:
             del self.two_hop[n]
             dirty = True
         for n in [n for n, exp in self.mpr_selectors.items() if exp <= now]:
@@ -190,8 +188,7 @@ class Olsr(RoutingProtocol):
         """Hop-count BFS over the learned topology; deterministic next hops."""
         me = self.node_id
         stars = [(me, self._sym_neighbors())]      # (node, nodes it links to)
-        stars += [(n, sym_set) for n, (sym_set, _) in self.two_hop.items()
-                  if n in self.links]
+        stars += [(n, sym_set) for n, (sym_set, _) in self.two_hop.items()]
         stars += [(origin, selectors) for origin, (_, selectors, _) in self.topology.items()]
         adj: dict[int, set] = defaultdict(set)
         for a, others in stars:
@@ -225,7 +222,7 @@ class Olsr(RoutingProtocol):
     def on_link_break(self, neighbor: int):
         if neighbor in self.links:
             del self.links[neighbor]
-            self.two_hop.pop(neighbor, None)
+            del self.two_hop[neighbor]
             self.mpr_selectors.pop(neighbor, None)
             self._mprs = None
             self._dirty = True

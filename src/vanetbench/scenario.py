@@ -171,6 +171,14 @@ class ScenarioConfig:
                 if f.type in (float, float | None) and value is not None \
                         and not math.isfinite(value):
                     raise SchemaError(f"{sec.name}.{f.name} must be finite, not {value}")
+        g = self.graph
+        # the floats inside the layout fields, which the loop above does not see
+        if g.grid is not None and not math.isfinite(g.grid[2]):
+            raise SchemaError(f"graph.grid spacing must be finite, not {g.grid[2]}")
+        for vid, x, y in g.vertices:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise SchemaError(f"graph.vertices: vertex '{vid}' must have finite "
+                                  f"coordinates, not ({x}, {y})")
         try:
             graph = self.build_graph()
         except GraphError as exc:

@@ -12,7 +12,7 @@ from .mac import Channel, NodeMac
 from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace,
                       TraceAggregator, TraceFileWriter)
 from .mobility import VehicleWorld
-from .packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
+from .packets import BROADCAST, KIND_CBR, Packet
 from .routing import PROTOCOLS
 from .scenario import ScenarioConfig
 
@@ -59,10 +59,8 @@ class NodeStack:
     # -- upward path ---------------------------------------------------------------
 
     def _on_frame(self, packet, from_node: int):
-        # a beacon ends here; the channel traces its reception, in the block of
-        # its broadcast's outcomes at every hearer
-        if packet.kind != KIND_PBC:
-            self.routing.on_packet_arrival(packet, from_node)
+        # a beacon never gets here: it ends in the MAC
+        self.routing.on_packet_arrival(packet, from_node)
 
     def deliver_local(self, packet):
         self.trace.add(self.sim.now, EV_RECEIVED, "none", LAYER_APP, packet.kind,

@@ -72,6 +72,14 @@ def test_batch_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
     assert not root.exists()
 
 
+def test_run_rejects_a_non_finite_grid_spacing_before_any_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    status = cli.main(["run", "--out", str(out), "--set", "graph.grid=5 5 nan", *TINY])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_batch_on_two_workers_writes_the_bytes_of_one_worker(tmp_path, capsys):
     outputs = []
     for jobs in ("1", "2"):

@@ -240,7 +240,8 @@ def test_pbc_outcomes_are_traced_in_hearer_order_one_reception_per_delivery():
                         (3, "mac", "dropped", "collision"),
                         (4, "mac", "dropped", "collision")]
     assert received == [(1, KIND_PBC)]
-    assert [(n, p.packet_id) for n, p, _ in h.delivered] == [(1, 7)]
+    # the beacon's one reception ends in the MAC: nothing goes up the stack
+    assert h.delivered == []
     # the cbr broadcast's lost copies leave no record
     assert [r.event for r in h.trace.records if r.kind == KIND_CBR] == ["sent"]
 
@@ -329,8 +330,8 @@ def assert_budget_matches(channel, coords, sender):
     cs = p.carrier_sense_threshold
     assert sensed == [j == sender or v >= cs for j, v in enumerate(mean_dbm.tolist())]
     # the hearers are exactly the other sensing nodes, in ascending order
-    assert hearers == [j for j, v in enumerate(mean_dbm.tolist())
-                       if j != sender and v >= cs]
+    assert hearers.tolist() == [j for j, v in enumerate(mean_dbm.tolist())
+                                if j != sender and v >= cs]
 
 
 def random_coords(seed, n=60, box=1500.0):
@@ -350,7 +351,7 @@ def test_link_budget_rows_equal_the_per_sender_formula(seed):
     for sender in range(len(coords)):
         assert_budget_matches(channel, coords, sender)
     assert 1 in channel._link_budget(0)[1]          # co-located nodes hear each other
-    assert channel._link_budget(2)[1] == []         # the far node hears nobody
+    assert channel._link_budget(2)[1].size == 0     # the far node hears nobody
 
 
 def test_link_budget_follows_a_moved_node_after_bump_geometry():
@@ -364,4 +365,61 @@ def test_link_budget_follows_a_moved_node_after_bump_geometry():
     for sender in range(len(coords)):
         assert_budget_matches(channel, coords, sender)
     assert 5 not in channel._link_budget(4)[1]
-    assert channel._link_budget(5)[1] == []
+    assert channel._link_budget(5)[1].size == 0
+
+
+def beacon_storm(seed, loss_model, collisions, n=40, senders=12):
+    """Beacons from `senders` random nodes of `n`, started at random instants
+    within two frame times so that many overlap. Returns, per broadcast, the
+    outcomes its pbc block traced at each hearer and those `frame_outcome_mw`
+    gives hearer by hearer when the broadcast ends."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 700.0, size=(n, 2))
+    sim, trace = Simulator(), Trace(keep_records=True)
+    phy_cfg = PhyConfig(loss_model=loss_model, collisions=collisions)
+    channel = Channel(sim, lambda: coords, phy_cfg, phy.calibrate_range(phy_cfg),
+                      rng, trace)
+    mac_cfg = MacConfig()
+    for node in range(n):
+        NodeMac(node, sim, channel, mac_cfg, rng, trace, deliver_cb=None,
+                link_break_cb=None)
+    for pid, sender in enumerate(rng.choice(n, size=senders, replace=False).tolist()):
+        frame = Frame(mac_cfg, FRAME_DATA, sender, BROADCAST,
+                      _packet(pid, src=sender, dst=BROADCAST, size=300, kind=KIND_PBC),
+                      300, 1)
+        sim.schedule(float(rng.uniform(0.0, 2.0 * frame.duration)),
+                     lambda s=sender, f=frame: channel.transmit(s, f))
+    pairs = []
+    orig = Channel._tx_end
+
+    def checked_tx_end(ch, tx):
+        expected = [(node, phy.frame_outcome_mw(float(tx.sample_mw[node]), node,
+                                                tx.overlaps, ch._rx_mw,
+                                                ch._capture_ratio, collisions))
+                    for node in tx.hearers.tolist()]
+        start = len(trace.records)
+        orig(ch, tx)
+        got = [(r.node, "received" if r.event == "received" else r.reason)
+               for r in trace.records[start:] if r.kind == KIND_PBC]
+        pairs.append((got, expected))
+
+    Channel._tx_end = checked_tx_end
+    try:
+        sim.run_until(1.0)
+    finally:
+        Channel._tx_end = orig
+    assert len(pairs) == senders
+    return pairs
+
+
+@pytest.mark.parametrize("collisions", [True, False])
+@pytest.mark.parametrize("loss_model", ["nakagami", "ideal"])
+@pytest.mark.parametrize("seed", range(4))
+def test_broadcast_decision_equals_frame_outcome_at_every_hearer(seed, loss_model,
+                                                                 collisions):
+    pairs = beacon_storm(seed, loss_model, collisions)
+    for got, expected in pairs:
+        assert got == expected
+    seen = {outcome for _, expected in pairs for _, outcome in expected}
+    # every outcome is reached: half duplex makes collisions with collisions off
+    assert seen == {phy.OUTCOME_RECEIVED, phy.OUTCOME_FADING, phy.OUTCOME_COLLISION}

@@ -241,8 +241,11 @@ def test_report_from_a_trace_file_equals_the_live_report(tmp_path):
 
 # -- beacon outcome blocks ---------------------------------------------------------
 
-# (time, packet id, size, [(node, outcome)]) of one beacon broadcast
+# (time, packet id, size, [(node, outcome)]) of one beacon broadcast, an
+# outcome for every hearer; "all in turn" runs them in this order, so the
+# fading count exists before the first reception and collision are counted
 PBC_BLOCKS = {
+    "fading only": (1.0, 39, 300, [(2, "fading"), (5, "fading")]),
     "receptions": (1.5, 40, 300, [(1, "received"), (4, "received")]),
     "drops": (2.0, 41, 300, [(2, "fading"), (3, "collision"), (6, "fading")]),
     "mixed": (2.5, 42, 200, [(0, "collision"), (2, "received"), (5, "fading"),
@@ -261,6 +264,13 @@ def pbc_block_records(time, pid, size, outcomes):
             for node, outcome in outcomes]
 
 
+def as_block(time, pid, size, outcomes):
+    """The block form of one broadcast: its hearers, and the outcomes that
+    are not fading, the default."""
+    return (time, pid, size, [node for node, _ in outcomes],
+            [(node, outcome) for node, outcome in outcomes if outcome != "fading"])
+
+
 def traced_blocks(blocks, as_blocks):
     """Each sink's view of the blocks, fed as blocks or one record at a time:
     the file text, the counts in iteration order and the kept records."""
@@ -271,7 +281,7 @@ def traced_blocks(blocks, as_blocks):
     trace.add(1.0, EV_SENT, "none", LAYER_MAC, "pbc", 40, None, 7, 300)
     for block in blocks:
         if as_blocks:
-            trace.add_pbc_block(*block)
+            trace.add_pbc_block(*as_block(*block))
         else:
             for r in pbc_block_records(*block):
                 trace.add(r.time, r.event, r.reason, r.layer, r.kind, r.packet_id,

@@ -127,6 +127,21 @@ def test_non_finite_float_is_schema_error(section, key, value):
         parse_scenario_text(f"[{section}]\n{key} = {value}\n")
 
 
+# the layout fields' floats: a 10-vehicle run failed in trip planning (exit 1)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_grid_spacing_is_schema_error(value):
+    with pytest.raises(SchemaError, match="graph.grid spacing must be finite"):
+        parse_scenario_text(f"[graph]\ngrid = 5 5 {value}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("vertices", ["a 0 0; b {} 0", "a 0 {}; b 250 0"])
+def test_non_finite_vertex_coordinate_is_schema_error(vertices, value):
+    text = f"[graph]\nvertices = {vertices.format(value)}\nedges = a b; b a\n"
+    with pytest.raises(SchemaError, match="graph.vertices: vertex '[ab]' must have finite"):
+        parse_scenario_text(text)
+
+
 def test_inline_graph_with_one_vertex_is_schema_error():
     # strongly connected through its self-loop, but no trip has a destination
     with pytest.raises(SchemaError, match="graph"):
