@@ -191,9 +191,10 @@ class Channel:
             decided = phy.broadcast_outcomes_mw(tx.sample_mw, tx.hearers, *args)
         else:
             node = frame.dest
-            decided = [(node, phy.frame_outcome_mw(float(tx.sample_mw[node]), node,
-                                                   *args))]
-            frame.last_outcome = decided[0][1]   # the sender's _ack_timeout reads it
+            # the sender's _ack_timeout reads last_outcome
+            frame.last_outcome = phy.frame_outcome_mw(float(tx.sample_mw[node]), node,
+                                                      *args)
+            decided = [(node, frame.last_outcome)]
         macs = self.macs
         for node, outcome in decided:
             if outcome == phy.OUTCOME_RECEIVED:
