@@ -37,7 +37,7 @@ LAYER_MAC = "mac"
 PBC_OUTCOMES = {EV_RECEIVED: (EV_RECEIVED, "none", LAYER_APP),
                 "fading": (EV_DROPPED, "fading", LAYER_MAC),
                 "collision": (EV_DROPPED, "collision", LAYER_MAC)}
-# a hearer a block gives no outcome for lost the beacon to fading
+# the outcome of each hearer that a block lists no outcome for
 PBC_DEFAULT = "fading"
 # the same records as aggregator count keys (layer, kind, event, reason)
 PBC_KEYS = {outcome: (layer, KIND_PBC, event, reason)
@@ -128,8 +128,9 @@ class TraceFileWriter:
         t, tail = repr(time), f" {size}\n"
         head = {outcome: f"{t} {event} {reason} {layer} {KIND_PBC} {packet_id} - "
                 for outcome, (event, reason, layer) in PBC_OUTCOMES.items()}
-        self.fh.write("".join([f"{head[outcome]}{node}{tail}"
-                               for node, outcome in pbc_outcomes(hearers, outcomes)]))
+        lost = head[PBC_DEFAULT]
+        heads = {node: head[outcome] for node, outcome in outcomes}
+        self.fh.write("".join([f"{heads.get(node, lost)}{node}{tail}" for node in hearers]))
 
 
 def read_trace(path):
