@@ -47,16 +47,18 @@ class Frame:
 
 class Transmission:
     __slots__ = ("sender", "frame", "start", "end", "sensed", "hearers",
-                 "sample_mw", "waiters", "overlaps")
+                 "samples", "sample_mw", "waiters", "overlaps")
 
-    def __init__(self, sender, frame, start, end, sensed, hearers, sample_mw):
+    def __init__(self, sender, frame, start, end, sensed, hearers, samples):
         self.sender = sender
         self.frame = frame
         self.start = start
         self.end = end
         self.sensed = sensed          # per node: carrier sensed, by mean power (list)
         self.hearers = hearers        # ascending ids that sense it, sender excluded (array)
-        self.sample_mw = sample_mw    # per-node faded power for this transmission (array)
+        self.samples = samples        # per-node faded power for this transmission (array)
+        # the same powers as floats, for the per-node reads of frame_outcome_mw
+        self.sample_mw = memoryview(samples)
         self.waiters: list = []       # frozen MACs woken inline when this tx ends
         self.overlaps: list = []      # transmissions overlapping it in time, in send order
 
@@ -188,12 +190,11 @@ class Channel:
         args = (tx.overlaps, self._rx_mw, self._capture_ratio, self.phy.collisions)
         if frame.dest == BROADCAST:
             # the hearers that miss the threshold lose the frame to fading
-            decided = phy.broadcast_outcomes_mw(tx.sample_mw, tx.hearers, *args)
+            decided = phy.broadcast_outcomes_mw(tx.samples, tx.hearers, *args)
         else:
             node = frame.dest
             # the sender's _ack_timeout reads last_outcome
-            frame.last_outcome = phy.frame_outcome_mw(float(tx.sample_mw[node]), node,
-                                                      *args)
+            frame.last_outcome = phy.frame_outcome_mw(tx.sample_mw[node], node, *args)
             decided = [(node, frame.last_outcome)]
         macs = self.macs
         for node, outcome in decided:

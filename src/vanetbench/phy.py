@@ -108,8 +108,7 @@ def broadcast_outcomes_mw(sample_mw, hearers, overlapping, threshold_mw: float,
     their (node, outcome) pairs are returned in hearer order, and every hearer
     not among them has outcome fading.
     """
-    powers = sample_mw[hearers]
-    above = powers >= threshold_mw
+    above = hearers[sample_mw[hearers] >= threshold_mw]
     return [(node, frame_outcome_mw(power, node, overlapping, threshold_mw,
                                     capture_ratio, collisions))
-            for node, power in zip(hearers[above].tolist(), powers[above].tolist())]
+            for node, power in zip(above.tolist(), sample_mw[above].tolist())]

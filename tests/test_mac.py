@@ -393,7 +393,7 @@ def beacon_storm(seed, loss_model, collisions, n=40, senders=12):
     orig = Channel._tx_end
 
     def checked_tx_end(ch, tx):
-        expected = [(node, phy.frame_outcome_mw(float(tx.sample_mw[node]), node,
+        expected = [(node, phy.frame_outcome_mw(tx.sample_mw[node], node,
                                                 tx.overlaps, ch._rx_mw,
                                                 ch._capture_ratio, collisions))
                     for node in tx.hearers.tolist()]
