@@ -157,7 +157,7 @@ class Channel:
         if self.phy.loss_model == "nakagami":
             sample_mw = phy.sample_rx_power(self.rng, mean_mw, shape)
         else:
-            sample_mw = mean_mw.copy()        # a view into the epoch's matrix
+            sample_mw = mean_mw.copy()        # the row is a view into the epoch's matrix
         # the sender's own entry also carries the half-duplex rule: an infinite
         # power at the sender wins every capture test frame_outcome_mw makes there
         sample_mw[sender] = math.inf
