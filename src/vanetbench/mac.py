@@ -205,7 +205,7 @@ class Channel:
         # a beacon's outcome at each hearer, received or lost, is traced as one
         # block after the fan-out; frame_received writes no record for it
         packet = frame.packet
-        if packet is not None and packet.kind == KIND_PBC:
+        if packet.kind == KIND_PBC:
             self.trace.add_pbc_block(self.sim.now, packet.packet_id, frame.payload_size,
                                      tx.hearers.tolist(), decided)
         self.macs[tx.sender].own_tx_ended(frame)
