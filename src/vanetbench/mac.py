@@ -54,7 +54,7 @@ class Transmission:
         self.frame = frame
         self.start = start
         self.end = end
-        self.sensed = sensed          # per node: carrier sensed, by mean power (list)
+        self.sensed = sensed          # per node: carrier sensed, by mean power (bytes, 0 or 1)
         self.hearers = hearers        # ascending ids that sense it, sender excluded (array)
         self.samples = samples        # per-node faded power for this transmission (array)
         # the same powers as floats, for the per-node reads of frame_outcome_mw
@@ -67,7 +67,8 @@ class Channel:
     """The set of in-flight transmissions plus reception/busy decisions.
 
     Carrier sensing uses the deterministic mean power; fading samples are drawn
-    i.i.d. per (transmission, receiver) from the channel RNG stream.
+    i.i.d. per (transmission, receiver) from the channel RNG stream. A sender's
+    carrier-sense row is a `bytearray` with one 0/1 byte per node, not a list.
 
     Overlap record: a starting transmission and each in-flight one that ends
     after this instant join each other's `overlaps`, so the record is complete
@@ -126,16 +127,17 @@ class Channel:
         del dy
         np.sqrt(d, out=d)
         np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
-        shape = phy.shape_m(d, self.phy)
+        # the shape after the mean power: at most three N x N float arrays at once
         mean_dbm = phy.mean_rx_power(d, self.phy, self.tx_power)
+        shape = phy.shape_m(d, self.phy)
         del d
         sensed = mean_dbm >= self._cs_dbm
         np.fill_diagonal(sensed, False)      # a sender is not its own hearer
         return sensed, phy.dbm_to_mw(mean_dbm), shape
 
     def _link_budget(self, sender: int):
-        """This sender's row of the current geometry: who senses it (list, True
-        at the sender), the ascending ids of the other nodes that do (index
+        """This sender's row of the current geometry: who senses it (bytearray,
+        1 at the sender), the ascending ids of the other nodes that do (index
         array), and the mean power in mW and Nakagami shape at every node
         (arrays)."""
         cached = self._geometry.get(sender)
@@ -145,8 +147,8 @@ class Channel:
             self._epoch = self._budget_matrices()
         sensed, mean_mw, shape = self._epoch
         row = sensed[sender]
-        sensed_by = row.tolist()
-        sensed_by[sender] = True              # a sender senses its own transmission
+        sensed_by = bytearray(row.tobytes())
+        sensed_by[sender] = 1                 # a sender senses its own transmission
         budget = (sensed_by, np.flatnonzero(row), mean_mw[sender], shape[sender])
         self._geometry[sender] = budget
         return budget

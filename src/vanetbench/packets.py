@@ -11,7 +11,7 @@ KIND_ACK = "ack"
 BROADCAST = -1  # MAC destination for single-transmission broadcast frames
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One network-layer packet; `payload` holds protocol messages or beacons."""
 
@@ -26,7 +26,7 @@ class Packet:
     payload: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SafetyBeacon:
     """Single-hop safety message: position snapshot of the sender at emission."""
 

@@ -37,28 +37,41 @@ def path_loss_db(d, p: PhyConfig):
     c0 = base - 10.0 * p.gamma0 * lg10(r)
     c1 = c0 + 10.0 * (p.gamma0 - p.gamma1) * lg10(p.d0_g)
     c2 = c1 + 10.0 * (p.gamma1 - p.gamma2) * lg10(p.d1_g)
-    gamma = np.where(d < p.d0_g, p.gamma0,
-                     np.where(d < p.d1_g, p.gamma1, p.gamma2))
-    intercept = np.where(d < p.d0_g, c0, np.where(d < p.d1_g, c1, c2))
-    loss = intercept + 10.0 * gamma * np.log10(d)
+    # intercept + 10 * gamma * log10(d), built in one array; IEEE + and * are
+    # commutative, so the operand order does not change a bit
+    loss = _by_band(d, p.d0_g, p.d1_g, p.gamma0, p.gamma1, p.gamma2)
+    loss *= 10.0
+    loss *= np.log10(d)
+    loss += _by_band(d, p.d0_g, p.d1_g, c0, c1, c2)
     return loss if loss.ndim else float(loss)
+
+
+def _by_band(d, edge0, edge1, v0, v1, v2):
+    """v0 where d < edge0, else v1 where d < edge1, else v2 (a new float array)."""
+    out = np.full(d.shape, v2, dtype=float)
+    np.copyto(out, v1, where=d < edge1)
+    np.copyto(out, v0, where=d < edge0)
+    return out
 
 
 def mean_rx_power(d, p: PhyConfig, tx_power: float):
     """Deterministic mean received power in dBm; strictly decreasing in d."""
     loss = path_loss_db(d, p)
+    if np.ndim(loss):
+        return np.subtract(tx_power, loss, out=loss)   # the loss array is ours
     return tx_power - loss
 
 
 def shape_m(d, p: PhyConfig):
     """Nakagami shape factor by distance band. Accepts arrays."""
     d = np.asarray(d, dtype=float)
-    m = np.where(d < p.d0_m, p.m0, np.where(d < p.d1_m, p.m1, p.m2))
+    m = _by_band(d, p.d0_m, p.d1_m, p.m0, p.m1, p.m2)
     return m if m.ndim else float(m)
 
 
 def dbm_to_mw(dbm):
-    return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
+    mw = np.asarray(dbm, dtype=float) / 10.0
+    return np.power(10.0, mw, out=mw if mw.ndim else None)
 
 
 def sample_rx_power(rng, mean_mw, shape):

@@ -10,7 +10,7 @@ RREP_SIZE = 20
 RERR_SIZE = 20
 
 
-@dataclass
+@dataclass(slots=True)
 class Rreq:
     origin: int
     rreq_id: int
@@ -22,7 +22,7 @@ class Rreq:
     flood_time: float        # when the origin sent the first copy
 
 
-@dataclass
+@dataclass(slots=True)
 class Rrep:
     origin: int              # discovery source the reply travels to
     dest: int                # destination the route leads to
@@ -30,12 +30,12 @@ class Rrep:
     hop_count: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Rerr:
     unreachable: list        # [(dest, seq), ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class AodvEntry:
     dest: int
     dest_seq: int

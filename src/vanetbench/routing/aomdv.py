@@ -11,7 +11,7 @@ RREP_SIZE = 24
 RERR_SIZE = 20
 
 
-@dataclass
+@dataclass(slots=True)
 class MRreq:
     origin: int
     rreq_id: int
@@ -24,7 +24,7 @@ class MRreq:
     flood_time: float        # when the origin sent the first copy
 
 
-@dataclass
+@dataclass(slots=True)
 class MRrep:
     origin: int
     dest: int
@@ -33,12 +33,12 @@ class MRrep:
     first_hop: int           # dest-side neighbor the reply left through
 
 
-@dataclass
+@dataclass(slots=True)
 class MRerr:
     unreachable: list
 
 
-@dataclass
+@dataclass(slots=True)
 class AomdvPath:
     next_hop: int
     last_hop: int
@@ -46,7 +46,7 @@ class AomdvPath:
     expiry: float
 
 
-@dataclass
+@dataclass(slots=True)
 class AomdvEntry:
     dest: int
     dest_seq: int

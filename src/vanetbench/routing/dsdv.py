@@ -12,12 +12,12 @@ ENTRY_SIZE = 8
 INF_METRIC = math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class DsdvUpdate:
     entries: list            # [(dest, metric, seq), ...]; metric None encodes broken
 
 
-@dataclass
+@dataclass(slots=True)
 class DsdvEntry:
     dest: int
     next_hop: int | None

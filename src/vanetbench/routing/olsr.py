@@ -1,8 +1,9 @@
 """Proactive link-state routing with multipoint relays: HELLO link sensing,
 greedy MPR election, TC flooding via MPRs, hop-count shortest paths."""
 
+from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .base import RoutingProtocol
 
@@ -15,19 +16,20 @@ SYM = "sym"
 HEARD = "heard"
 
 
-@dataclass
+@dataclass(slots=True)
 class Hello:
-    links: list              # [(neighbor, status, is_mpr), ...]
+    links: list              # [(neighbor, status, is_mpr), ...], ascending neighbor
+    sym: frozenset           # the sender's symmetric neighbors
 
 
-@dataclass
+@dataclass(slots=True)
 class Tc:
     origin: int
     seq: int
-    selectors: list
+    selectors: tuple         # ascending
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkInfo:
     status: str
     expiry: float
@@ -72,14 +74,20 @@ class Olsr(RoutingProtocol):
     stale: a new neighbor, a changed link status or symmetric-neighbor set, a TC
     from a new origin or with changed selectors, an expiry or a link break. Each
     is recomputed on its next read: the MPR set by the node's own HELLO, the
-    routes by `route_lookup`."""
+    routes by `route_lookup`.
+
+    A HELLO's symmetric-neighbor set and a TC's selectors are fixed by their
+    message, so every receiver stores the sender's own immutable object: the
+    `frozenset` of the HELLO in `two_hop` and the `tuple` of the TC in
+    `topology`, which an MPR also re-sends. A `two_hop` set may include the node
+    itself; the MPR election subtracts it, and in the route BFS it is the root."""
 
     control_handlers = {Hello: "_on_hello", Tc: "_on_tc"}
 
     def __init__(self, stack):
         super().__init__(stack)
         self.links: dict[int, LinkInfo] = {}
-        # nbr -> (set of its sym nbrs, expiry); written and deleted with links[nbr]
+        # nbr -> (its HELLO's sym set, expiry); written and deleted with links[nbr]
         self.two_hop: dict[int, tuple] = {}
         self._mprs: set | None = None                # None while stale
         self.mpr_selectors: dict[int, float] = {}    # nbr -> expiry
@@ -103,7 +111,8 @@ class Olsr(RoutingProtocol):
         mprs = self.mpr_set
         links = [(n, info.status, n in mprs)
                  for n, info in sorted(self.links.items())]
-        self.send_control(Hello(links), HELLO_HEADER + HELLO_LINK_SIZE * len(links))
+        sym = frozenset([n for n, status, _ in links if status == SYM])
+        self.send_control(Hello(links, sym), HELLO_HEADER + HELLO_LINK_SIZE * len(links))
         self.sim.after(self.cfg.olsr_hello_interval, self._hello_tick,
                        target="olsr.hello")
 
@@ -111,7 +120,7 @@ class Olsr(RoutingProtocol):
         self._expire()
         if self.mpr_selectors:
             self.tc_seq += 1
-            selectors = sorted(self.mpr_selectors)
+            selectors = tuple(sorted(self.mpr_selectors))
             self.send_control(Tc(self.node_id, self.tc_seq, selectors),
                               TC_HEADER + TC_ENTRY_SIZE * len(selectors))
         self.sim.after(self.cfg.olsr_tc_interval, self._tc_tick, target="olsr.tc")
@@ -137,22 +146,23 @@ class Olsr(RoutingProtocol):
     def _on_hello(self, hello: Hello, nbr: int):
         now = self.sim.now
         hold = self.cfg.hold_multiplier * self.cfg.olsr_hello_interval
-        heard_me = False
-        nbr_sym = set()
-        for other, status, is_mpr in hello.links:
-            if other == self.node_id:
-                heard_me = True
-                if is_mpr:
-                    self.mpr_selectors[nbr] = now + hold
-            elif status == SYM:
-                nbr_sym.add(other)
+        me = self.node_id
+        links = hello.links
+        i = bisect_left(links, (me,))
+        heard_me = i < len(links) and links[i][0] == me
+        if heard_me and links[i][2]:
+            self.mpr_selectors[nbr] = now + hold
         status = SYM if heard_me else HEARD
+        sym = hello.sym
         old = self.links.get(nbr)
-        if old is None or old.status != status or self.two_hop[nbr][0] != nbr_sym:
+        # whether the sender lists this node as symmetric changes neither the
+        # MPR election nor the routes, so it alone marks nothing stale
+        if old is None or old.status != status or (
+                (old_sym := self.two_hop[nbr][0]) != sym and old_sym ^ sym != {me}):
             self._mprs = None
             self._dirty = True
         self.links[nbr] = LinkInfo(status, now + hold)
-        self.two_hop[nbr] = (nbr_sym, now + hold)
+        self.two_hop[nbr] = (sym, now + hold)
 
     def _on_tc(self, tc: Tc, prev: int):
         if tc.origin == self.node_id:
@@ -161,14 +171,14 @@ class Olsr(RoutingProtocol):
             return
         self.seen_tc[tc.origin] = tc.seq
         hold = self.cfg.hold_multiplier * self.cfg.olsr_tc_interval
+        selectors = tc.selectors
         known = self.topology.get(tc.origin)
-        if known is None or known[1] != tc.selectors:
+        if known is None or known[1] != selectors:
             self._dirty = True
-        self.topology[tc.origin] = (tc.seq, list(tc.selectors), self.sim.now + hold)
+        self.topology[tc.origin] = (tc.seq, selectors, self.sim.now + hold)
         # only multipoint relays of the previous hop retransmit the flood
         if prev in self.mpr_selectors:
-            self.send_control(Tc(tc.origin, tc.seq, list(tc.selectors)),
-                              TC_HEADER + TC_ENTRY_SIZE * len(tc.selectors))
+            self.send_control(tc, TC_HEADER + TC_ENTRY_SIZE * len(selectors))
 
     # -- state --------------------------------------------------------------------
 

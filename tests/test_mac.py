@@ -328,7 +328,8 @@ def assert_budget_matches(channel, coords, sender):
     assert got_mw.tobytes() == mean_mw.tobytes()
     assert got_shape.tobytes() == shape.tobytes()
     cs = p.carrier_sense_threshold
-    assert sensed == [j == sender or v >= cs for j, v in enumerate(mean_dbm.tolist())]
+    assert [bool(b) for b in sensed] == [j == sender or v >= cs
+                                         for j, v in enumerate(mean_dbm.tolist())]
     # the hearers are exactly the other sensing nodes, in ascending order
     assert hearers.tolist() == [j for j, v in enumerate(mean_dbm.tolist())
                                 if j != sender and v >= cs]

@@ -1,7 +1,7 @@
 """Link sensing, MPR election, TC flooding and shortest-path tables."""
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -206,6 +206,24 @@ def fresh_next_hops(r):
                 q.append(v)
     return {d: nh for d, nh in first_hop.items()
             if d != me and nh in r.links and r.links[nh].status == SYM}
+
+
+def test_every_receiver_of_a_message_holds_its_one_hello_set_or_tc_tuple():
+    net = olsr_simulation(vehicles=40, duration=4.0)
+    net.run()
+    hellos, tcs = defaultdict(list), defaultdict(list)
+    for stack in net.stacks.values():
+        r = stack.routing
+        # a HELLO ends at one instant, so all its receivers store one expiry
+        for nbr, (sym, expiry) in r.two_hop.items():
+            hellos[nbr, expiry].append(sym)
+        for origin, (seq, selectors, _) in r.topology.items():
+            tcs[origin, seq].append(selectors)
+    for stored, kind in ((hellos, frozenset), (tcs, tuple)):
+        shared = [objs for objs in stored.values() if len(objs) > 1]
+        assert shared
+        for objs in shared:
+            assert all(type(obj) is kind and obj is objs[0] for obj in objs)
 
 
 def test_lazy_mprs_and_routes_equal_a_fresh_recompute():
