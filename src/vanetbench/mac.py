@@ -54,7 +54,7 @@ class Transmission:
         self.frame = frame
         self.start = start
         self.end = end
-        self.sensed = sensed          # per node: carrier sensed, by mean power (bytes, 0 or 1)
+        self.sensed = sensed          # per node: carrier sensed, by mean power (bytearray, 0/1)
         self.hearers = hearers        # ascending ids that sense it, sender excluded (array)
         self.samples = samples        # per-node faded power for this transmission (array)
         # the same powers as floats, for the per-node reads of frame_outcome_mw
@@ -68,7 +68,7 @@ class Channel:
 
     Carrier sensing uses the deterministic mean power; fading samples are drawn
     i.i.d. per (transmission, receiver) from the channel RNG stream. A sender's
-    carrier-sense row is a `bytearray` with one 0/1 byte per node, not a list.
+    carrier-sense row is a `bytearray`, one 0/1 byte per node.
 
     Overlap record: a starting transmission and each in-flight one that ends
     after this instant join each other's `overlaps`, so the record is complete

@@ -58,7 +58,7 @@ def mean_rx_power(d, p: PhyConfig, tx_power: float):
     """Deterministic mean received power in dBm; strictly decreasing in d."""
     loss = path_loss_db(d, p)
     if np.ndim(loss):
-        return np.subtract(tx_power, loss, out=loss)   # the loss array is ours
+        return np.subtract(tx_power, loss, out=loss)   # path_loss_db made this array
     return tx_power - loss
 
 

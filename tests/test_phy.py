@@ -54,6 +54,25 @@ def test_zero_distance_rejected():
         phy.mean_rx_power(0.0, PHY, TX_POWER)
 
 
+def test_link_budget_arrays_equal_the_banded_formulas_bit_for_bit():
+    """The in-place builds give the bits of the plain nested-where formulas."""
+    p = PhyConfig(gamma2=4.2, m2=0.5)            # three distinct bands of each
+    edges = [p.d0_g, p.d1_g, p.d0_m, p.d1_m]
+    d = np.concatenate([np.random.default_rng(5).uniform(1.0, 2000.0, 500),
+                        edges, np.nextafter(edges, 0.0), [p.ref_distance]])
+    base = phy.reference_loss_db(p.frequency, p.ref_distance)
+    c0 = base - 10.0 * p.gamma0 * math.log10(p.ref_distance)
+    c1 = c0 + 10.0 * (p.gamma0 - p.gamma1) * math.log10(p.d0_g)
+    c2 = c1 + 10.0 * (p.gamma1 - p.gamma2) * math.log10(p.d1_g)
+    gamma = np.where(d < p.d0_g, p.gamma0, np.where(d < p.d1_g, p.gamma1, p.gamma2))
+    intercept = np.where(d < p.d0_g, c0, np.where(d < p.d1_g, c1, c2))
+    mean_dbm = TX_POWER - (intercept + 10.0 * gamma * np.log10(d))
+    assert phy.mean_rx_power(d, p, TX_POWER).tobytes() == mean_dbm.tobytes()
+    assert phy.dbm_to_mw(mean_dbm).tobytes() == np.power(10.0, mean_dbm / 10.0).tobytes()
+    m = np.where(d < p.d0_m, p.m0, np.where(d < p.d1_m, p.m1, p.m2))
+    assert phy.shape_m(d, p).tobytes() == m.tobytes()
+
+
 def test_shape_bands():
     assert phy.shape_m(50.0, PHY) == 1.5
     assert phy.shape_m(100.0, PHY) == 0.75
