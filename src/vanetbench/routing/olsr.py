@@ -171,14 +171,13 @@ class Olsr(RoutingProtocol):
             return
         self.seen_tc[tc.origin] = tc.seq
         hold = self.cfg.hold_multiplier * self.cfg.olsr_tc_interval
-        selectors = tc.selectors
         known = self.topology.get(tc.origin)
-        if known is None or known[1] != selectors:
+        if known is None or known[1] != tc.selectors:
             self._dirty = True
-        self.topology[tc.origin] = (tc.seq, selectors, self.sim.now + hold)
+        self.topology[tc.origin] = (tc.seq, tc.selectors, self.sim.now + hold)
         # only multipoint relays of the previous hop retransmit the flood
         if prev in self.mpr_selectors:
-            self.send_control(tc, TC_HEADER + TC_ENTRY_SIZE * len(selectors))
+            self.send_control(tc, TC_HEADER + TC_ENTRY_SIZE * len(tc.selectors))
 
     # -- state --------------------------------------------------------------------
 
