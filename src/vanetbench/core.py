@@ -37,13 +37,11 @@ class Event:
 class Simulator:
     """Single-threaded event loop with a monotone virtual clock (seconds)."""
 
-    def __init__(self, record_log: bool = False):
+    def __init__(self):
         self.now = 0.0
         # heap keyed by (fire_time, sequence) tuples for C-level comparisons
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self.record_log = record_log
-        self.dispatch_log: list[tuple[float, int, str]] = []
 
     def schedule(self, at: float, action, target: str = "") -> Event:
         """Schedule `action()` at absolute time `at`; returns a cancellable handle."""
@@ -76,8 +74,6 @@ class Simulator:
                 continue
             self.now = at
             ev.fired = True
-            if self.record_log:
-                self.dispatch_log.append((at, ev.sequence, ev.target))
             try:
                 ev.payload()
             except Exception as exc:
@@ -85,9 +81,6 @@ class Simulator:
             count += 1
         self.now = t_end
         return count
-
-    def pending(self) -> int:
-        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
 
 
 class RngStreams:

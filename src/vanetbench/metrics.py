@@ -69,18 +69,15 @@ class TraceRecord:
 
 class Trace:
     """Append-only record stream fanned out to sinks (file writer, aggregator,
-    and with `keep_records` the record list `records`).
+    record list).
 
     A sink takes single records through `add` and the outcomes of one beacon
     broadcast through `add_pbc_block`; both give the same records in the same
     order.
     """
 
-    def __init__(self, keep_records: bool = False):
+    def __init__(self):
         self._sinks: list = []
-        self.records: list[TraceRecord] = []
-        if keep_records:
-            self.records = self.attach(RecordList())
 
     def attach(self, sink):
         self._sinks.append(sink)

@@ -5,11 +5,15 @@ optional; defaults reproduce the reference experimental frame (100 vehicles,
 1000x1000 m grid, 100 s, 40 CBR flows at 4 pkt/s x 512 B, 6 Mbps 802.11p,
 Nakagami fading calibrated to 250 m). The schema is the config dataclasses below:
 each section is one dataclass, each key one of its fields, parsed by the field's
-type. `scenario.effective.ini` in a run directory lists every key with its value.
+type. A field's legal values are its metadata (see `bounded`), the only place
+they are stated; `validate()` checks every field against them in one loop and
+lists only the rules that span fields or build something. `scenario.effective.ini`
+in a run directory lists every key with its value.
 """
 
 import configparser
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 from .roadnet import Edge, GraphError, RoadGraph, Vertex, edge_id, generate_grid
@@ -23,8 +27,35 @@ class SchemaError(ValueError):
     """Scenario file violates the schema; message names the key and line."""
 
 
+def bounded(default, **bounds):
+    """A config field and its legal values, which `validate()` checks: `gt`,
+    `ge` and `le` bound a number or each item of a tuple; `one_of` lists the
+    choices; `mask` asks for the form 2^k - 1."""
+    return field(default=default, metadata=bounds)
+
+
+_ORDER = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "le": (operator.le, "<=")}
+
+
+def _check_bounds(name: str, value, bounds) -> None:
+    """Raise SchemaError naming `name` unless `value` keeps every bound; a
+    tuple needs one or more items."""
+    if "one_of" in bounds and value not in bounds["one_of"]:
+        raise SchemaError(f"{name} '{value}' not one of {bounds['one_of']}")
+    items = value if isinstance(value, tuple) else (value,)
+    if not items:
+        raise SchemaError(f"{name} must list one or more values")
+    for v in items:
+        for key, (holds, op) in _ORDER.items():
+            if key in bounds and not holds(v, bounds[key]):
+                raise SchemaError(f"{name} must be {op} {bounds[key]}, not {v}")
+        if bounds.get("mask") and (v < 0 or v & (v + 1)):
+            raise SchemaError(f"{name} must be of the form 2^k - 1, not {v}")
+
+
 @dataclass
 class GraphConfig:
+    # the road-graph build checks these, the layout keys included
     grid: tuple[int, int, float] | None = (5, 5, 250.0)   # rows cols spacing
     vertices: list[tuple[str, float, float]] = field(default_factory=list)
     edges: list[tuple[str, str, int]] = field(default_factory=list)
@@ -35,57 +66,57 @@ class GraphConfig:
 
 @dataclass
 class MobilityConfig:
-    model: str = "idm-im"
-    a_max: float = 0.6           # maximal acceleration, m/s^2
-    b: float = 0.9               # comfortable deceleration, m/s^2
-    s0: float = 1.0              # jam distance, m
-    headway: float = 0.5         # safe time headway, s
-    vehicle_length: float = 5.0
-    visibility: float = 200.0
-    recalc_step: float = 1.0     # lane-change / reporting grid, s
-    integration_dt: float = 0.1
-    v_min_kmh: float = 10.0
+    model: str = bounded("idm-im", one_of=MOBILITY_MODELS)
+    a_max: float = bounded(0.6, gt=0)            # maximal acceleration, m/s^2
+    b: float = bounded(0.9, gt=0)                # comfortable deceleration, m/s^2
+    s0: float = bounded(1.0, gt=0)               # jam distance, m
+    headway: float = bounded(0.5, gt=0)          # safe time headway, s
+    vehicle_length: float = bounded(5.0, gt=0)
+    visibility: float = bounded(200.0, gt=0)
+    recalc_step: float = bounded(1.0, gt=0)      # lane-change / reporting grid, s
+    integration_dt: float = bounded(0.1, gt=0)
+    v_min_kmh: float = bounded(10.0, gt=0)
     v_max_kmh: float = 80.0
-    politeness: float = 0.5
-    accel_threshold: float = 0.5
+    politeness: float = bounded(0.5, ge=0, le=1)
+    accel_threshold: float = bounded(0.5, ge=0)
     safe_decel_limit: float | None = None    # defaults to b
-    min_stay: float = 2.0
+    min_stay: float = bounded(2.0, ge=0)
     max_stay: float = 6.0
 
 
 @dataclass
 class PhyConfig:
-    m0: float = 1.5
-    m1: float = 0.75
-    m2: float = 0.75
+    m0: float = bounded(1.5, gt=0)
+    m1: float = bounded(0.75, gt=0)
+    m2: float = bounded(0.75, gt=0)
     d0_m: float = 80.0
     d1_m: float = 200.0
-    gamma0: float = 1.9
-    gamma1: float = 3.8
-    gamma2: float = 3.8
-    d0_g: float = 200.0
+    gamma0: float = bounded(1.9, gt=0)
+    gamma1: float = bounded(3.8, gt=0)
+    gamma2: float = bounded(3.8, gt=0)
+    d0_g: float = bounded(200.0, gt=0)
     d1_g: float = 500.0
-    ref_distance: float = 1.0
-    frequency: float = 5.9e9
+    ref_distance: float = bounded(1.0, gt=0)
+    frequency: float = bounded(5.9e9, gt=0)
     rx_threshold: float = -82.0          # dBm
     carrier_sense_threshold: float = -92.0
-    target_range: float = 250.0
+    target_range: float = bounded(250.0, gt=0)
     capture_margin: float = 10.0         # dB
-    loss_model: str = "nakagami"         # nakagami | ideal
+    loss_model: str = bounded("nakagami", one_of=("nakagami", "ideal"))
     collisions: bool = True
 
 
 @dataclass
 class MacConfig:
-    bitrate: float = 6e6
-    slot: float = 13e-6
-    sifs: float = 32e-6
-    cw_min: int = 15
-    cw_max: int = 1023
+    bitrate: float = bounded(6e6, gt=0)
+    slot: float = bounded(13e-6, gt=0)   # at 0, difs = sifs: a backoff ends as an ACK starts
+    sifs: float = bounded(32e-6, ge=0)
+    cw_min: int = bounded(15, mask=True)
+    cw_max: int = bounded(1023, mask=True)
     retry_limit: int = 7
-    queue_capacity: int = 50
-    phy_overhead: float = 40e-6
-    mac_overhead: int = 34
+    queue_capacity: int = bounded(50, gt=0)
+    phy_overhead: float = bounded(40e-6, ge=0)
+    mac_overhead: int = bounded(34, ge=0)
 
     @property
     def difs(self) -> float:
@@ -94,41 +125,41 @@ class MacConfig:
 
 @dataclass
 class RoutingConfig:
-    protocol: str = "aodv"
+    protocol: str = bounded("aodv", one_of=PROTOCOLS)
     ttl: int = 64
-    buffer_packets: int = 64       # reactive send buffer, per destination
+    buffer_packets: int = bounded(64, gt=0)      # reactive send buffer, per destination
     buffer_timeout: float = 30.0
     aodv_route_timeout: float = 3.0
     aodv_rreq_retries: int = 2
-    aodv_ring_ttls: tuple[int, ...] = (1, 3, 7)
-    aodv_node_traversal: float = 0.04
+    aodv_ring_ttls: tuple[int, ...] = bounded((1, 3, 7), ge=0)
+    aodv_node_traversal: float = bounded(0.04, ge=0)
     aomdv_max_paths: int = 3
-    dsdv_full_dump_interval: float = 15.0
+    dsdv_full_dump_interval: float = bounded(15.0, gt=0)
     dsdv_settling_time: float = 6.0
     dsdv_trigger_min_gap: float = 1.0
-    olsr_hello_interval: float = 2.0
-    olsr_tc_interval: float = 5.0
+    olsr_hello_interval: float = bounded(2.0, gt=0)
+    olsr_tc_interval: float = bounded(5.0, gt=0)
     hold_multiplier: float = 3.0
 
 
 @dataclass
 class TrafficConfig:
-    cbr_connections: int = 40
-    packet_size: int = 512
-    rate: float = 4.0
-    cbr_start: float = 0.0
+    cbr_connections: int = bounded(40, ge=0)
+    packet_size: int = bounded(512, gt=0)
+    rate: float = bounded(4.0, gt=0)
+    cbr_start: float = bounded(0.0, ge=0)
     cbr_stop: float | None = None        # defaults to run duration
-    beacon_interval: float = 0.1
-    beacon_size: int = 200
+    beacon_interval: float = bounded(0.1, gt=0)
+    beacon_size: int = bounded(200, gt=0)
     emergency_decel: float = 2.7         # m/s^2 deceleration magnitude triggering a beacon
     emergency_rate_limit: float = 1.0    # min seconds between emergency beacons per vehicle
 
 
 @dataclass
 class RunConfig:
-    duration: float = 100.0
-    seed: int = 1
-    vehicles: int = 100
+    duration: float = bounded(100.0, gt=0)
+    seed: int = bounded(1, ge=0)
+    vehicles: int = bounded(100, ge=0)
     mobility_trace: bool = False
 
 
@@ -162,15 +193,16 @@ class ScenarioConfig:
         return generate_grid(rows, cols, spacing, g.lanes, g.speed_limit, g.phase_length)
 
     def validate(self) -> RoadGraph:
-        """Check every section; returns the road graph the check built, so a
-        run needs no second build."""
+        """Check every field against its bounds, then the rules across fields;
+        returns the road graph the check built, so a run needs no second build."""
         for sec in fields(self):
             obj = getattr(self, sec.name)
             for f in fields(obj):
-                value = getattr(obj, f.name)
+                name, value = f"{sec.name}.{f.name}", getattr(obj, f.name)
                 if f.type in (float, float | None) and value is not None \
                         and not math.isfinite(value):
-                    raise SchemaError(f"{sec.name}.{f.name} must be finite, not {value}")
+                    raise SchemaError(f"{name} must be finite, not {value}")
+                _check_bounds(name, value, f.metadata)
         g = self.graph
         # the floats inside the layout fields, which the loop above does not see
         if g.grid is not None and not math.isfinite(g.grid[2]):
@@ -185,79 +217,27 @@ class ScenarioConfig:
             raise SchemaError(f"graph: {exc}") from exc
         if len(graph.vertices) < 2:
             raise SchemaError("graph: trips need two or more vertices")
-        m = self.mobility
-        if m.model not in MOBILITY_MODELS:
-            raise SchemaError(f"mobility.model '{m.model}' not one of {MOBILITY_MODELS}")
-        for name in ("a_max", "b", "s0", "headway", "vehicle_length", "visibility",
-                     "recalc_step", "integration_dt"):
-            if getattr(m, name) <= 0:
-                raise SchemaError(f"mobility.{name} must be positive")
-        if not 0 <= m.politeness <= 1:
-            raise SchemaError("mobility.politeness must lie in [0, 1]")
-        if m.accel_threshold < 0:
-            raise SchemaError("mobility.accel_threshold must be >= 0")
-        if not 0 < m.v_min_kmh <= m.v_max_kmh:
-            raise SchemaError("mobility speed band requires 0 < v_min_kmh <= v_max_kmh")
-        if m.min_stay > m.max_stay or m.min_stay < 0:
-            raise SchemaError("mobility stay bounds require 0 <= min_stay <= max_stay")
+        m, p, t, n = self.mobility, self.phy, self.traffic, self.run.vehicles
         steps = m.recalc_step / m.integration_dt
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-            raise SchemaError("mobility.recalc_step must be a multiple of integration_dt")
-        p = self.phy
-        if not ( p.d0_m < p.d1_m and p.d0_g < p.d1_g):
-            raise SchemaError("phy band thresholds must be strictly increasing")
-        if min(p.m0, p.m1, p.m2) <= 0 or min(p.gamma0, p.gamma1, p.gamma2) <= 0:
-            raise SchemaError("phy shape factors and exponents must be positive")
-        if p.carrier_sense_threshold > p.rx_threshold:
-            raise SchemaError("phy.carrier_sense_threshold must be <= rx_threshold")
-        if p.loss_model not in ("nakagami", "ideal"):
-            raise SchemaError("phy.loss_model must be 'nakagami' or 'ideal'")
-        for name in ("target_range", "ref_distance", "frequency", "d0_g"):
-            if getattr(p, name) <= 0:
-                raise SchemaError(f"phy.{name} must be positive")
+        for broken, message in (
+                (p.d0_m >= p.d1_m or p.d0_g >= p.d1_g,
+                 "phy band thresholds must be strictly increasing"),
+                (p.carrier_sense_threshold > p.rx_threshold,
+                 "phy.carrier_sense_threshold must be <= rx_threshold"),
+                (self.mac.cw_min >= self.mac.cw_max, "mac.cw_min must be < cw_max"),
+                (abs(steps - round(steps)) > 1e-9 or round(steps) < 1,
+                 "mobility.recalc_step must be a multiple of integration_dt"),
+                (m.v_min_kmh > m.v_max_kmh, "mobility.v_min_kmh must be <= v_max_kmh"),
+                (m.min_stay > m.max_stay, "mobility.min_stay must be <= max_stay"),
+                (t.cbr_connections > n * (n - 1),
+                 f"traffic.cbr_connections={t.cbr_connections} exceeds "
+                 f"available ordered pairs for {n} vehicles")):
+            if broken:
+                raise SchemaError(message)
         try:
             10.0 ** (p.capture_margin / 10.0)           # the channel's linear capture ratio
         except OverflowError:
             raise SchemaError("phy.capture_margin overflows a float as a linear ratio") from None
-        c = self.mac
-        for name in ("cw_min", "cw_max"):
-            v = getattr(c, name)
-            if v < 0 or (v + 1) & v != 0:
-                raise SchemaError(f"mac.{name} must be of the form 2^k - 1")
-        if c.cw_min >= c.cw_max:
-            raise SchemaError("mac.cw_min must be < cw_max")
-        if c.queue_capacity <= 0:
-            raise SchemaError("mac.queue_capacity must be positive")
-        if c.bitrate <= 0:
-            raise SchemaError("mac.bitrate must be positive")
-        for name in ("slot", "sifs", "phy_overhead", "mac_overhead"):
-            if getattr(c, name) < 0:
-                raise SchemaError(f"mac.{name} must be >= 0")
-        r = self.routing
-        if r.protocol not in PROTOCOLS:
-            raise SchemaError(f"routing.protocol '{r.protocol}' not one of {PROTOCOLS}")
-        if not r.aodv_ring_ttls or min(r.aodv_ring_ttls) < 0:
-            raise SchemaError("routing.aodv_ring_ttls must list one or more TTLs >= 0")
-        if r.buffer_packets <= 0:
-            raise SchemaError("routing.buffer_packets must be positive")
-        if r.aodv_node_traversal < 0:
-            raise SchemaError("routing.aodv_node_traversal must be >= 0")
-        for name in ("olsr_hello_interval", "olsr_tc_interval", "dsdv_full_dump_interval"):
-            if getattr(r, name) <= 0:
-                raise SchemaError(f"routing.{name} must be positive")
-        t = self.traffic
-        if t.cbr_connections < 0 or t.packet_size <= 0 or t.rate <= 0:
-            raise SchemaError("traffic requires cbr_connections >= 0, packet_size > 0, rate > 0")
-        if t.cbr_start < 0:
-            raise SchemaError("traffic.cbr_start must be >= 0")
-        if t.beacon_interval <= 0 or t.beacon_size <= 0:
-            raise SchemaError("traffic beacon settings must be positive")
-        if self.run.duration <= 0 or self.run.vehicles < 0:
-            raise SchemaError("run.duration must be positive and run.vehicles >= 0")
-        n = self.run.vehicles
-        if t.cbr_connections > n * (n - 1):
-            raise SchemaError(f"traffic.cbr_connections={t.cbr_connections} exceeds "
-                              f"available ordered pairs for {n} vehicles")
         return graph
 
 

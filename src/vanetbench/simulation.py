@@ -9,7 +9,7 @@ from . import phy
 from .agents import CbrAgent, PbcAgent, setup_flows
 from .core import RngStreams, Simulator
 from .mac import Channel, NodeMac
-from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace,
+from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, RecordList, Trace,
                       TraceAggregator, TraceFileWriter)
 from .mobility import VehicleWorld
 from .packets import BROADCAST, KIND_CBR, Packet
@@ -89,14 +89,12 @@ class Network:
     nodes there.
     """
 
-    keep_records = False
-
     def __init__(self, cfg: ScenarioConfig, nodes, trace_file=None):
         n = max(nodes) + 1 if nodes else 0
         self.cfg = cfg
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.run.seed)
-        self.trace = Trace(keep_records=self.keep_records)
+        self.trace = Trace()
         self.aggregator = self.trace.attach(TraceAggregator())
         if trace_file is not None:
             self.trace.attach(TraceFileWriter(trace_file))
@@ -194,15 +192,15 @@ class StaticNetwork(Network):
     """Full network stack over fixed node positions (no mobility, no agents).
 
     The workbench for protocol-level experiments: place nodes, run the clock,
-    inject data packets, inspect routing state and the trace.
+    inject data packets, inspect routing state and the trace, whose records
+    `trace.records` keeps.
     """
-
-    keep_records = True
 
     def __init__(self, positions: dict[int, tuple[float, float]],
                  cfg: ScenarioConfig | None = None):
         cfg = cfg if cfg is not None else ScenarioConfig()
         super().__init__(cfg, sorted(positions))
+        self.trace.records = self.trace.attach(RecordList())
         for node, xy in positions.items():
             self.coords[node] = xy
 

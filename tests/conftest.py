@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 from hypothesis import settings
 
+from vanetbench.metrics import RecordList, Trace
 from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import StaticNetwork
 
@@ -18,6 +19,34 @@ settings.register_profile("ci", parent=settings.get_profile("default"),
 # Hypothesis switches to its own "ci" profile when a CI variable is set; tier-1
 # keeps the default there too, and only --hypothesis-profile=ci selects more.
 settings.load_profile("default")
+
+
+def record_dispatch_log(sim):
+    """The (time, sequence, target) of each event that `sim` dispatches, in
+    dispatch order, for the events scheduled from now on: this instance's
+    `schedule` wraps each action to log it when it fires."""
+    log = []
+    schedule = sim.schedule
+
+    def logged(at, action, target=""):
+        target = target or getattr(action, "__qualname__", "?")
+
+        def fire():
+            log.append((sim.now, ev.sequence, target))
+            action()
+
+        ev = schedule(at, fire, target)
+        return ev
+
+    sim.schedule = logged
+    return log
+
+
+def recording_trace():
+    """A Trace that keeps every record in `records`, as StaticNetwork's does."""
+    trace = Trace()
+    trace.records = trace.attach(RecordList())
+    return trace
 
 
 def line_positions(n, spacing=240.0):

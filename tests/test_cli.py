@@ -72,6 +72,16 @@ def test_batch_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
     assert not root.exists()
 
 
+# both once crashed after writing: the random streams refuse a negative seed
+@pytest.mark.parametrize("argv", [["run", "--set", "run.seed=-1"],
+                                  ["batch", "--seeds", "-1", "--jobs", "1"]])
+def test_a_negative_seed_is_refused_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out), *TINY]) == 2
+    assert capsys.readouterr().err.startswith("error: run.seed must be >= 0")
+    assert not out.exists()
+
+
 def test_run_rejects_a_non_finite_grid_spacing_before_any_output(tmp_path, capsys):
     out = tmp_path / "run"
     status = cli.main(["run", "--out", str(out), "--set", "graph.grid=5 5 nan", *TINY])

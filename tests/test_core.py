@@ -7,6 +7,8 @@ import pytest
 
 from vanetbench.core import RngStreams, SchedulingError, SimulationFault, Simulator
 
+from conftest import record_dispatch_log
+
 
 def test_same_time_scheduling_dispatches():
     sim = Simulator()
@@ -78,22 +80,31 @@ def test_handler_fault_carries_context():
 
 
 def _random_workload(sim, seed):
+    """Events that schedule more events while fewer than 500 are pending;
+    returns the dispatch log."""
     rng = random.Random(seed)
+    log = record_dispatch_log(sim)
+    scheduled = 0
+
+    def schedule(at, depth, target):
+        nonlocal scheduled
+        scheduled += 1
+        sim.schedule(at, lambda: spawn(depth), target=target)
 
     def spawn(depth):
-        if depth > 0 and sim.pending() < 500:
-            at = sim.now + rng.uniform(0.0, 3.0)
-            sim.schedule(at, lambda: spawn(depth - 1), target=f"d{depth}")
+        if depth > 0 and scheduled - len(log) < 500:    # pending: not yet dispatched
+            schedule(sim.now + rng.uniform(0.0, 3.0), depth - 1, f"d{depth}")
 
     for _ in range(50):
-        sim.schedule(rng.uniform(0.0, 5.0), lambda: spawn(3), target="seed")
+        schedule(rng.uniform(0.0, 5.0), 3, "seed")
+    return log
 
 
 def test_dispatch_log_is_strictly_ordered():
-    sim = Simulator(record_log=True)
-    _random_workload(sim, 99)
+    sim = Simulator()
+    log = _random_workload(sim, 99)
     sim.run_until(30.0)
-    keys = [(t, seq) for t, seq, _ in sim.dispatch_log]
+    keys = [(t, seq) for t, seq, _ in log]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -101,18 +112,18 @@ def test_dispatch_log_is_strictly_ordered():
 def test_identical_seed_identical_dispatch_log():
     logs = []
     for _ in range(2):
-        sim = Simulator(record_log=True)
-        _random_workload(sim, 1234)
+        sim = Simulator()
+        log = _random_workload(sim, 1234)
         sim.run_until(30.0)
-        logs.append(sim.dispatch_log)
+        logs.append(log)
     assert logs[0] == logs[1]
 
 
 def test_clock_never_moves_backward():
-    sim = Simulator(record_log=True)
-    _random_workload(sim, 5)
+    sim = Simulator()
+    log = _random_workload(sim, 5)
     sim.run_until(20.0)
-    times = [t for t, _, _ in sim.dispatch_log]
+    times = [t for t, _, _ in log]
     assert all(a <= b for a, b in zip(times, times[1:]))
 
 

@@ -11,7 +11,7 @@ from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig
 from vanetbench.simulation import Simulation, StaticNetwork
 
-from conftest import line_positions, fast_convergence_config
+from conftest import line_positions, fast_convergence_config, recording_trace
 
 
 def _packet(pid, src=0, dst=1, size=512, kind=KIND_CBR):
@@ -23,7 +23,7 @@ class Harness:
 
     def __init__(self, positions, mac_cfg=None, collisions=True, rng_values=None):
         self.sim = Simulator()
-        self.trace = Trace(keep_records=True)
+        self.trace = recording_trace()
         self.agg = self.trace.attach(TraceAggregator())
         self.mac_cfg = mac_cfg or MacConfig()
         phy_cfg = PhyConfig(loss_model="ideal", collisions=collisions)
@@ -376,7 +376,7 @@ def beacon_storm(seed, loss_model, collisions, n=40, senders=12):
     gives hearer by hearer when the broadcast ends."""
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, 700.0, size=(n, 2))
-    sim, trace = Simulator(), Trace(keep_records=True)
+    sim, trace = Simulator(), recording_trace()
     phy_cfg = PhyConfig(loss_model=loss_model, collisions=collisions)
     channel = Channel(sim, lambda: coords, phy_cfg, phy.calibrate_range(phy_cfg),
                       rng, trace)

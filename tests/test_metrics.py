@@ -15,6 +15,8 @@ from vanetbench.metrics import (EV_DROPPED, EV_FORWARDED, EV_RECEIVED, EV_SENT,
                                 conservation_check, delay_series, jitter_series,
                                 read_trace)
 
+from conftest import recording_trace
+
 
 def add(agg, time, event, layer, kind, pid, flow, node, size, reason="none"):
     agg.add(time, event, reason, layer, kind, pid, flow, node, size)
@@ -275,7 +277,7 @@ def traced_blocks(blocks, as_blocks):
     """Each sink's view of the blocks, fed as blocks or one record at a time:
     the file text, the counts in iteration order and the kept records."""
     fh = io.StringIO()
-    trace = Trace(keep_records=True)
+    trace = recording_trace()
     agg = trace.attach(TraceAggregator())
     trace.attach(TraceFileWriter(fh))
     trace.add(1.0, EV_SENT, "none", LAYER_MAC, "pbc", 40, None, 7, 300)

@@ -1,16 +1,24 @@
 """Properties of every scenario that passes validate(): the run completes,
 cbr packets are conserved, events are dispatched in time order, the written
 trace re-aggregates to the run's live aggregator, and the same seed replays
-the same run."""
+the same run. And of the schema: drawn from each field's bounds, a value
+outside them is a SchemaError naming the key, and a config within them runs."""
 
+import itertools
+import math
 import os
+import re
 import tempfile
+from dataclasses import fields
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, reject, strategies as st
 
 from vanetbench.metrics import aggregate, conservation_check, read_trace
-from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig
+from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError
 from vanetbench.simulation import Simulation
+
+from conftest import record_dispatch_log
 
 
 @st.composite
@@ -36,8 +44,8 @@ def scenarios(draw):
 def run(cfg, trace_file=None):
     """One run with its dispatch log recorded."""
     net = Simulation(cfg, trace_file)
-    net.sim.record_log = True
-    return net.run(), net.sim.dispatch_log
+    log = record_dispatch_log(net.sim)
+    return net.run(), log
 
 
 @given(scenarios())
@@ -58,3 +66,143 @@ def test_valid_scenario_runs_conserves_and_replays(cfg):
     replay, _ = run(cfg)
     assert replay.aggregator.counts == agg.counts
     assert replay.aggregator.recv_events == agg.recv_events
+
+
+# -- the schema's bounds, read from each field's metadata ------------------------
+
+BOUND_KEYS = {"gt", "ge", "le", "one_of", "mask"}
+
+
+def within(value, bounds) -> bool:
+    """Whether `value` keeps a field's `bounds`, read here apart from validate():
+    gt, ge and le hold for a number or each item of a tuple, which needs one
+    or more; one_of lists the choices; mask is the form 2^k - 1."""
+    items = value if isinstance(value, tuple) else (value,)
+    return bool(items) and value in bounds.get("one_of", (value,)) and all(
+        ("gt" not in bounds or v > bounds["gt"]) and ("ge" not in bounds or v >= bounds["ge"])
+        and ("le" not in bounds or v <= bounds["le"])
+        and (not bounds.get("mask") or (v >= 0 and v & (v + 1) == 0)) for v in items)
+
+
+def small_config():
+    """The defaults at a 0.5 s, 10-vehicle scale, on a grid small enough that
+    routes form and data frames reach the MAC within the run."""
+    cfg = ScenarioConfig()
+    cfg.run.duration, cfg.run.vehicles, cfg.traffic.cbr_connections = 0.5, 10, 4
+    cfg.graph.grid = (3, 3, 100.0)
+    return cfg
+
+
+def probes(f, base):
+    """Values to draw for field `f`, whose small-config value is `base`: the
+    choices, each bound and the value just outside it, and for a number also
+    0, -1, minus the base and half and twice the base. Positive scale-type
+    values stay in that band: an accepted integration_dt or beacon_interval
+    near 0 runs for a very long time rather than crashing."""
+    bounds = f.metadata
+    if f.type is bool:
+        return [False, True]
+    if f.type is str:
+        return [*bounds.get("one_of", (base,)), "bogus"]
+    kind = int if f.type in (int, tuple[int, ...]) else float
+    values = {kind(0), kind(-1)}
+    for key, outward in (("gt", -1), ("ge", -1), ("le", 1)):
+        if key in bounds:
+            edge = bounds[key]
+            values |= {edge, edge + outward if kind is int
+                       else math.nextafter(edge, outward * math.inf)}
+    if "gt" in bounds and kind is int:
+        values.add(bounds["gt"] + 1)            # the least accepted int
+    if f.type == tuple[int, ...]:
+        return [(), base, *((v,) for v in sorted(values))]
+    if base is not None:
+        values |= {base, -base, base // 2 if kind is int else base / 2, base * 2}
+    return sorted(values) + ([None] if f.type == float | None else [])
+
+
+def _schema_draws():
+    """(section, key, value) for each probe of each field, split by whether
+    the field's bounds accept it. The [graph] keys are not drawn: the road
+    graph build checks them."""
+    base = small_config()
+    draws = {True: [], False: []}
+    for sec in fields(ScenarioConfig):
+        if sec.name == "graph":
+            continue
+        for f in fields(sec.type):
+            for value in probes(f, getattr(getattr(base, sec.name), f.name)):
+                draws[within(value, f.metadata)].append((sec.name, f.name, value))
+    return draws[True], draws[False]
+
+
+ACCEPTED, REJECTED = _schema_draws()
+
+
+# up to four fields set to accepted values
+accepted_changes = st.lists(st.sampled_from(ACCEPTED), max_size=4)
+
+
+def config_with(changes):
+    """The small config with each (section, key, value) of `changes` set."""
+    cfg = small_config()
+    for sec, key, value in changes:
+        setattr(getattr(cfg, sec), key, value)
+    return cfg
+
+
+def alone(probe):
+    """The change lists that try `probe` by itself: a [routing] key under
+    each protocol, since most of them are read by one protocol only."""
+    if probe[0] != "routing":
+        return [[probe]]
+    return [[("routing", "protocol", protocol), probe] for protocol in PROTOCOLS]
+
+
+def with_examples(kwargs_list):
+    """Add one explicit example per dict of arguments; every profile runs them."""
+    def apply(test):
+        for kwargs in kwargs_list:
+            test = example(**kwargs)(test)
+        return test
+    return apply
+
+
+def run_within(cfg, budget=100_000):
+    """Run `cfg`, raising once `budget` events are scheduled, so that a run
+    which never ends fails the property instead of hanging it."""
+    net = Simulation(cfg)
+    schedule, count = net.sim.schedule, itertools.count(1)
+
+    def counted(at, action, target=""):
+        if next(count) > budget:
+            raise RuntimeError(f"more than {budget} events scheduled")
+        return schedule(at, action, target)
+
+    net.sim.schedule = counted
+    return net.run()
+
+
+def test_every_field_bound_is_one_the_schema_reads():
+    for sec in fields(ScenarioConfig):
+        for f in fields(sec.type):
+            assert set(f.metadata) <= BOUND_KEYS, (sec.name, f.name)
+
+
+# each probe alone, then drawn combinations
+@with_examples({"changes": [], "bad": probe} for probe in REJECTED)
+@given(accepted_changes, st.sampled_from(REJECTED))
+def test_a_value_outside_its_bounds_is_schema_error(changes, bad):
+    cfg = config_with([*changes, bad])
+    with pytest.raises(SchemaError, match=re.escape(f"{bad[0]}.{bad[1]}")):
+        cfg.validate()
+
+
+@with_examples({"changes": changes} for probe in ACCEPTED for changes in alone(probe))
+@given(accepted_changes)
+def test_a_config_within_bounds_runs_and_conserves(changes):
+    cfg = config_with(changes)
+    try:
+        cfg.validate()
+    except SchemaError:
+        reject()            # a rule across fields, which the draws do not model
+    conservation_check(run_within(cfg).aggregator)

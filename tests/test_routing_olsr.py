@@ -12,7 +12,7 @@ from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import Simulation
 
 from conftest import (adjacency, bfs_distances, line_positions, make_net,
-                      random_connected_positions, walk_next_hops)
+                      random_connected_positions, record_dispatch_log, walk_next_hops)
 
 STAR = {0: (0.0, 0.0), 1: (200.0, 0.0), 2: (-200.0, 0.0),
         3: (0.0, 200.0), 4: (0.0, -200.0)}
@@ -257,7 +257,7 @@ def test_mpr_election_runs_at_most_once_per_hello_tick(monkeypatch):
 
     monkeypatch.setattr(olsr, "select_mprs", counting)
     net = olsr_simulation(vehicles=30, duration=5.0)
-    net.sim.record_log = True
+    log = record_dispatch_log(net.sim)
     net.run()
-    ticks = sum(1 for _, _, target in net.sim.dispatch_log if target == "olsr.hello")
+    ticks = sum(1 for _, _, target in log if target == "olsr.hello")
     assert 0 < len(calls) <= ticks

@@ -107,6 +107,8 @@ def test_flows_bounded_by_ordered_pairs():
     ("routing", "olsr_tc_interval", "0"), ("routing", "dsdv_full_dump_interval", "0"),
     ("phy", "d0_g", "0"), ("routing", "aodv_node_traversal", "-1"),
     ("phy", "capture_margin", "1e9"),       # its linear ratio overflows a float
+    ("run", "seed", "-1"),                  # the run's random streams refuse it
+    ("mac", "slot", "0"),                   # difs = sifs: a backoff ends as an ACK starts
 ])
 def test_value_that_breaks_a_run_is_schema_error(section, key, value):
     with pytest.raises(SchemaError, match=key if section != "graph" else "graph"):
