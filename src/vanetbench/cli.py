@@ -10,8 +10,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .metrics import aggregate, build_report, conservation_check, delay_series, \
-    jitter_series, read_trace
+from .metrics import build_report, conservation_check, delay_series, jitter_series, \
+    read_trace
 from .scenario import (MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError,
                        effective_ini, load_scenario, parse_scenario_text)
 from .simulation import Simulation
@@ -50,11 +50,8 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def _load_config(args) -> ScenarioConfig:
-    if args.scenario:
-        cfg = load_scenario(args.scenario)
-    else:
-        cfg = ScenarioConfig()
-    return _apply_overrides(cfg, args)
+    return _apply_overrides(load_scenario(args.scenario) if args.scenario
+                            else ScenarioConfig(), args)
 
 
 def _write_metrics_csv(path, report, extra: dict):
@@ -111,11 +108,7 @@ def execute_run(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> dict
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except (SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_config(args)
     if args.out:
         out_dir = Path(args.out)
     else:
@@ -172,29 +165,20 @@ def write_batch_csv(path, rows, seeds):
 
 
 def cmd_batch(args) -> int:
-    try:
-        cfg = _load_config(args)
-    except (SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _load_config(args)
     protocols = args.protocols.split(",") if args.protocols else [cfg.routing.protocol]
     mobilities = args.mobilities.split(",") if args.mobilities else [cfg.mobility.model]
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [cfg.run.seed]
     except ValueError:
-        print(f"error: --seeds expects comma-separated integers, got '{args.seeds}'",
-              file=sys.stderr)
-        return 2
+        raise SchemaError(f"--seeds expects comma-separated integers, "
+                          f"got '{args.seeds}'") from None
     out_root = Path(args.out or "batch")
     payloads = []
     for protocol, mobility, seed in itertools.product(protocols, mobilities, seeds):
         job = copy.deepcopy(cfg)
         job.routing.protocol, job.mobility.model, job.run.seed = protocol, mobility, seed
-        try:
-            job.validate()
-        except SchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        job.validate()
         payloads.append((job, str(out_root / f"{protocol}-{mobility}-s{seed}"), args.force))
     out_root.mkdir(parents=True, exist_ok=True)
     jobs = args.jobs or os.cpu_count() or 1
@@ -227,7 +211,8 @@ def cmd_report(args) -> int:
         trace_path = run_dir / TRACE_NAME
         summary_path = run_dir / SUMMARY_NAME
         try:
-            agg = aggregate(read_trace(trace_path))
+            agg = read_trace(trace_path)
+            conservation_check(agg)
             meta = json.loads(summary_path.read_text(encoding="utf-8")) \
                 if summary_path.exists() else {}
             report = build_report(agg)
@@ -292,9 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (SchemaError, OSError) as exc:   # a refused scenario or an unusable path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

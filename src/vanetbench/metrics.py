@@ -2,13 +2,18 @@
 
 Trace file format (stable, versioned): one record per line, space-separated
 columns `time event reason layer kind packet_id flow_id node size`; absent
-flow ids are written as `-`. Header lines start with `#`.
+flow ids are written as `-`. Two header lines, each starting with `#`, give
+the version and the column names.
 
 Most records are the outcomes of beacon (pbc) broadcasts, one per hearer. They
 reach the sinks as one block per broadcast (`Trace.add_pbc_block`): the
 hearers, and the outcomes of those that were not lost to fading. Each sink
 turns a block into exactly the records, lines and counts that one `add` per
 outcome would give; the file format does not depend on how records arrive.
+
+The run's TraceAggregator is the one ledger every metric reads. `read_trace`
+fills a new one from a trace file, so a report re-read from the file equals
+the run's own.
 """
 
 import math
@@ -19,14 +24,12 @@ from .packets import KIND_CBR, KIND_CONTROL, KIND_PBC
 TRACE_VERSION = "vanetbench-trace v1"
 TRACE_COLUMNS = ("time", "event", "reason", "layer", "kind",
                  "packet_id", "flow_id", "node", "size")
+TRACE_HEADER = f"#{TRACE_VERSION}\n#{' '.join(TRACE_COLUMNS)}\n"
 
 EV_SENT = "sent"
 EV_RECEIVED = "received"
 EV_FORWARDED = "forwarded"
 EV_DROPPED = "dropped"
-
-# drop reasons; "none" also tags packets still unterminated when a run closes
-REASONS = ("ifq", "no-route", "ttl", "fading", "collision", "none")
 
 LAYER_APP = "app"
 LAYER_ROUTING = "routing"
@@ -54,22 +57,9 @@ class TraceCorruptionError(RuntimeError):
     """The trace violates an accounting invariant (e.g. receive without send)."""
 
 
-@dataclass
-class TraceRecord:
-    time: float
-    event: str
-    reason: str
-    layer: str
-    kind: str
-    packet_id: int
-    flow_id: int | None
-    node: int
-    size: int
-
-
 class Trace:
-    """Append-only record stream fanned out to sinks (file writer, aggregator,
-    record list).
+    """Append-only record stream fanned out to sinks: the run's aggregator, and
+    a file writer whose file `read_trace` reads back into an aggregator.
 
     A sink takes single records through `add` and the outcomes of one beacon
     broadcast through `add_pbc_block`; both give the same records in the same
@@ -95,26 +85,12 @@ class Trace:
             sink.add_pbc_block(time, packet_id, size, hearers, outcomes)
 
 
-class RecordList(list):
-    """Sink that keeps every record as a TraceRecord."""
-
-    def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
-        self.append(TraceRecord(time, event, reason, layer, kind, packet_id, flow_id,
-                                node, size))
-
-    def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
-        self.extend([TraceRecord(time, *PBC_OUTCOMES[outcome], KIND_PBC, packet_id, None,
-                                 node, size)
-                     for node, outcome in pbc_outcomes(hearers, outcomes)])
-
-
 class TraceFileWriter:
     """Line-oriented sink; float times use repr so runs replay byte-identically."""
 
     def __init__(self, fh):
         self.fh = fh
-        fh.write(f"#{TRACE_VERSION}\n")
-        fh.write("#" + " ".join(TRACE_COLUMNS) + "\n")
+        fh.write(TRACE_HEADER)
 
     def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
         fid = "-" if flow_id is None else flow_id
@@ -128,17 +104,6 @@ class TraceFileWriter:
         lost = head[PBC_DEFAULT]
         heads = {node: head[outcome] for node, outcome in outcomes}
         self.fh.write("".join([f"{heads.get(node, lost)}{node}{tail}" for node in hearers]))
-
-
-def read_trace(path):
-    """Yield TraceRecords from a trace file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            t, event, reason, layer, kind, pid, fid, node, size = line.split()
-            yield TraceRecord(float(t), event, reason, layer, kind, int(pid),
-                              None if fid == "-" else int(fid), int(node), int(size))
 
 
 class TraceAggregator:
@@ -164,26 +129,29 @@ class TraceAggregator:
         key = (layer, kind, event, reason)
         counts = self.counts
         counts[key] = counts.get(key, 0) + 1
+        if kind == KIND_CBR or kind == KIND_CONTROL:
+            self._track(time, event, layer, kind, packet_id, flow_id, node, size)
+
+    def _track(self, time, event, layer, kind, packet_id, flow_id, node, size):
+        """The ledger's rules for one counted cbr or control record."""
         if kind == KIND_CBR:
-            if event == EV_DROPPED:
-                if packet_id in self.terminal:
-                    raise TraceCorruptionError(f"packet {packet_id} terminated twice")
-                self.terminal.add(packet_id)
-            elif event == EV_SENT and layer == LAYER_APP:
+            received = event == EV_RECEIVED and layer == LAYER_APP
+            if event == EV_SENT and layer == LAYER_APP:
                 if packet_id in self.sent_meta:
                     raise TraceCorruptionError(f"duplicate sent for packet {packet_id}")
                 self.sent_meta[packet_id] = (time, flow_id, node, size)
                 self.cbr_sent_bytes += size
-            elif event == EV_RECEIVED and layer == LAYER_APP:
-                if packet_id not in self.sent_meta:
+            elif received or event == EV_DROPPED:       # the packet's terminal record
+                if received and packet_id not in self.sent_meta:
                     raise TraceCorruptionError(
                         f"receive without matching send for packet {packet_id}")
                 if packet_id in self.terminal:
                     raise TraceCorruptionError(f"packet {packet_id} terminated twice")
                 self.terminal.add(packet_id)
-                self.recv_events.append((time, packet_id, flow_id))
-                self.cbr_recv_bytes += size
-        elif kind == KIND_CONTROL and event == EV_SENT and layer == LAYER_MAC:
+                if received:
+                    self.recv_events.append((time, packet_id, flow_id))
+                    self.cbr_recv_bytes += size
+        elif event == EV_SENT and layer == LAYER_MAC:
             self.control_tx += 1
             self.control_tx_bytes += size
 
@@ -236,44 +204,61 @@ class TraceAggregator:
         return self.count(layer=LAYER_ROUTING, kind=kind, event=EV_FORWARDED)
 
 
-def aggregate(records) -> TraceAggregator:
+_TRACKED_KINDS = (KIND_CBR.encode(), KIND_CONTROL.encode())
+
+
+def read_trace(path) -> TraceAggregator:
+    """The aggregator of a trace file, filled as the run's own was. Every line
+    counts under its key; only cbr and control records, whose numbers the
+    ledger reads, are parsed and go through its rules. A line without nine
+    columns, with numbers that do not parse, or that breaks a cbr packet's
+    life is a TraceCorruptionError naming the file and line."""
     agg = TraceAggregator()
-    for r in records:
-        agg.add(r.time, r.event, r.reason, r.layer, r.kind, r.packet_id,
-                r.flow_id, r.node, r.size)
+    counts: dict[tuple, int] = {}                   # the count keys, as bytes
+    with open(path, "rb") as fh:
+        if fh.readline() + fh.readline() != TRACE_HEADER.encode():
+            raise TraceCorruptionError(f"{path}: no {TRACE_VERSION} header")
+        for n, cols in enumerate(map(bytes.split, fh), 3):
+            try:
+                t, event, reason, layer, kind, pid, fid, node, size = cols
+                key = (layer, kind, event, reason)
+                counts[key] = counts.get(key, 0) + 1
+                if kind in _TRACKED_KINDS:
+                    agg._track(float(t), event.decode(), layer.decode(), kind.decode(),
+                               int(pid), None if fid == b"-" else int(fid), int(node),
+                               int(size))
+            except (ValueError, TraceCorruptionError) as exc:
+                if cols:                            # a blank line is skipped
+                    if len(cols) != len(TRACE_COLUMNS):
+                        exc = f"{len(cols)} columns, not {len(TRACE_COLUMNS)}"
+                    raise TraceCorruptionError(f"{path}, line {n}: {exc}") from None
+    agg.counts = {tuple(map(bytes.decode, key)): c for key, c in counts.items()}
     return agg
 
 
 # ---------------------------------------------------------------------------
 # metric operations: each reads a run's aggregator and measures the cbr class
 
+def _by_receive_time(rows):
+    """(t, value) of each (t, value, flow) row, by t and then flow (None first)."""
+    rows.sort(key=lambda x: (x[0], x[2] if x[2] is not None else -1))
+    return [(t, v) for t, v, _ in rows]
+
+
 def delay_series(agg: TraceAggregator):
     """Per delivered packet (receive time, delay), ordered by receive time."""
-    out = []
-    for t_recv, pid, flow in agg.recv_events:
-        t_sent = agg.sent_meta[pid][0]
-        out.append((t_recv, t_recv - t_sent, flow))
-    out.sort(key=lambda x: (x[0], x[2] if x[2] is not None else -1))
-    return [(t, d) for t, d, _ in out]
-
-
-def _delays_per_flow(agg: TraceAggregator):
-    flows: dict = {}
-    for t_recv, pid, flow in sorted(agg.recv_events):
-        t_sent = agg.sent_meta[pid][0]
-        flows.setdefault(flow, []).append((t_recv, t_recv - t_sent))
-    return flows
+    return _by_receive_time([(t, t - agg.sent_meta[pid][0], flow)
+                             for t, pid, flow in agg.recv_events])
 
 
 def jitter_series(agg: TraceAggregator):
     """Signed delay differences between consecutive deliveries of the same flow,
     merged across flows by receive time."""
-    out = []
-    for flow, delays in _delays_per_flow(agg).items():
-        for (t_prev, d_prev), (t_next, d_next) in zip(delays, delays[1:]):
-            out.append((t_next, d_next - d_prev, flow))
-    out.sort(key=lambda x: (x[0], x[2] if x[2] is not None else -1))
-    return [(t, j) for t, j, _ in out]
+    flows: dict = {}
+    for t, pid, flow in sorted(agg.recv_events):
+        flows.setdefault(flow, []).append((t, t - agg.sent_meta[pid][0]))
+    return _by_receive_time([(t, d - d_prev, flow) for flow, delays in flows.items()
+                             for (_, d_prev), (t, d) in zip(delays, delays[1:])])
 
 
 def average_throughput(agg: TraceAggregator, window="flow", duration=None) -> float:

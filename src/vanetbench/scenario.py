@@ -219,12 +219,16 @@ class ScenarioConfig:
             raise SchemaError("graph: trips need two or more vertices")
         m, p, t, n = self.mobility, self.phy, self.traffic, self.run.vehicles
         steps = m.recalc_step / m.integration_dt
+        end_of_sifs = self.run.duration + self.mac.sifs
         for broken, message in (
                 (p.d0_m >= p.d1_m or p.d0_g >= p.d1_g,
                  "phy band thresholds must be strictly increasing"),
                 (p.carrier_sense_threshold > p.rx_threshold,
                  "phy.carrier_sense_threshold must be <= rx_threshold"),
                 (self.mac.cw_min >= self.mac.cw_max, "mac.cw_min must be < cw_max"),
+                (end_of_sifs + 2 * self.mac.slot <= end_of_sifs,
+                 f"mac.slot={self.mac.slot} is below the clock's resolution at "
+                 f"run.duration: difs would equal sifs"),
                 (abs(steps - round(steps)) > 1e-9 or round(steps) < 1,
                  "mobility.recalc_step must be a multiple of integration_dt"),
                 (m.v_min_kmh > m.v_max_kmh, "mobility.v_min_kmh must be <= v_max_kmh"),

@@ -9,10 +9,10 @@ from . import phy
 from .agents import CbrAgent, PbcAgent, setup_flows
 from .core import RngStreams, Simulator
 from .mac import Channel, NodeMac
-from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, RecordList, Trace,
-                      TraceAggregator, TraceFileWriter)
+from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace, TraceAggregator,
+                      TraceFileWriter)
 from .mobility import VehicleWorld
-from .packets import BROADCAST, KIND_CBR, Packet
+from .packets import BROADCAST, KIND_CBR
 from .routing import PROTOCOLS
 from .scenario import ScenarioConfig
 
@@ -186,30 +186,3 @@ class Simulation(Network):
             "lane_changes": self.world.lane_change_count,
         }
         return RunResult(self.aggregator, events, warnings)
-
-
-class StaticNetwork(Network):
-    """Full network stack over fixed node positions (no mobility, no agents).
-
-    The workbench for protocol-level experiments: place nodes, run the clock,
-    inject data packets, inspect routing state and the trace, whose records
-    `trace.records` keeps.
-    """
-
-    def __init__(self, positions: dict[int, tuple[float, float]],
-                 cfg: ScenarioConfig | None = None):
-        cfg = cfg if cfg is not None else ScenarioConfig()
-        super().__init__(cfg, sorted(positions))
-        self.trace.records = self.trace.attach(RecordList())
-        for node, xy in positions.items():
-            self.coords[node] = xy
-
-    def send_data(self, src: int, dst: int, size: int = 512, flow_id: int | None = None):
-        stack = self.stacks[src]
-        pkt = Packet(KIND_CBR, src, dst, size, stack.new_packet_id(), flow_id,
-                     self.cfg.routing.ttl, self.sim.now)
-        stack.originate(pkt)
-        return pkt
-
-    def run_for(self, seconds: float):
-        self.sim.run_until(self.sim.now + seconds)

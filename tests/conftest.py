@@ -3,13 +3,15 @@
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
 
-from vanetbench.metrics import RecordList, Trace
+from vanetbench.metrics import PBC_OUTCOMES, Trace, pbc_outcomes
+from vanetbench.packets import KIND_CBR, KIND_PBC, Packet
 from vanetbench.scenario import ScenarioConfig
-from vanetbench.simulation import StaticNetwork
+from vanetbench.simulation import Network
 
 # Tier-1 runs a fixed set of examples; `--hypothesis-profile=ci` runs more.
 settings.register_profile("default", max_examples=300, deadline=None,
@@ -40,6 +42,59 @@ def record_dispatch_log(sim):
 
     sim.schedule = logged
     return log
+
+
+@dataclass
+class TraceRecord:
+    time: float
+    event: str
+    reason: str
+    layer: str
+    kind: str
+    packet_id: int
+    flow_id: int | None
+    node: int
+    size: int
+
+
+class RecordList(list):
+    """Sink that keeps every record as a TraceRecord."""
+
+    def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
+        self.append(TraceRecord(time, event, reason, layer, kind, packet_id, flow_id,
+                                node, size))
+
+    def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
+        self.extend([TraceRecord(time, *PBC_OUTCOMES[outcome], KIND_PBC, packet_id, None,
+                                 node, size)
+                     for node, outcome in pbc_outcomes(hearers, outcomes)])
+
+
+class StaticNetwork(Network):
+    """Full network stack over fixed node positions (no mobility, no agents).
+
+    The workbench for protocol-level tests: place nodes, run the clock, inject
+    data packets, inspect routing state and the trace, whose records
+    `trace.records` keeps.
+    """
+
+    def __init__(self, positions: dict[int, tuple[float, float]],
+                 cfg: ScenarioConfig | None = None):
+        cfg = cfg if cfg is not None else ScenarioConfig()
+        super().__init__(cfg, sorted(positions))
+        self.trace.records = self.trace.attach(RecordList())
+        for node, xy in positions.items():
+            self.coords[node] = xy
+
+    def send_data(self, src: int, dst: int, size: int = 512, flow_id: int | None = None):
+        stack = self.stacks[src]
+        pkt = Packet(KIND_CBR, src, dst, size, stack.new_packet_id(), flow_id,
+                     self.cfg.routing.ttl, self.sim.now)
+        stack.originate(pkt)
+        return pkt
+
+    def run_for(self, seconds: float):
+        self.sim.run_until(self.sim.now + seconds)
 
 
 def recording_trace():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from vanetbench import cli
-from vanetbench.metrics import aggregate, build_report, read_trace
+from vanetbench.metrics import TRACE_HEADER, build_report, read_trace
 from vanetbench.scenario import ScenarioConfig
 
 TINY = ["--set", "run.duration=1.0", "--set", "run.vehicles=12",
@@ -20,7 +20,7 @@ def test_run_writes_its_files_and_report_renders_the_same_metrics(tmp_path, caps
     assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 0
     assert {p.name for p in out.iterdir()} == RUN_FILES
     summary = json.loads((out / cli.SUMMARY_NAME).read_text(encoding="utf-8"))
-    report = build_report(aggregate(read_trace(out / cli.TRACE_NAME)))
+    report = build_report(read_trace(out / cli.TRACE_NAME))
     assert summary["metrics"] == dict(report.rows())
     assert report.sent > 0
     capsys.readouterr()
@@ -32,6 +32,34 @@ def test_run_writes_its_files_and_report_renders_the_same_metrics(tmp_path, caps
     for name, cell in zip(cols[3:], cells[3:]):
         value = getattr(report, name)
         assert cell == ("-" if value is None else f"{value:.4f}"), name
+
+
+def test_report_names_a_bad_line_and_still_prints_the_good_run(tmp_path, capsys):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    assert cli.main(["run", "--protocol", "dsdv", "--out", str(good), *TINY]) == 0
+    text = (good / cli.TRACE_NAME).read_text(encoding="utf-8")
+    head, last = text[:-1].rsplit("\n", 1)
+    last_line = text.count("\n")
+    bad.mkdir()
+    (bad / cli.TRACE_NAME).write_text(f"{head}\n{last[:len(last) // 2]}",  # a killed run
+                                      encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["report", str(good), str(bad)]) == 1
+    out, err = capsys.readouterr()
+    _, row = out.splitlines()
+    assert row.split()[:3] == ["dsdv", "idm-im", "1"]
+    assert err.startswith(f"error: {bad}: {bad / cli.TRACE_NAME}, line {last_line}: ")
+
+
+def test_report_refuses_a_trace_with_an_unterminated_packet(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / cli.TRACE_NAME).write_text(TRACE_HEADER + "1.0 sent none app cbr 1 0 0 100\n",
+                                      encoding="utf-8")
+    assert cli.main(["report", str(run)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {run}: conservation violated: sent=1 received=0")
 
 
 def test_batch_fails_only_the_job_whose_directory_is_taken(tmp_path, capsys):
@@ -87,6 +115,17 @@ def test_run_rejects_a_non_finite_grid_spacing_before_any_output(tmp_path, capsy
     status = cli.main(["run", "--out", str(out), "--set", "graph.grid=5 5 nan", *TINY])
     assert status == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_run_rejects_a_slot_below_the_clock_resolution_before_any_output(tmp_path,
+                                                                         capsys):
+    out = tmp_path / "run"
+    status = cli.main(["run", "--out", str(out), "--set", "mac.slot=1e-22",
+                       "--set", "run.duration=0.5", "--set", "run.vehicles=10",
+                       "--set", "graph.grid=3 3 100", "--set", "traffic.cbr_connections=4"])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: mac.slot=1e-22")
     assert not out.exists()
 
 

@@ -9,9 +9,10 @@ from vanetbench.mac import FRAME_DATA, Channel, Frame, NodeMac
 from vanetbench.metrics import Trace, TraceAggregator, conservation_check
 from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig
-from vanetbench.simulation import Simulation, StaticNetwork
+from vanetbench.simulation import Simulation
 
-from conftest import line_positions, fast_convergence_config, recording_trace
+from conftest import (StaticNetwork, fast_convergence_config, line_positions,
+                      recording_trace)
 
 
 def _packet(pid, src=0, dst=1, size=512, kind=KIND_CBR):

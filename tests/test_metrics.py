@@ -8,14 +8,13 @@ import math
 import pytest
 
 from vanetbench.metrics import (EV_DROPPED, EV_FORWARDED, EV_RECEIVED, EV_SENT,
-                                LAYER_APP, LAYER_MAC, LAYER_ROUTING, Trace,
-                                TraceAggregator, TraceCorruptionError,
-                                TraceFileWriter, TraceRecord, aggregate,
-                                average_throughput, build_report,
+                                LAYER_APP, LAYER_MAC, LAYER_ROUTING, TRACE_HEADER,
+                                Trace, TraceAggregator, TraceCorruptionError,
+                                TraceFileWriter, average_throughput, build_report,
                                 conservation_check, delay_series, jitter_series,
                                 read_trace)
 
-from conftest import recording_trace
+from conftest import TraceRecord, recording_trace
 
 
 def add(agg, time, event, layer, kind, pid, flow, node, size, reason="none"):
@@ -206,20 +205,40 @@ def test_open_packets_are_the_unterminated_sends_by_pid():
 
 # -- trace file ------------------------------------------------------------------
 
-def test_trace_file_round_trip(tmp_path):
-    records = [
-        TraceRecord(0.1 + 0.2, EV_SENT, "none", LAYER_APP, "cbr", 1, 3, 0, 512),
-        TraceRecord(0.5, EV_SENT, "none", LAYER_MAC, "routing-control", 2, None, 4, 48),
-        TraceRecord(1.0 / 3.0, EV_DROPPED, "ttl", LAYER_ROUTING, "cbr", 1, 3, 2, 512),
-    ]
-    path = tmp_path / "trace.txt"
+def write_trace(path, records, *sinks):
+    """Write `records` to a trace file at `path`, passing each to `sinks` too."""
     with open(path, "w", encoding="utf-8") as fh:
         trace = Trace()
-        trace.attach(TraceFileWriter(fh))
-        for r in records:
-            trace.add(r.time, r.event, r.reason, r.layer, r.kind, r.packet_id,
-                      r.flow_id, r.node, r.size)
-    assert list(read_trace(path)) == records
+        for sink in (*sinks, TraceFileWriter(fh)):
+            trace.attach(sink)
+        for record in records:
+            trace.add(*record)
+
+
+def test_trace_file_round_trip(tmp_path):
+    """The re-read ledger equals a live one fed the same records, with times
+    that need all 17 digits of their repr kept exact."""
+    records = [
+        (0.1 + 0.2, EV_SENT, "none", LAYER_APP, "cbr", 1, 3, 0, 512),
+        (0.5, EV_SENT, "none", LAYER_MAC, "routing-control", 2, None, 4, 48),
+        (0.5, EV_DROPPED, "fading", LAYER_MAC, "pbc", 7, None, 6, 300),
+        (0.6, EV_DROPPED, "ttl", LAYER_ROUTING, "cbr", 1, 3, 2, 512),
+        (0.25, EV_SENT, "none", LAYER_APP, "cbr", 5, None, 1, 256),
+        (1.0 / 3.0, EV_RECEIVED, "none", LAYER_APP, "cbr", 5, None, 3, 256),
+        (0.7, EV_SENT, "none", LAYER_MAC, "ack", 8, None, 3, 14),
+    ]
+    path = tmp_path / "trace.txt"
+    live = TraceAggregator()
+    write_trace(path, records, live)
+    got = read_trace(path)
+    assert list(got.counts.items()) == list(live.counts.items())
+    assert got.recv_events == live.recv_events == [(1.0 / 3.0, 5, None)]
+    assert got.sent_meta == live.sent_meta == {1: (0.1 + 0.2, 3, 0, 512),
+                                               5: (0.25, None, 1, 256)}
+    assert got.terminal == live.terminal == {1, 5}
+    assert ((got.control_tx, got.control_tx_bytes, got.cbr_sent_bytes, got.cbr_recv_bytes)
+            == (live.control_tx, live.control_tx_bytes, live.cbr_sent_bytes,
+                live.cbr_recv_bytes) == (1, 48, 768, 256))
 
 
 def test_report_from_a_trace_file_equals_the_live_report(tmp_path):
@@ -236,9 +255,40 @@ def test_report_from_a_trace_file_equals_the_live_report(tmp_path):
                 (2.0, EV_SENT, "none", LAYER_APP, "cbr", 3, 1, 0, 100),
                 (2.5, EV_DROPPED, "ifq", LAYER_MAC, "cbr", 3, 1, 0, 100)):
             trace.add(t, event, reason, layer, kind, pid, flow, node, size)
-    replayed = aggregate(read_trace(path))
+    replayed = read_trace(path)
     assert build_report(replayed, duration=3.0) == build_report(live, duration=3.0)
     assert delay_series(replayed) == delay_series(live) == [(1.25, 0.25)]
+
+
+# a cbr packet sent and received, then a beacon drop, as trace lines
+GOOD_LINES = ["1.0 sent none app cbr 1 0 0 100\n",
+              "1.25 received none app cbr 1 0 3 100\n",
+              "1.5 dropped fading mac pbc 2 - 4 300\n"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1.75 dropped fading mac pb", "line 6: 5 columns, not 9"),   # a killed run's end
+    ("1.75 sent none app cbr 2 0 0 100 7", "line 6: 10 columns, not 9"),
+    ("1.75 sent none app cbr x 0 0 100", "line 6: invalid literal"),
+    ("1.75 sent none mac routing-control 2 - 0 4O", "line 6: invalid literal"),
+    ("1.75 sent none app cbr 1 0 0 100", "line 6: duplicate sent for packet 1"),
+    ("1.75 received none app cbr 9 0 3 100", "line 6: receive without matching send"),
+])
+def test_a_bad_line_is_corruption_naming_the_file_and_line(tmp_path, bad, message):
+    path = tmp_path / "trace.txt"
+    path.write_text(TRACE_HEADER + "".join(GOOD_LINES) + bad + "\n", encoding="utf-8")
+    with pytest.raises(TraceCorruptionError, match=f"trace.txt, {message}"):
+        read_trace(path)
+
+
+def test_a_blank_line_is_skipped_and_a_missing_header_is_corruption(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text(TRACE_HEADER + "\n".join(GOOD_LINES), encoding="utf-8")
+    agg = read_trace(path)
+    assert (agg.sent(), agg.received(), agg.count(kind="pbc")) == (1, 1, 1)
+    path.write_text("".join(GOOD_LINES), encoding="utf-8")
+    with pytest.raises(TraceCorruptionError, match="no vanetbench-trace v1 header"):
+        read_trace(path)
 
 
 # -- beacon outcome blocks ---------------------------------------------------------

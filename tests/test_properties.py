@@ -14,7 +14,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, reject, strategies as st
 
-from vanetbench.metrics import aggregate, conservation_check, read_trace
+from vanetbench.metrics import conservation_check, read_trace
 from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError
 from vanetbench.simulation import Simulation
 
@@ -54,7 +54,7 @@ def test_valid_scenario_runs_conserves_and_replays(cfg):
         path = os.path.join(tmp, "trace.txt")
         with open(path, "w", encoding="utf-8") as fh:
             result, log = run(cfg, fh)
-        written = aggregate(read_trace(path))
+        written = read_trace(path)
     agg = result.aggregator
     assert list(written.counts.items()) == list(agg.counts.items())
     assert written.recv_events == agg.recv_events

@@ -115,6 +115,20 @@ def test_value_that_breaks_a_run_is_schema_error(section, key, value):
         parse_scenario_text(f"[{section}]\n{key} = {value}\n")
 
 
+# a slot below the clock's resolution passed and crashed a run: at the end of
+# the run difs = sifs, so a backoff could end as an ACK started; 1e-15 s is
+# still told apart on a 0.5 s run's clock
+@pytest.mark.parametrize("slot, duration, refused", [
+    ("1e-22", "0.5", True), ("1e-15", "100", True), ("1e-15", "0.5", False)])
+def test_slot_below_the_clock_resolution_is_schema_error(slot, duration, refused):
+    text = f"[mac]\nslot = {slot}\n[run]\nduration = {duration}\n"
+    if refused:
+        with pytest.raises(SchemaError, match="mac.slot"):
+            parse_scenario_text(text)
+    else:
+        parse_scenario_text(text)
+
+
 FLOAT_FIELDS = [(sec.name, f.name) for sec in fields(ScenarioConfig)
                 for f in fields(sec.type) if f.type in (float, float | None)]
 
