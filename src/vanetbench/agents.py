@@ -41,9 +41,9 @@ def setup_flows(rng, n_flows: int, nodes, packet_size=512, rate=4.0,
 class CbrAgent:
     """Emits one fixed-size packet per flow every 1/rate seconds on an exact grid."""
 
-    def __init__(self, sim, stack, flow: CbrFlow):
+    def __init__(self, sim, node, flow: CbrFlow):
         self.sim = sim
-        self.stack = stack
+        self.node = node
         self.flow = flow
         self._k = 0
 
@@ -53,9 +53,9 @@ class CbrAgent:
 
     def _emit(self):
         f = self.flow
-        self.stack.originate(Packet(KIND_CBR, f.src, f.dst, f.packet_size,
-                                    self.stack.new_packet_id(), f.flow_id,
-                                    self.stack.routing_cfg.ttl, self.sim.now))
+        self.node.originate(Packet(KIND_CBR, f.src, f.dst, f.packet_size,
+                                   self.node.new_packet_id(), f.flow_id, self.node.cfg.ttl,
+                                   self.sim.now))
         self._k += 1
         t_next = f.start + self._k / f.rate      # multiplicative grid, no drift
         if t_next < f.stop:
@@ -70,9 +70,9 @@ class PbcAgent:
     limited per vehicle.
     """
 
-    def __init__(self, sim, stack, world, cfg, duration, phase: float):
+    def __init__(self, sim, node, world, cfg, duration, phase: float):
         self.sim = sim
-        self.stack = stack
+        self.node = node
         self.world = world
         self.cfg = cfg
         self.duration = duration
@@ -85,20 +85,17 @@ class PbcAgent:
             self.sim.schedule(self.phase, self._tick, target="pbc.tick")
 
     def _beacon(self, flag: str) -> Packet:
-        vid = self.stack.node_id
-        st = self.world.vehicles[vid] if self.world is not None else None
-        beacon = SafetyBeacon(vid,
-                              st.x if st else 0.0, st.y if st else 0.0,
-                              st.speed if st else 0.0, st.heading if st else 0.0,
-                              self.sim.now, flag)
+        vid = self.node.node_id
+        st = self.world.vehicles[vid]
+        beacon = SafetyBeacon(vid, st.x, st.y, st.speed, st.heading, self.sim.now, flag)
         return Packet(KIND_PBC, vid, BROADCAST, self.cfg.beacon_size,
-                      self.stack.new_packet_id(), None, 1, self.sim.now, beacon)
+                      self.node.new_packet_id(), None, 1, self.sim.now, beacon)
 
     def _emit(self, flag: str):
         pkt = self._beacon(flag)
-        self.stack.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, KIND_PBC,
-                             pkt.packet_id, None, self.stack.node_id, pkt.size)
-        self.stack.send_broadcast(pkt)
+        self.node.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, KIND_PBC,
+                            pkt.packet_id, None, self.node.node_id, pkt.size)
+        self.node.mac.enqueue_packet(pkt, BROADCAST)
 
     def _tick(self):
         self._emit("none")

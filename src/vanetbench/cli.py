@@ -226,12 +226,11 @@ def cmd_report(args) -> int:
             print(f"error: {run_dir}: {exc}", file=sys.stderr)
             status = 1
     if table_rows:
-        cols = ["protocol", "mobility", "seed", "pdr", "drop_pct",
-                "avg_throughput_kbps", "nrl", "route_cost", "mean_hop"]
+        cols = ("protocol", "mobility", "seed", *_BATCH_METRICS)
         print("  ".join(f"{c:>18}" for c in cols))
         for protocol, mobility, seed, report in table_rows:
             cells = [protocol, mobility, str(seed)]
-            for name in cols[3:]:
+            for name in _BATCH_METRICS:
                 value = getattr(report, name)
                 cells.append("-" if value is None else f"{value:.4f}")
             print("  ".join(f"{c:>18}" for c in cells))

@@ -34,7 +34,7 @@ class Frame:
         self.dest = dest
         self.packet = packet
         self.payload_size = payload_size
-        self.duration = params.phy_overhead + 8.0 * (payload_size + params.mac_overhead) / params.bitrate
+        self.duration = params.airtime(payload_size)
         self.mac_seq = mac_seq
         self.ack_for = ack_for
         self.delivered_to_dest = False
@@ -74,14 +74,14 @@ class Channel:
     after this instant join each other's `overlaps`, so the record is complete
     when a transmission ends; `_tx_end` reads it to decide receptions, then clears it.
 
-    Geometry contract: every write to the `coords_fn()` array must be followed
-    by `bump_geometry()`. The first link budget asked for after a bump
+    Geometry contract: every write to the `coords` array must be followed by
+    `bump_geometry()`. The first link budget asked for after a bump
     snapshots all senders at once, and that snapshot holds until the next bump.
     """
 
-    def __init__(self, sim, coords_fn, phy_cfg, tx_power, rng, trace):
+    def __init__(self, sim, coords, phy_cfg, tx_power, rng, trace):
         self.sim = sim
-        self.coords_fn = coords_fn            # () -> ndarray (n, 2), row i = node i
+        self.coords = coords                  # ndarray (n, 2), row i = node i
         self.phy = phy_cfg                    # the [phy] section
         self.tx_power = tx_power              # dBm, calibrated to phy_cfg.target_range
         self.rng = rng
@@ -117,8 +117,7 @@ class Channel:
     def _budget_matrices(self):
         """Carrier sense, mean power in mW and Nakagami shape for every
         (sender, receiver) pair of the current geometry; row s is sender s."""
-        coords = self.coords_fn()
-        x, y = coords[:, 0], coords[:, 1]
+        x, y = self.coords[:, 0], self.coords[:, 1]
         d = x - x[:, None]                    # d[s, j] = x[j] - x[s]
         dy = y - y[:, None]
         d *= d
@@ -240,8 +239,7 @@ class NodeMac:
         self.backoff_remaining = 0
         self.wait_started = 0.0
         self._difs = params.difs
-        ack_duration = params.phy_overhead + 8.0 * params.mac_overhead / params.bitrate
-        self._ack_wait = params.sifs + ack_duration + params.slot
+        self._ack_wait = params.sifs + params.airtime(0) + params.slot
         self._done_ev = None
         self._timeout_ev = None
         self._ack = None                      # ACK frame pending or in flight

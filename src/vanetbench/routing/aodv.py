@@ -51,8 +51,8 @@ class Aodv(ReactiveProtocol):
     discovery_target = "aodv.discovery"
     control_handlers = {Rreq: "_on_rreq", Rrep: "_on_rrep", Rerr: "_on_rerr"}
 
-    def __init__(self, stack):
-        super().__init__(stack)
+    def __init__(self, net, node_id: int):
+        super().__init__(net, node_id)
         self.table: dict[int, AodvEntry] = {}
         # (origin, rreq_id) -> best hop count seen, for duplicate suppression
         self.seen = RecentKeys(self.sim, self.rreq_horizon)

@@ -61,8 +61,8 @@ class Aomdv(ReactiveProtocol):
     discovery_target = "aomdv.discovery"
     control_handlers = {MRreq: "_on_rreq", MRrep: "_on_rrep", MRerr: "_on_rerr"}
 
-    def __init__(self, stack):
-        super().__init__(stack)
+    def __init__(self, net, node_id: int):
+        super().__init__(net, node_id)
         self.table: dict[int, AomdvEntry] = {}
         # (origin, rreq_id) -> True once re-flooded
         self.seen_forwarded = RecentKeys(self.sim, self.rreq_horizon)

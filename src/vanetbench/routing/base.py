@@ -1,14 +1,22 @@
-"""Node-level routing interface and the shared data-forwarding plane."""
+"""One network node: its routing protocol and the shared data-forwarding plane."""
 
 from collections import deque
 from dataclasses import dataclass
 
-from ..metrics import EV_FORWARDED, LAYER_ROUTING
+from ..metrics import EV_DROPPED, EV_FORWARDED, EV_RECEIVED, EV_SENT, LAYER_APP, \
+    LAYER_ROUTING
 from ..packets import BROADCAST, KIND_CONTROL, Packet
 
 
 class RoutingProtocol:
-    """Common surface: route lookup, data send/arrival, link-break signal, timers.
+    """One node, bound to the run services of `net`: route lookup, data
+    send/arrival, link-break signal, timers. `mac` is the node's NodeMac, which
+    the Network wires to `on_packet_arrival` and `on_link_break`.
+
+    Every data packet enters the network through `originate` and ends at this
+    node in `deliver_local` or `drop_packet`, or in the MAC's own drop record.
+    Which packets are still open is the run's TraceAggregator's to say: it
+    sees each of those records.
 
     Proactive protocols drop data immediately when the table has no route;
     ReactiveProtocol buffers it pending discovery instead.
@@ -17,11 +25,17 @@ class RoutingProtocol:
     # control payload type -> name of the method that handles it as (msg, from_node)
     control_handlers: dict = {}
 
-    def __init__(self, stack):
-        self.stack = stack
-        self.node_id = stack.node_id
-        self.sim = stack.sim
-        self.cfg = stack.routing_cfg
+    def __init__(self, net, node_id: int):
+        self.node_id = node_id
+        self.sim = net.sim
+        self.trace = net.trace
+        self.cfg = net.cfg.routing
+        self.rng = net.rngs.stream("routing")
+        self._packet_ids = net.packet_ids
+        self.mac = None
+
+    def new_packet_id(self) -> int:
+        return next(self._packet_ids)
 
     # -- protocol hooks ------------------------------------------------------
 
@@ -42,10 +56,17 @@ class RoutingProtocol:
 
     # -- data plane ----------------------------------------------------------
 
+    def originate(self, packet: Packet):
+        """A data packet enters the network: its app sent record, then routing."""
+        self.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, packet.kind,
+                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
+        self.on_data_to_send(packet)
+
     def on_data_to_send(self, packet: Packet):
         self._route_or_fail(packet, origin=True)
 
     def on_packet_arrival(self, packet: Packet, from_node: int):
+        # a beacon never gets here: it ends in the MAC
         if packet.kind == KIND_CONTROL:
             self.on_control(packet, from_node)
             return
@@ -54,14 +75,23 @@ class RoutingProtocol:
     def forward_data(self, packet: Packet, from_node: int | None):
         """Deliver locally, or resolve the next hop and hand the packet to the MAC."""
         if packet.dst == self.node_id:
-            self.stack.deliver_local(packet)
+            self.deliver_local(packet)
             return
         if from_node is not None:
             packet.ttl -= 1
             if packet.ttl <= 0:
-                self.stack.drop_packet(packet, "ttl", LAYER_ROUTING)
+                self.drop_packet(packet, "ttl", LAYER_ROUTING)
                 return
         self._route_or_fail(packet, origin=from_node is None)
+
+    def deliver_local(self, packet: Packet):
+        self.trace.add(self.sim.now, EV_RECEIVED, "none", LAYER_APP, packet.kind,
+                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
+
+    def drop_packet(self, packet: Packet, reason: str, layer: str):
+        """A data packet ends here; routing never drops a control packet."""
+        self.trace.add(self.sim.now, EV_DROPPED, reason, layer, packet.kind,
+                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
 
     def _route_or_fail(self, packet: Packet, origin: bool):
         nh = self.route_lookup(packet.dst)
@@ -70,25 +100,21 @@ class RoutingProtocol:
             return
         if not origin:
             self._trace_forward(packet)
-        self.stack.send_unicast(packet, nh)
+        self.mac.enqueue_packet(packet, nh)
 
     def _trace_forward(self, packet: Packet):
-        self.stack.trace.add(self.sim.now, EV_FORWARDED, "none", LAYER_ROUTING,
-                             packet.kind, packet.packet_id, packet.flow_id,
-                             self.node_id, packet.size)
+        self.trace.add(self.sim.now, EV_FORWARDED, "none", LAYER_ROUTING, packet.kind,
+                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
 
     def _no_route(self, packet: Packet, origin: bool):
-        self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
+        self.drop_packet(packet, "no-route", LAYER_ROUTING)
 
     # -- control emission helper ----------------------------------------------
 
     def send_control(self, payload, size: int, dest: int = BROADCAST):
-        pkt = Packet(KIND_CONTROL, self.node_id, dest, size,
-                     self.stack.new_packet_id(), None, 255, self.sim.now, payload)
-        if dest == BROADCAST:
-            self.stack.send_broadcast(pkt)
-        else:
-            self.stack.send_unicast(pkt, dest)
+        pkt = Packet(KIND_CONTROL, self.node_id, dest, size, self.new_packet_id(),
+                     None, 255, self.sim.now, payload)
+        self.mac.enqueue_packet(pkt, dest)
         return pkt
 
 
@@ -135,8 +161,8 @@ class ReactiveProtocol(RoutingProtocol):
 
     discovery_target = ""
 
-    def __init__(self, stack):
-        super().__init__(stack)
+    def __init__(self, net, node_id: int):
+        super().__init__(net, node_id)
         self.seq = 0
         self.rreq_id = 0
         self.pending: dict[int, _Discovery] = {}
@@ -164,7 +190,7 @@ class ReactiveProtocol(RoutingProtocol):
         self._expire_buffer(packet.dst)
         if len(q) >= self.cfg.buffer_packets:
             old, _, _ = q.popleft()
-            self.stack.drop_packet(old, "no-route", LAYER_ROUTING)
+            self.drop_packet(old, "no-route", LAYER_ROUTING)
         q.append((packet, self.sim.now, origin))
         self.begin_discovery(packet.dst)
 
@@ -175,7 +201,7 @@ class ReactiveProtocol(RoutingProtocol):
         horizon = self.sim.now - self.cfg.buffer_timeout
         while q and q[0][1] < horizon:
             old, _, _ = q.popleft()
-            self.stack.drop_packet(old, "no-route", LAYER_ROUTING)
+            self.drop_packet(old, "no-route", LAYER_ROUTING)
 
     def flush_buffer(self, dest: int):
         """Send everything buffered for dest via the (now valid) route."""
@@ -183,16 +209,16 @@ class ReactiveProtocol(RoutingProtocol):
         for packet, _, origin in self.buffer.pop(dest, ()):
             nh = self.route_lookup(dest)
             if nh is None:
-                self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
+                self.drop_packet(packet, "no-route", LAYER_ROUTING)
                 continue
             if not origin:
                 self._trace_forward(packet)
-            self.stack.send_unicast(packet, nh)
+            self.mac.enqueue_packet(packet, nh)
 
     def drop_buffer(self, dest: int):
         """Discovery failed: drop everything buffered for dest."""
         for packet, _, _ in self.buffer.pop(dest, ()):
-            self.stack.drop_packet(packet, "no-route", LAYER_ROUTING)
+            self.drop_packet(packet, "no-route", LAYER_ROUTING)
 
     # -- discovery -------------------------------------------------------------
 

@@ -29,8 +29,8 @@ class DsdvEntry:
 class Dsdv(RoutingProtocol):
     control_handlers = {DsdvUpdate: "_on_update"}
 
-    def __init__(self, stack):
-        super().__init__(stack)
+    def __init__(self, net, node_id: int):
+        super().__init__(net, node_id)
         self.own_seq = 0
         self.table: dict[int, DsdvEntry] = {}
         self.last_heard: dict[int, float] = {}
@@ -38,7 +38,7 @@ class Dsdv(RoutingProtocol):
         self._trigger_pending = False
 
     def start(self):
-        jitter = float(self.stack.rng_routing.uniform(0.0, 1.0))
+        jitter = float(self.rng.uniform(0.0, 1.0))
         self.sim.after(jitter, self._full_dump, target="dsdv.dump")
 
     # -- lookups -----------------------------------------------------------------

@@ -84,8 +84,8 @@ class Olsr(RoutingProtocol):
 
     control_handlers = {Hello: "_on_hello", Tc: "_on_tc"}
 
-    def __init__(self, stack):
-        super().__init__(stack)
+    def __init__(self, net, node_id: int):
+        super().__init__(net, node_id)
         self.links: dict[int, LinkInfo] = {}
         # nbr -> (its HELLO's sym set, expiry); written and deleted with links[nbr]
         self.two_hop: dict[int, tuple] = {}
@@ -98,10 +98,9 @@ class Olsr(RoutingProtocol):
         self._dirty = True
 
     def start(self):
-        rng = self.stack.rng_routing
-        self.sim.after(float(rng.uniform(0.0, self.cfg.olsr_hello_interval)),
+        self.sim.after(float(self.rng.uniform(0.0, self.cfg.olsr_hello_interval)),
                        self._hello_tick, target="olsr.hello")
-        self.sim.after(float(rng.uniform(0.0, self.cfg.olsr_tc_interval)),
+        self.sim.after(float(self.rng.uniform(0.0, self.cfg.olsr_tc_interval)),
                        self._tc_tick, target="olsr.tc")
 
     # -- timers ------------------------------------------------------------------

@@ -122,6 +122,10 @@ class MacConfig:
     def difs(self) -> float:
         return self.sifs + 2 * self.slot
 
+    def airtime(self, payload_size: int) -> float:
+        """Seconds on air of a frame: preamble, then payload plus MAC overhead."""
+        return self.phy_overhead + 8.0 * (payload_size + self.mac_overhead) / self.bitrate
+
 
 @dataclass
 class RoutingConfig:
@@ -229,7 +233,8 @@ class ScenarioConfig:
                 (end_of_sifs + 2 * self.mac.slot <= end_of_sifs,
                  f"mac.slot={self.mac.slot} is below the clock's resolution at "
                  f"run.duration: difs would equal sifs"),
-                (abs(steps - round(steps)) > 1e-9 or round(steps) < 1,
+                (not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9
+                 or round(steps) < 1,
                  "mobility.recalc_step must be a multiple of integration_dt"),
                 (m.v_min_kmh > m.v_max_kmh, "mobility.v_min_kmh must be <= v_max_kmh"),
                 (m.min_stay > m.max_stay, "mobility.min_stay must be <= max_stay"),
@@ -238,10 +243,20 @@ class ScenarioConfig:
                  f"available ordered pairs for {n} vehicles")):
             if broken:
                 raise SchemaError(message)
-        try:
-            10.0 ** (p.capture_margin / 10.0)           # the channel's linear capture ratio
-        except OverflowError:
-            raise SchemaError("phy.capture_margin overflows a float as a linear ratio") from None
+        # arithmetic of the run that must stay finite; a vehicle's speed never
+        # exceeds v0 + a_max * integration_dt, which bounds IDM's (v / v0) ** 4
+        for what, compute in (
+                ("phy.capture_margin as a linear ratio", lambda: 10.0 ** (p.capture_margin / 10)),
+                ("1 / traffic.rate", lambda: 1.0 / t.rate),
+                ("run.duration / graph.phase_length", lambda: self.run.duration / g.phase_length),
+                ("(1 + a_max * integration_dt / v0) ** 4 at v0 = mobility.v_min_kmh",
+                 lambda: (1.0 + m.a_max * m.integration_dt / (m.v_min_kmh / 3.6)) ** 4)):
+            try:
+                finite = math.isfinite(compute())
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise SchemaError(f"{what} overflows a float")
         return graph
 
 

@@ -1,4 +1,4 @@
-"""Run assembly: build the world, stacks and agents from a scenario and execute it."""
+"""Run assembly: build the world, nodes and agents from a scenario and execute it."""
 
 import itertools
 from dataclasses import dataclass, field
@@ -9,70 +9,11 @@ from . import phy
 from .agents import CbrAgent, PbcAgent, setup_flows
 from .core import RngStreams, Simulator
 from .mac import Channel, NodeMac
-from .metrics import (EV_DROPPED, EV_RECEIVED, EV_SENT, LAYER_APP, Trace, TraceAggregator,
-                      TraceFileWriter)
+from .metrics import EV_DROPPED, LAYER_APP, Trace, TraceAggregator, TraceFileWriter
 from .mobility import VehicleWorld
-from .packets import BROADCAST, KIND_CBR
+from .packets import KIND_CBR
 from .routing import PROTOCOLS
 from .scenario import ScenarioConfig
-
-
-class NodeStack:
-    """One node's MAC and routing protocol, bound to the run services of `net`.
-
-    Every data packet enters the network through `originate` and ends at this
-    node in `deliver_local` or `drop_packet`, or in the MAC's own drop record.
-    Which packets are still open is the run's TraceAggregator's to say: it
-    sees each of those records.
-    """
-
-    def __init__(self, net, node_id):
-        self.node_id = node_id
-        self.sim = net.sim
-        self.trace = net.trace
-        self.routing_cfg = net.cfg.routing
-        self.rng_routing = net.rngs.stream("routing")
-        self._packet_ids = net.packet_ids
-        self.mac = NodeMac(node_id, self.sim, net.channel, net.cfg.mac,
-                           net.rngs.stream("mac"), self.trace,
-                           deliver_cb=self._on_frame,
-                           link_break_cb=self._on_link_break)
-        self.routing = PROTOCOLS[self.routing_cfg.protocol](self)
-
-    def new_packet_id(self) -> int:
-        return next(self._packet_ids)
-
-    # -- downward path -----------------------------------------------------------
-
-    def originate(self, packet):
-        """A data packet enters the network: its app sent record, then routing."""
-        self.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, packet.kind,
-                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
-        self.routing.on_data_to_send(packet)
-
-    def send_unicast(self, packet, next_hop: int):
-        self.mac.enqueue_packet(packet, next_hop)
-
-    def send_broadcast(self, packet):
-        self.mac.enqueue_packet(packet, BROADCAST)
-
-    # -- upward path ---------------------------------------------------------------
-
-    def _on_frame(self, packet, from_node: int):
-        # a beacon never gets here: it ends in the MAC
-        self.routing.on_packet_arrival(packet, from_node)
-
-    def deliver_local(self, packet):
-        self.trace.add(self.sim.now, EV_RECEIVED, "none", LAYER_APP, packet.kind,
-                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
-
-    def drop_packet(self, packet, reason: str, layer: str):
-        """A data packet ends here; routing never drops a control packet."""
-        self.trace.add(self.sim.now, EV_DROPPED, reason, layer, packet.kind,
-                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
-
-    def _on_link_break(self, neighbor: int):
-        self.routing.on_link_break(neighbor)
 
 
 @dataclass
@@ -83,14 +24,15 @@ class RunResult:
 
 
 class Network:
-    """The run services shared by every node, and one NodeStack per node id.
+    """The run services shared by every node, and one node per node id: its
+    routing protocol, wired to its own NodeMac.
 
-    Node i sits at row i of `coords` and has `stacks[i]`; subclasses place the
+    Node i sits at row i of `coords` and is `nodes[i]`; subclasses place the
     nodes there.
     """
 
-    def __init__(self, cfg: ScenarioConfig, nodes, trace_file=None):
-        n = max(nodes) + 1 if nodes else 0
+    def __init__(self, cfg: ScenarioConfig, node_ids, trace_file=None):
+        n = max(node_ids) + 1 if node_ids else 0
         self.cfg = cfg
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.run.seed)
@@ -100,14 +42,18 @@ class Network:
             self.trace.attach(TraceFileWriter(trace_file))
         self.packet_ids = itertools.count()
         self.coords = np.zeros((n, 2))
-        self.channel = Channel(self.sim, lambda: self.coords, cfg.phy,
-                               phy.calibrate_range(cfg.phy),
+        self.channel = Channel(self.sim, self.coords, cfg.phy, phy.calibrate_range(cfg.phy),
                                self.rngs.stream("channel"), self.trace)
-        self.stacks = {i: NodeStack(self, i) for i in nodes}
+        rng_mac = self.rngs.stream("mac")
+        self.nodes = {i: PROTOCOLS[cfg.routing.protocol](self, i) for i in node_ids}
+        for i, node in self.nodes.items():
+            node.mac = NodeMac(i, self.sim, self.channel, cfg.mac, rng_mac, self.trace,
+                               deliver_cb=node.on_packet_arrival,
+                               link_break_cb=node.on_link_break)
 
     def start_protocols(self):
-        for stack in self.stacks.values():
-            stack.routing.start()
+        for node in self.nodes.values():
+            node.start()
 
     def close(self):
         """Drop every data packet still open, reason none, at its source, so
@@ -135,10 +81,10 @@ class Simulation(Network):
         self.flows = setup_flows(rng_traffic, cfg.traffic.cbr_connections, range(n),
                                  cfg.traffic.packet_size, cfg.traffic.rate,
                                  cfg.traffic.cbr_start, stop)
-        self.cbr_agents = [CbrAgent(self.sim, self.stacks[f.src], f)
+        self.cbr_agents = [CbrAgent(self.sim, self.nodes[f.src], f)
                            for f in self.flows]
         phases = rng_traffic.uniform(0.0, cfg.traffic.beacon_interval, size=n)
-        self.pbc_agents = [PbcAgent(self.sim, self.stacks[i], self.world,
+        self.pbc_agents = [PbcAgent(self.sim, self.nodes[i], self.world,
                                     cfg.traffic, cfg.run.duration, float(phases[i]))
                            for i in range(n)]
         self.world.brake_listeners.append(self._dispatch_brake)

@@ -87,10 +87,10 @@ class StaticNetwork(Network):
             self.coords[node] = xy
 
     def send_data(self, src: int, dst: int, size: int = 512, flow_id: int | None = None):
-        stack = self.stacks[src]
-        pkt = Packet(KIND_CBR, src, dst, size, stack.new_packet_id(), flow_id,
+        node = self.nodes[src]
+        pkt = Packet(KIND_CBR, src, dst, size, node.new_packet_id(), flow_id,
                      self.cfg.routing.ttl, self.sim.now)
-        stack.originate(pkt)
+        node.originate(pkt)
         return pkt
 
     def run_for(self, seconds: float):

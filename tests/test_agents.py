@@ -1,10 +1,12 @@
 """CBR flows and the periodic safety-beacon broadcaster."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from vanetbench.core import RngStreams
+from vanetbench.packets import KIND_PBC
 from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import Simulation
 from vanetbench.agents import setup_flows
@@ -77,10 +79,10 @@ def test_cbr_stop_equals_start_emits_exactly_one():
     from vanetbench.core import Simulator
     sent = []
 
-    class StubStack:
+    class StubNode:
         node_id = 0
 
-        class routing_cfg:
+        class cfg:
             ttl = 64
 
         @staticmethod
@@ -92,7 +94,7 @@ def test_cbr_stop_equals_start_emits_exactly_one():
             return len(sent)
 
     sim = Simulator()
-    agent = CbrAgent(sim, StubStack, CbrFlow(0, 0, 1, 512, 4.0, 2.0, 2.0))
+    agent = CbrAgent(sim, StubNode, CbrFlow(0, 0, 1, 512, 4.0, 2.0, 2.0))
     agent.start()
     sim.run_until(10.0)
     assert len(sent) == 1
@@ -125,14 +127,16 @@ def test_beacon_position_equals_vehicle_position():
     cfg = small_sim(vehicles=2, duration=1.0)
     sim = Simulation(cfg)
     beacons = []
-    orig = sim.stacks[0].send_broadcast
+    mac = sim.nodes[0].mac
+    orig = mac.enqueue_packet
 
-    def spy(pkt):
-        beacons.append((pkt.payload, sim.world.vehicles[0].x,
-                        sim.world.vehicles[0].y))
-        orig(pkt)
+    def spy(pkt, dest):
+        if pkt.kind == KIND_PBC:
+            beacons.append((pkt.payload, sim.world.vehicles[0].x,
+                            sim.world.vehicles[0].y))
+        return orig(pkt, dest)
 
-    sim.stacks[0].send_broadcast = spy
+    mac.enqueue_packet = spy
     sim.run()
     assert beacons
     for beacon, x, y in beacons:
@@ -147,7 +151,7 @@ def test_emergency_beacon_fires_once_per_rate_window():
 
     emitted = []
 
-    class StubStack:
+    class StubNode:
         node_id = 0
 
         @staticmethod
@@ -159,12 +163,16 @@ def test_emergency_beacon_fires_once_per_rate_window():
             def add(*a):
                 pass
 
-        @staticmethod
-        def send_broadcast(pkt):
-            emitted.append(pkt)
+        class mac:
+            @staticmethod
+            def enqueue_packet(pkt, dest):
+                emitted.append(pkt)
+
+    class StubWorld:
+        vehicles = {0: SimpleNamespace(x=0.0, y=0.0, speed=0.0, heading=0.0)}
 
     sim = Simulator()
-    agent = PbcAgent(sim, StubStack, None, TrafficConfig(), duration=0.0, phase=0.0)
+    agent = PbcAgent(sim, StubNode, StubWorld, TrafficConfig(), duration=0.0, phase=0.0)
     # sustained hard braking for 3 seconds at 10 Hz checks
     t = 0.0
     while t < 3.0:

@@ -12,7 +12,7 @@ def test_local_destination_delivers_without_forward_record():
     net = make_net(line_positions(2, 150.0), "aodv")
     pkt = Packet(KIND_CBR, 1, 0, 512, 777)
     net.trace.add(0.0, "sent", "none", "app", "cbr", 777, None, 1, 512)
-    net.stacks[0].routing.forward_data(pkt, from_node=1)
+    net.nodes[0].forward_data(pkt, from_node=1)
     received = [r for r in net.trace.records
                 if r.layer == "app" and r.event == "received"]
     assert len(received) == 1 and received[0].node == 0
@@ -29,7 +29,7 @@ def test_one_hop_no_forward_records():
 
 
 def test_sparse_node_ids_send_and_relay():
-    # stacks are keyed by node id, not by position in the placement
+    # nodes are keyed by node id, not by position in the placement
     net = make_net({0: (0.0, 0.0), 1: (200.0, 0.0), 7: (400.0, 0.0)}, "aodv")
     net.send_data(7, 0)
     net.run_for(2.0)
@@ -115,7 +115,7 @@ def test_buffered_packet_expires_when_the_next_one_for_its_destination_waits():
     drops = [(r.time, r.packet_id, r.reason) for r in net.trace.records
              if r.event == "dropped"]
     assert drops == [(pytest.approx(0.6), first.packet_id, "no-route")]
-    assert [p for p, _, _ in net.stacks[0].routing.buffer[7]] == [second]
+    assert [p for p, _, _ in net.nodes[0].buffer[7]] == [second]
 
 
 def test_close_drops_a_buffered_packet_once_at_its_source():
@@ -124,7 +124,7 @@ def test_close_drops_a_buffered_packet_once_at_its_source():
     net = make_net(pos, "aodv")
     pkt = net.send_data(0, 7, size=300, flow_id=5)
     net.run_for(0.01)
-    assert [p for p, _, _ in net.stacks[0].routing.buffer[7]] == [pkt]
+    assert [p for p, _, _ in net.nodes[0].buffer[7]] == [pkt]
     net.close()
     closing = [(r.layer, r.packet_id, r.flow_id, r.node, r.size) for r in net.trace.records
                if r.event == "dropped" and r.reason == "none"]

@@ -33,7 +33,7 @@ class Harness:
             coords[node] = (x, y)
         rng = _ScriptedRng(rng_values) if rng_values is not None \
             else np.random.default_rng(7)
-        self.channel = Channel(self.sim, lambda: coords, phy_cfg,
+        self.channel = Channel(self.sim, coords, phy_cfg,
                                phy.calibrate_range(phy_cfg), rng, self.trace)
         self.delivered = []
         self.breaks = []
@@ -300,7 +300,7 @@ def test_saturation_broadcast_throughput_bounded():
         for src in (0, 1, 2):
             pkt = Packet(KIND_PBC, src, BROADCAST, 512, pid)
             pid += 1
-            net.stacks[src].mac.enqueue_packet(pkt, BROADCAST)
+            net.nodes[src].mac.enqueue_packet(pkt, BROADCAST)
         net.run_for(1.0 / 900)
     net.run_for(0.2)
     # payload bits delivered to node 3 within any 1 s window stay under the bitrate
@@ -348,7 +348,7 @@ def random_coords(seed, n=60, box=1500.0):
 def test_link_budget_rows_equal_the_per_sender_formula(seed):
     coords = random_coords(seed)
     phy_cfg = PhyConfig()
-    channel = Channel(Simulator(), lambda: coords, phy_cfg, phy.calibrate_range(phy_cfg),
+    channel = Channel(Simulator(), coords, phy_cfg, phy.calibrate_range(phy_cfg),
                       np.random.default_rng(seed), Trace())
     for sender in range(len(coords)):
         assert_budget_matches(channel, coords, sender)
@@ -359,7 +359,7 @@ def test_link_budget_rows_equal_the_per_sender_formula(seed):
 def test_link_budget_follows_a_moved_node_after_bump_geometry():
     coords = random_coords(3, n=20, box=400.0)
     phy_cfg = PhyConfig()
-    channel = Channel(Simulator(), lambda: coords, phy_cfg, phy.calibrate_range(phy_cfg),
+    channel = Channel(Simulator(), coords, phy_cfg, phy.calibrate_range(phy_cfg),
                       np.random.default_rng(3), Trace())
     assert 5 in channel._link_budget(4)[1]
     coords[5] = (80_000.0, 0.0)
@@ -379,7 +379,7 @@ def beacon_storm(seed, loss_model, collisions, n=40, senders=12):
     coords = rng.uniform(0.0, 700.0, size=(n, 2))
     sim, trace = Simulator(), recording_trace()
     phy_cfg = PhyConfig(loss_model=loss_model, collisions=collisions)
-    channel = Channel(sim, lambda: coords, phy_cfg, phy.calibrate_range(phy_cfg),
+    channel = Channel(sim, coords, phy_cfg, phy.calibrate_range(phy_cfg),
                       rng, trace)
     mac_cfg = MacConfig()
     for node in range(n):

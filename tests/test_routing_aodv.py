@@ -25,7 +25,7 @@ def test_two_nodes_one_exchange_installs_hop_one():
     net.run_for(0.1)
     net.send_data(0, 1)
     net.run_for(1.0)
-    entry = net.stacks[0].routing.table[1]
+    entry = net.nodes[0].table[1]
     assert entry.hop_count == 1
     assert entry.next_hop == 1
     assert net.aggregator.received() == 1
@@ -37,7 +37,7 @@ def test_five_node_line_hop_count_matches_bfs():
     net = make_net(line_positions(5, 240.0), "aodv")
     net.send_data(0, 4)
     net.run_for(3.0)
-    entry = net.stacks[0].routing.table[4]
+    entry = net.nodes[0].table[4]
     assert entry.hop_count == 4
     assert net.aggregator.received() == 1
     assert net.aggregator.forwards() == 3
@@ -70,7 +70,7 @@ def test_rerr_propagates_to_precursors():
     net.send_data(0, 3)
     net.run_for(3.0)
     for node in (2, 1, 0):
-        entry = net.stacks[node].routing.table.get(3)
+        entry = net.nodes[node].table.get(3)
         assert entry is not None and not entry.valid
     net.close()
 
@@ -79,7 +79,7 @@ def test_break_on_unused_neighbor_sends_no_rerr():
     net = make_net(line_positions(3, 200.0), "aodv")
     net.run_for(0.5)
     before = len(control_sends(net))
-    net.stacks[2].routing.on_link_break(1)
+    net.nodes[2].on_link_break(1)
     net.run_for(0.5)
     assert len(control_sends(net)) == before
 
@@ -91,7 +91,7 @@ def test_rediscovery_after_midrun_break_with_alternate_path():
     net.send_data(0, 2)
     net.run_for(2.0)
     assert net.aggregator.received() == 1
-    first_hop = net.stacks[0].routing.table[2].next_hop
+    first_hop = net.nodes[0].table[2].next_hop
     other = 3 if first_hop == 1 else 1
     net.coords[first_hop] = (70_000.0, 0.0)
     net.channel.bump_geometry()
@@ -100,7 +100,7 @@ def test_rediscovery_after_midrun_break_with_alternate_path():
     net.send_data(0, 2)
     net.run_for(5.0)
     assert net.aggregator.received() >= 2      # delivery resumed
-    assert net.stacks[0].routing.table[2].next_hop == other
+    assert net.nodes[0].table[2].next_hop == other
 
 
 def test_duplicate_rreqs_not_reflooded():
@@ -123,9 +123,9 @@ def test_route_expires_without_use():
     net = make_net(line_positions(2, 150.0), "aodv", cfg=cfg)
     net.send_data(0, 1)
     net.run_for(0.3)
-    assert net.stacks[0].routing.route_lookup(1) == 1
+    assert net.nodes[0].route_lookup(1) == 1
     net.run_for(2.0)
-    assert net.stacks[0].routing.route_lookup(1) is None
+    assert net.nodes[0].route_lookup(1) is None
 
 
 # -- bounded duplicate suppression -------------------------------------------------
@@ -150,7 +150,7 @@ def _seen_keys(buffer_timeout):
     cfg.routing.buffer_timeout = buffer_timeout
     sim = Simulation(cfg)
     sim.run()
-    return sum(len(stack.routing.seen) for stack in sim.stacks.values())
+    return sum(len(node.seen) for node in sim.nodes.values())
 
 
 def test_rreq_duplicate_table_stays_bounded():
@@ -164,7 +164,7 @@ def test_rreq_copy_older_than_the_horizon_is_ignored():
     cfg.routing.buffer_timeout = 0.5
     net = make_net(line_positions(3, 240.0), "aodv", cfg=cfg)
     net.run_for(1.0)
-    r = net.stacks[1].routing
+    r = net.nodes[1]
 
     def deliver(flood_time, rreq_id):
         rreq = Rreq(0, rreq_id, 1, 2, -1, 0, 3, flood_time)

@@ -20,7 +20,7 @@ def test_diamond_installs_two_link_disjoint_paths():
     net = make_net(DIAMOND, "aomdv")
     net.send_data(0, 2)
     net.run_for(2.0)
-    entry = net.stacks[0].routing.table[2]
+    entry = net.nodes[0].table[2]
     alive = entry.alive_paths(net.sim.now)
     assert len(alive) == 2
     next_hops = {p.next_hop for p in alive}
@@ -35,7 +35,7 @@ def test_line_topology_single_path():
     net = make_net(line_positions(4, 240.0), "aomdv")
     net.send_data(0, 3)
     net.run_for(3.0)
-    entry = net.stacks[0].routing.table[3]
+    entry = net.nodes[0].table[3]
     assert len(entry.alive_paths(net.sim.now)) == 1
 
 
@@ -45,7 +45,7 @@ def test_failover_without_new_discovery():
     net = make_net(DIAMOND, "aomdv", cfg=cfg)
     net.send_data(0, 2)
     net.run_for(2.0)
-    entry = net.stacks[0].routing.table[2]
+    entry = net.nodes[0].table[2]
     primary = entry.alive_paths(net.sim.now)[0].next_hop
     backup = 3 if primary == 1 else 1
     floods_before = origin_rreq_floods(net)
@@ -57,7 +57,7 @@ def test_failover_without_new_discovery():
     net.send_data(0, 2)
     net.run_for(3.0)
     assert net.aggregator.received() >= 2
-    assert net.stacks[0].routing.route_lookup(2) == backup
+    assert net.nodes[0].route_lookup(2) == backup
     assert origin_rreq_floods(net) == floods_before   # no new flood from 0
 
 
@@ -69,7 +69,7 @@ def test_paths_capped_at_max_paths():
     net = make_net(pos, "aomdv")
     net.send_data(0, 2)
     net.run_for(3.0)
-    entry = net.stacks[0].routing.table[2]
+    entry = net.nodes[0].table[2]
     alive = entry.alive_paths(net.sim.now)
     assert 1 <= len(alive) <= net.cfg.routing.aomdv_max_paths == 3
     # disjointness invariant holds at the entry level
@@ -81,7 +81,7 @@ def test_paths_respect_advertised_hop_count():
     net = make_net(DIAMOND, "aomdv")
     net.send_data(0, 2)
     net.run_for(2.0)
-    for stack in net.stacks.values():
-        for entry in stack.routing.table.values():
+    for node in net.nodes.values():
+        for entry in node.table.values():
             for p in entry.paths:
                 assert p.hop_count <= entry.advertised_hops

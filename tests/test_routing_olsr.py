@@ -41,18 +41,18 @@ def test_star_leaves_elect_center():
     net = make_net(STAR, "olsr")
     net.run_for(4.0)
     for leaf in (1, 2, 3, 4):
-        r = net.stacks[leaf].routing
+        r = net.nodes[leaf]
         assert r.mpr_set == {0}
     # the hub heard itself selected by every leaf
-    assert set(net.stacks[0].routing.mpr_selectors) == {1, 2, 3, 4}
+    assert set(net.nodes[0].mpr_selectors) == {1, 2, 3, 4}
 
 
 def test_full_mesh_has_empty_mpr_sets():
     mesh = {0: (0, 0), 1: (60, 0), 2: (0, 60), 3: (60, 60)}
     net = make_net(mesh, "olsr")
     net.run_for(4.0)
-    for stack in net.stacks.values():
-        assert stack.routing.mpr_set == set()
+    for node in net.nodes.values():
+        assert node.mpr_set == set()
 
 
 def test_star_routes_between_leaves_via_center():
@@ -61,7 +61,7 @@ def test_star_routes_between_leaves_via_center():
     for leaf in (1, 2, 3, 4):
         for other in (1, 2, 3, 4):
             if other != leaf:
-                assert net.stacks[leaf].routing.route_lookup(other) == 0
+                assert net.nodes[leaf].route_lookup(other) == 0
 
 
 def test_random_graph_mpr_coverage_and_bfs_after_three_tc_periods():
@@ -70,8 +70,7 @@ def test_random_graph_mpr_coverage_and_bfs_after_three_tc_periods():
     net = make_net(pos, "olsr", seed=2)
     net.run_for(3 * net.cfg.routing.olsr_tc_interval + 2.0)
     adj = adjacency(pos)
-    for node, stack in net.stacks.items():
-        r = stack.routing
+    for node, r in net.nodes.items():
         # every strict two-hop neighbor is covered through some MPR
         neighbors = r._sym_neighbors()
         assert neighbors == adj[node]
@@ -90,7 +89,7 @@ def test_random_graph_mpr_coverage_and_bfs_after_three_tc_periods():
             if dst == node:
                 continue
             path = walk_next_hops(
-                lambda u, d: net.stacks[u].routing.route_lookup(d),
+                lambda u, d: net.nodes[u].route_lookup(d),
                 node, dst, max_steps=len(pos))
             assert path is not None, f"{node}->{dst} unroutable"
             assert len(path) - 1 == dist[dst]
@@ -99,7 +98,7 @@ def test_random_graph_mpr_coverage_and_bfs_after_three_tc_periods():
 def test_link_break_drops_neighbor_immediately():
     net = make_net(STAR, "olsr")
     net.run_for(4.0)
-    r = net.stacks[1].routing
+    r = net.nodes[1]
     assert r.route_lookup(0) == 0
     r.on_link_break(0)
     assert r.route_lookup(0) is None
@@ -108,7 +107,7 @@ def test_link_break_drops_neighbor_immediately():
 def test_state_of_a_node_that_left_expires():
     net = make_net(line_positions(4, 200.0), "olsr")
     net.run_for(6.0)
-    r0, r1, r2 = (net.stacks[i].routing for i in range(3))
+    r0, r1, r2 = (net.nodes[i] for i in range(3))
     assert r0.route_lookup(3) == 1
     assert 2 in r0.topology
     assert r1.mpr_set == {2} and set(r2.mpr_selectors) == {1, 3}
@@ -212,8 +211,7 @@ def test_every_receiver_of_a_message_holds_its_one_hello_set_or_tc_tuple():
     net = olsr_simulation(vehicles=40, duration=4.0)
     net.run()
     hellos, tcs = defaultdict(list), defaultdict(list)
-    for stack in net.stacks.values():
-        r = stack.routing
+    for r in net.nodes.values():
         # a HELLO ends at one instant, so all its receivers store one expiry
         for nbr, (sym, expiry) in r.two_hop.items():
             hellos[nbr, expiry].append(sym)
@@ -231,11 +229,10 @@ def test_lazy_mprs_and_routes_equal_a_fresh_recompute():
     checked = []
 
     def check():
-        for node, stack in net.stacks.items():
-            r = stack.routing
+        for node, r in net.nodes.items():
             assert r.mpr_set == fresh_mprs(r), (net.sim.now, node)
             expected = fresh_next_hops(r)
-            for dest in net.stacks:
+            for dest in net.nodes:
                 assert r.route_lookup(dest) == expected.get(dest), (net.sim.now, node, dest)
         checked.append(net.sim.now)
 
@@ -245,7 +242,7 @@ def test_lazy_mprs_and_routes_equal_a_fresh_recompute():
     net.run()
     assert checked == stops
     # TC floods reached the nodes, so the checked routes also crossed TC topology
-    assert any(len(s.routing.topology) > 0 for s in net.stacks.values())
+    assert any(len(r.topology) > 0 for r in net.nodes.values())
 
 
 def test_mpr_election_runs_at_most_once_per_hello_tick(monkeypatch):

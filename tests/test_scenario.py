@@ -109,6 +109,11 @@ def test_flows_bounded_by_ordered_pairs():
     ("phy", "capture_margin", "1e9"),       # its linear ratio overflows a float
     ("run", "seed", "-1"),                  # the run's random streams refuse it
     ("mac", "slot", "0"),                   # difs = sifs: a backoff ends as an ACK starts
+    # each overflowed a float: in validate() itself, at set-up or at t = 0.1
+    ("mobility", "integration_dt", "1e-310"), ("mobility", "recalc_step", "1e308"),
+    ("traffic", "rate", "1e-310"), ("graph", "phase_length", "1e-310"),
+    pytest.param("mobility", "v_min_kmh", "1e-100\nv_max_kmh = 1e-100",
+                 id="mobility-v_min_kmh-v_max_kmh-1e-100"),
 ])
 def test_value_that_breaks_a_run_is_schema_error(section, key, value):
     with pytest.raises(SchemaError, match=key if section != "graph" else "graph"):
