@@ -226,14 +226,16 @@ def cmd_report(args) -> int:
             print(f"error: {run_dir}: {exc}", file=sys.stderr)
             status = 1
     if table_rows:
-        cols = ("protocol", "mobility", "seed", *_BATCH_METRICS)
-        print("  ".join(f"{c:>18}" for c in cols))
+        lines = [("protocol", "mobility", "seed", *_BATCH_METRICS)]
         for protocol, mobility, seed, report in table_rows:
             cells = [protocol, mobility, str(seed)]
             for name in _BATCH_METRICS:
                 value = getattr(report, name)
                 cells.append("-" if value is None else f"{value:.4f}")
-            print("  ".join(f"{c:>18}" for c in cells))
+            lines.append(cells)
+        width = max(len(c) for cells in lines for c in cells)
+        for cells in lines:
+            print("  ".join(f"{c:>{width}}" for c in cells))
     return status
 
 

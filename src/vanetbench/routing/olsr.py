@@ -32,7 +32,8 @@ class Tc:
 @dataclass(slots=True)
 class LinkInfo:
     status: str
-    expiry: float
+    sym: frozenset           # the neighbor's symmetric neighbors, from its HELLO
+    heard: float             # when its latest HELLO arrived
 
 
 def select_mprs(neighbors: set, two_hop: dict) -> set:
@@ -70,30 +71,30 @@ def select_mprs(neighbors: set, two_hop: dict) -> set:
 
 class Olsr(RoutingProtocol):
     """One node's OLSR state. The MPR set and the route table are derived from
-    `links`, `two_hop` and `topology`, and only a change to those marks them
-    stale: a new neighbor, a changed link status or symmetric-neighbor set, a TC
-    from a new origin or with changed selectors, an expiry or a link break. Each
-    is recomputed on its next read: the MPR set by the node's own HELLO, the
-    routes by `route_lookup`.
+    `links` and `topology`, and only a change to those marks them stale: a new
+    neighbor, a changed link status or symmetric-neighbor set, a TC from a new
+    origin or with changed selectors, an expiry or a link break. Each is
+    recomputed on its next read: the MPR set by the node's own HELLO, the routes
+    by `route_lookup`.
 
-    A HELLO's symmetric-neighbor set and a TC's selectors are fixed by their
-    message, so every receiver stores the sender's own immutable object: the
-    `frozenset` of the HELLO in `two_hop` and the `tuple` of the TC in
-    `topology`, which an MPR also re-sends. A `two_hop` set may include the node
-    itself; the MPR election subtracts it, and in the route BFS it is the root."""
+    A received fact is kept as a reference to the message that carried it plus
+    the instant it was heard, the dispatching event's clock value: a link keeps
+    its HELLO's `frozenset` of symmetric neighbors, and `seen_tc` keeps each
+    origin's newest `Tc`, whose selectors a `topology` entry stands for while
+    it lives; an MPR re-sends that same `Tc`. An entry expires once `heard +
+    hold <= now`. A link's `sym` set may include the node itself; the MPR
+    election subtracts it, and in the route BFS it is the root."""
 
     control_handlers = {Hello: "_on_hello", Tc: "_on_tc"}
 
     def __init__(self, net, node_id: int):
         super().__init__(net, node_id)
         self.links: dict[int, LinkInfo] = {}
-        # nbr -> (its HELLO's sym set, expiry); written and deleted with links[nbr]
-        self.two_hop: dict[int, tuple] = {}
         self._mprs: set | None = None                # None while stale
-        self.mpr_selectors: dict[int, float] = {}    # nbr -> expiry
-        self.topology: dict[int, tuple] = {}         # origin -> (seq, selectors, expiry)
+        self.mpr_selectors: dict[int, float] = {}    # nbr -> heard
+        self.topology: dict[int, float] = {}         # origin -> heard
         self.tc_seq = 0
-        self.seen_tc: dict[int, int] = {}            # origin -> highest seq seen
+        self.seen_tc: dict[int, Tc] = {}             # origin -> newest TC seen
         self.routes: dict[int, int] = {}
         self._dirty = True
 
@@ -126,14 +127,15 @@ class Olsr(RoutingProtocol):
 
     def _expire(self):
         now = self.sim.now
+        hold = self.cfg.hold_multiplier * self.cfg.olsr_hello_interval
         dirty = False
-        for n in [n for n, i in self.links.items() if i.expiry <= now]:
+        for n in [n for n, i in self.links.items() if i.heard + hold <= now]:
             del self.links[n]
-            del self.two_hop[n]
             dirty = True
-        for n in [n for n, exp in self.mpr_selectors.items() if exp <= now]:
+        for n in [n for n, heard in self.mpr_selectors.items() if heard + hold <= now]:
             del self.mpr_selectors[n]
-        for o in [o for o, (_, _, exp) in self.topology.items() if exp <= now]:
+        hold = self.cfg.hold_multiplier * self.cfg.olsr_tc_interval
+        for o in [o for o, heard in self.topology.items() if heard + hold <= now]:
             del self.topology[o]
             dirty = True
         if dirty:
@@ -144,36 +146,33 @@ class Olsr(RoutingProtocol):
 
     def _on_hello(self, hello: Hello, nbr: int):
         now = self.sim.now
-        hold = self.cfg.hold_multiplier * self.cfg.olsr_hello_interval
         me = self.node_id
         links = hello.links
         i = bisect_left(links, (me,))
         heard_me = i < len(links) and links[i][0] == me
         if heard_me and links[i][2]:
-            self.mpr_selectors[nbr] = now + hold
+            self.mpr_selectors[nbr] = now
         status = SYM if heard_me else HEARD
         sym = hello.sym
         old = self.links.get(nbr)
         # whether the sender lists this node as symmetric changes neither the
         # MPR election nor the routes, so it alone marks nothing stale
         if old is None or old.status != status or (
-                (old_sym := self.two_hop[nbr][0]) != sym and old_sym ^ sym != {me}):
+                old.sym != sym and old.sym ^ sym != {me}):
             self._mprs = None
             self._dirty = True
-        self.links[nbr] = LinkInfo(status, now + hold)
-        self.two_hop[nbr] = (sym, now + hold)
+        self.links[nbr] = LinkInfo(status, sym, now)
 
     def _on_tc(self, tc: Tc, prev: int):
         if tc.origin == self.node_id:
             return
-        if self.seen_tc.get(tc.origin, -1) >= tc.seq:
+        seen = self.seen_tc.get(tc.origin)
+        if seen is not None and seen.seq >= tc.seq:
             return
-        self.seen_tc[tc.origin] = tc.seq
-        hold = self.cfg.hold_multiplier * self.cfg.olsr_tc_interval
-        known = self.topology.get(tc.origin)
-        if known is None or known[1] != tc.selectors:
+        if tc.origin not in self.topology or seen.selectors != tc.selectors:
             self._dirty = True
-        self.topology[tc.origin] = (tc.seq, tc.selectors, self.sim.now + hold)
+        self.seen_tc[tc.origin] = tc
+        self.topology[tc.origin] = self.sim.now
         # only multipoint relays of the previous hop retransmit the flood
         if prev in self.mpr_selectors:
             self.send_control(tc, TC_HEADER + TC_ENTRY_SIZE * len(tc.selectors))
@@ -188,7 +187,7 @@ class Olsr(RoutingProtocol):
         """Multipoint relays among the symmetric neighbors, elected on read when stale."""
         if self._mprs is None:
             neighbors = self._sym_neighbors()
-            two_hop = {n: self.two_hop[n][0] - {self.node_id} for n in neighbors}
+            two_hop = {n: self.links[n].sym - {self.node_id} for n in neighbors}
             self._mprs = select_mprs(neighbors, two_hop)
         return self._mprs
 
@@ -196,8 +195,8 @@ class Olsr(RoutingProtocol):
         """Hop-count BFS over the learned topology; deterministic next hops."""
         me = self.node_id
         stars = [(me, self._sym_neighbors())]      # (node, nodes it links to)
-        stars += [(n, sym_set) for n, (sym_set, _) in self.two_hop.items()]
-        stars += [(origin, selectors) for origin, (_, selectors, _) in self.topology.items()]
+        stars += [(n, info.sym) for n, info in self.links.items()]
+        stars += [(origin, self.seen_tc[origin].selectors) for origin in self.topology]
         adj: dict[int, set] = defaultdict(set)
         for a, others in stars:
             adj[a].update(others)
@@ -230,7 +229,6 @@ class Olsr(RoutingProtocol):
     def on_link_break(self, neighbor: int):
         if neighbor in self.links:
             del self.links[neighbor]
-            del self.two_hop[neighbor]
             self.mpr_selectors.pop(neighbor, None)
             self._mprs = None
             self._dirty = True

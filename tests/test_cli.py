@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -32,6 +33,18 @@ def test_run_writes_its_files_and_report_renders_the_same_metrics(tmp_path, caps
     for name, cell in zip(cols[3:], cells[3:]):
         value = getattr(report, name)
         assert cell == ("-" if value is None else f"{value:.4f}"), name
+
+
+def test_report_header_and_rows_share_their_column_boundaries(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--protocol", "olsr", "--out", str(out), *TINY]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(out), str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # cells are right-aligned, so a column's boundary is where its cells end
+    ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in lines]
+    assert len(lines) == 3 and len(ends[0]) == 3 + len(cli._BATCH_METRICS)
+    assert all(row == ends[0] for row in ends[1:])
 
 
 def test_report_names_a_bad_line_and_still_prints_the_good_run(tmp_path, capsys):

@@ -58,6 +58,11 @@ STATIC_PINS = {
     "olsr": "43613fa61e56e0b4efac3dbf3b01a33ffdea0d093b2a2bcf661b99d95a92b46b",
 }
 
+# sha256 of the trace text of an 8 s olsr idm-im run with HELLO every 0.5 s and
+# TC every 1 s: links, MPR selectors and topology entries outlive their hold
+# times and expire, which the 3 s runs above never reach
+OLSR_EXPIRY_PIN = "bee50b656b8a6d117951fe40f209f8f719c87780ff0afe8564da8ceb821d5186"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -96,6 +101,16 @@ def test_half_duplex_only_run_matches_golden_hash():
     text = buf.getvalue()
     assert " dropped collision " in text      # the half-duplex rule is exercised
     assert _sha256(text) == COLLISIONS_OFF_PIN
+
+
+def test_olsr_run_past_its_hold_times_matches_golden_hash():
+    cfg = golden_config("olsr", "idm-im")
+    cfg.run.duration = 8.0
+    cfg.routing.olsr_hello_interval = 0.5
+    cfg.routing.olsr_tc_interval = 1.0
+    buf = io.StringIO()
+    Simulation(cfg, trace_file=buf).run()
+    assert _sha256(buf.getvalue()) == OLSR_EXPIRY_PIN
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

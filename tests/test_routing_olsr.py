@@ -1,5 +1,6 @@
 """Link sensing, MPR election, TC flooding and shortest-path tables."""
 
+import math
 import random
 from collections import defaultdict, deque
 
@@ -77,7 +78,7 @@ def test_random_graph_mpr_coverage_and_bfs_after_three_tc_periods():
         strict = set()
         covered = set()
         for n in neighbors:
-            two = set(r.two_hop.get(n, (set(), 0))[0]) - {node}
+            two = set(r.links[n].sym) - {node}
             strict |= two
             if n in r.mpr_set:
                 covered |= two
@@ -118,6 +119,33 @@ def test_state_of_a_node_that_left_expires():
     assert 2 not in r0.topology                # nobody selects 2 as MPR: 2 sends no TC
     assert r1.mpr_set == set() and r2.mpr_selectors == {}
     assert sorted(r2.links) == [1]
+
+
+def test_an_entry_lives_until_heard_plus_hold_and_not_past_it():
+    net = make_net({0: (0.0, 0.0)}, "olsr")          # a lone node: nothing refreshes
+    r = net.nodes[0]
+    heard = 1.3
+
+    def hear():
+        # neighbor 5 selects node 0 as its MPR; origin 7's TC names 5
+        r._on_hello(olsr.Hello([(0, SYM, True)], frozenset({0, 9})), 5)
+        r._on_tc(olsr.Tc(7, 1, (5,)), 5)
+
+    def alive_after_expire_at(t):
+        net.sim.run_until(t)
+        r._expire()
+        return 5 in r.links, 5 in r.mpr_selectors, 7 in r.topology
+
+    net.sim.schedule(heard, hear, target="test.hear")
+    link_end = heard + r.cfg.hold_multiplier * r.cfg.olsr_hello_interval
+    tc_end = heard + r.cfg.hold_multiplier * r.cfg.olsr_tc_interval
+    assert link_end < tc_end
+    assert alive_after_expire_at(math.nextafter(link_end, 0.0)) == (True, True, True)
+    assert r.links[5].heard == r.mpr_selectors[5] == r.topology[7] == heard
+    assert alive_after_expire_at(link_end) == (False, False, True)
+    assert alive_after_expire_at(math.nextafter(tc_end, 0.0)) == (False, False, True)
+    assert alive_after_expire_at(tc_end) == (False, False, False)
+    assert r.seen_tc[7].seq == 1        # the newest seq outlives its topology entry
 
 
 def listing_select_mprs(neighbors: set, two_hop: dict) -> set:
@@ -173,7 +201,7 @@ def olsr_simulation(vehicles, duration):
 
 def fresh_mprs(r):
     neighbors = {n for n, info in r.links.items() if info.status == SYM}
-    return select_mprs(neighbors, {n: r.two_hop[n][0] - {r.node_id} for n in neighbors})
+    return select_mprs(neighbors, {n: r.links[n].sym - {r.node_id} for n in neighbors})
 
 
 def fresh_next_hops(r):
@@ -188,12 +216,10 @@ def fresh_next_hops(r):
     for n, info in r.links.items():
         if info.status == SYM:
             connect(me, n)
-    for n, (sym_set, _) in r.two_hop.items():
-        if n in r.links:
-            for x in sym_set:
-                connect(n, x)
-    for origin, (_, selectors, _) in r.topology.items():
-        for s in selectors:
+        for x in info.sym:
+            connect(n, x)
+    for origin in r.topology:
+        for s in r.seen_tc[origin].selectors:
             connect(origin, s)
     first_hop = {me: me}
     q = deque([me])
@@ -212,16 +238,21 @@ def test_every_receiver_of_a_message_holds_its_one_hello_set_or_tc_tuple():
     net.run()
     hellos, tcs = defaultdict(list), defaultdict(list)
     for r in net.nodes.values():
-        # a HELLO ends at one instant, so all its receivers store one expiry
-        for nbr, (sym, expiry) in r.two_hop.items():
-            hellos[nbr, expiry].append(sym)
-        for origin, (seq, selectors, _) in r.topology.items():
-            tcs[origin, seq].append(selectors)
-    for stored, kind in ((hellos, frozenset), (tcs, tuple)):
-        shared = [objs for objs in stored.values() if len(objs) > 1]
-        assert shared
-        for objs in shared:
-            assert all(type(obj) is kind and obj is objs[0] for obj in objs)
+        # a HELLO ends at one instant, so all its receivers store one heard time
+        for nbr, info in r.links.items():
+            hellos[nbr, info.heard].append(info)
+        for origin in r.topology:
+            tc = r.seen_tc[origin]
+            tcs[origin, tc.seq].append(tc)
+    shared_hellos = [infos for infos in hellos.values() if len(infos) > 1]
+    shared_tcs = [objs for objs in tcs.values() if len(objs) > 1]
+    assert shared_hellos and shared_tcs
+    for infos in shared_hellos:
+        first = infos[0]
+        assert type(first.sym) is frozenset
+        assert all(i.sym is first.sym and i.heard is first.heard for i in infos)
+    for objs in shared_tcs:
+        assert all(type(tc) is olsr.Tc and tc is objs[0] for tc in objs)
 
 
 def test_lazy_mprs_and_routes_equal_a_fresh_recompute():
