@@ -93,8 +93,7 @@ class PbcAgent:
 
     def _emit(self, flag: str):
         pkt = self._beacon(flag)
-        self.node.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, KIND_PBC,
-                            pkt.packet_id, None, self.node.node_id, pkt.size)
+        self.node.record(EV_SENT, "none", LAYER_APP, pkt)
         self.node.mac.enqueue_packet(pkt, BROADCAST)
 
     def _tick(self):

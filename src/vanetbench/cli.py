@@ -1,4 +1,6 @@
-"""Operator entry point: run one scenario, run seeded batches, render reports."""
+"""Operator entry point: run one scenario, run seeded batches, and report on run
+directories: print their metrics table and rewrite only their delay.csv and
+jitter.csv."""
 
 import argparse
 import copy
@@ -72,13 +74,34 @@ def _write_series_csv(path, header, rows):
 
 
 def execute_run(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> dict:
-    """Run one scenario into an output directory; returns the summary dict."""
+    """Run one scenario into an output directory; returns the summary dict.
+
+    A run that raises takes back what it wrote: its files, and the directory
+    if this call made it."""
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty "
                               f"(use --force to overwrite)")
+    made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / TRACE_NAME, "w", encoding="utf-8") as trace_fh:
+    written = []
+
+    def out(name):
+        written.append(out_dir / name)
+        return written[-1]
+
+    try:
+        return _write_run(cfg, out)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if made:
+            out_dir.rmdir()
+        raise
+
+
+def _write_run(cfg: ScenarioConfig, out) -> dict:
+    with open(out(TRACE_NAME), "w", encoding="utf-8") as trace_fh:
         sim = Simulation(cfg, trace_file=trace_fh)
         result = sim.run()
     agg = result.aggregator
@@ -86,12 +109,12 @@ def execute_run(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> dict
     report = build_report(agg, duration=cfg.run.duration)
     meta = {"protocol": cfg.routing.protocol, "mobility": cfg.mobility.model,
             "seed": cfg.run.seed}
-    _write_metrics_csv(out_dir / METRICS_NAME, report, meta)
-    _write_series_csv(out_dir / DELAY_NAME, ["time", "delay"], delay_series(agg))
-    _write_series_csv(out_dir / JITTER_NAME, ["time", "jitter"], jitter_series(agg))
-    (out_dir / CONFIG_NAME).write_text(effective_ini(cfg), encoding="utf-8")
+    _write_metrics_csv(out(METRICS_NAME), report, meta)
+    _write_series_csv(out(DELAY_NAME), ["time", "delay"], delay_series(agg))
+    _write_series_csv(out(JITTER_NAME), ["time", "jitter"], jitter_series(agg))
+    out(CONFIG_NAME).write_text(effective_ini(cfg), encoding="utf-8")
     if cfg.run.mobility_trace:
-        with open(out_dir / "mobility.txt", "w", encoding="utf-8") as fh:
+        with open(out("mobility.txt"), "w", encoding="utf-8") as fh:
             fh.write("#time vehicle x y speed\n")
             for t, vid, x, y, speed in sim.mobility_rows:
                 fh.write(f"{t!r} {vid} {x!r} {y!r} {speed!r}\n")
@@ -102,8 +125,7 @@ def execute_run(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> dict
         "warnings": result.warnings,
         "metrics": {name: value for name, value in report.rows()},
     }
-    (out_dir / SUMMARY_NAME).write_text(json.dumps(summary, indent=2) + "\n",
-                                        encoding="utf-8")
+    out(SUMMARY_NAME).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return summary
 
 
@@ -271,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--force", action="store_true")
     batch_p.set_defaults(func=cmd_batch, seed=None, protocol=None, mobility=None)
 
-    report_p = sub.add_parser("report", help="re-render metrics and plot CSVs")
+    report_p = sub.add_parser("report", help="print the metrics table; rewrite "
+                                             "delay.csv and jitter.csv")
     report_p.add_argument("rundirs", nargs="+", help="run output directories")
     report_p.set_defaults(func=cmd_report)
     return parser

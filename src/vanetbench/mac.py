@@ -173,8 +173,7 @@ class Channel:
         self.active.append(tx)
         pkt = frame.packet
         self.trace.add(now, EV_SENT, "none", LAYER_MAC, frame.trace_kind,
-                       pkt.packet_id if pkt else -1,
-                       pkt.flow_id if pkt else None, sender, frame.payload_size)
+                       pkt.packet_id, pkt.flow_id, sender, frame.payload_size)
         if self.contenders:
             # freeze nodes mid-countdown that sense this transmission
             for mac in list(self.contenders.values()):

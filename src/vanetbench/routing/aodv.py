@@ -163,20 +163,19 @@ class Aodv(ReactiveProtocol):
 
     def on_link_break(self, neighbor: int):
         unreachable = []
+        has_precursors = False
         for e in self.table.values():
             if e.valid and e.next_hop == neighbor:
                 e.valid = False
                 if e.seq_valid:
                     e.dest_seq += 1
                 unreachable.append((e.dest, e.dest_seq))
+                has_precursors = has_precursors or bool(e.precursors)
         nbr = self.table.get(neighbor)
         if nbr is not None:
             nbr.valid = False
-        if unreachable:
-            has_precursors = any(self.table[d].precursors for d, _ in unreachable
-                                 if d in self.table)
-            if has_precursors:
-                self.send_control(Rerr(unreachable), RERR_SIZE)
+        if has_precursors:
+            self.send_control(Rerr(unreachable), RERR_SIZE)
 
     def _on_rerr(self, rerr: Rerr, prev: int):
         propagate = []

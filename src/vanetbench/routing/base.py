@@ -1,7 +1,6 @@
 """One network node: its routing protocol and the shared data-forwarding plane."""
 
 from collections import deque
-from dataclasses import dataclass
 
 from ..metrics import EV_DROPPED, EV_FORWARDED, EV_RECEIVED, EV_SENT, LAYER_APP, \
     LAYER_ROUTING
@@ -14,11 +13,13 @@ class RoutingProtocol:
     the Network wires to `on_packet_arrival` and `on_link_break`.
 
     Every data packet enters the network through `originate` and ends at this
-    node in `deliver_local` or `drop_packet`, or in the MAC's own drop record.
+    node in a received or dropped record, or in the MAC's own drop record.
     Which packets are still open is the run's TraceAggregator's to say: it
     sees each of those records.
 
-    Proactive protocols drop data immediately when the table has no route;
+    A data packet leaves a node only through `_send`, whether it starts here,
+    arrives from a neighbour, or waited in a reactive buffer. Proactive
+    protocols drop data immediately when the table has no route;
     ReactiveProtocol buffers it pending discovery instead.
     """
 
@@ -36,6 +37,11 @@ class RoutingProtocol:
 
     def new_packet_id(self) -> int:
         return next(self._packet_ids)
+
+    def record(self, event: str, reason: str, layer: str, packet: Packet):
+        """Write one trace record of `packet` at this node, now."""
+        self.trace.add(self.sim.now, event, reason, layer, packet.kind,
+                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
 
     # -- protocol hooks ------------------------------------------------------
 
@@ -58,64 +64,51 @@ class RoutingProtocol:
 
     def originate(self, packet: Packet):
         """A data packet enters the network: its app sent record, then routing."""
-        self.trace.add(self.sim.now, EV_SENT, "none", LAYER_APP, packet.kind,
-                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
+        self.record(EV_SENT, "none", LAYER_APP, packet)
         self.on_data_to_send(packet)
 
     def on_data_to_send(self, packet: Packet):
-        self._route_or_fail(packet, origin=True)
+        if not self._send(packet, origin=True):
+            self._no_route(packet, origin=True)
 
     def on_packet_arrival(self, packet: Packet, from_node: int):
+        """Handle control; deliver data addressed here, or forward it."""
         # a beacon never gets here: it ends in the MAC
         if packet.kind == KIND_CONTROL:
             self.on_control(packet, from_node)
-            return
-        self.forward_data(packet, from_node)
-
-    def forward_data(self, packet: Packet, from_node: int | None):
-        """Deliver locally, or resolve the next hop and hand the packet to the MAC."""
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if from_node is not None:
+        elif packet.dst == self.node_id:
+            self.record(EV_RECEIVED, "none", LAYER_APP, packet)
+        else:
             packet.ttl -= 1
             if packet.ttl <= 0:
-                self.drop_packet(packet, "ttl", LAYER_ROUTING)
-                return
-        self._route_or_fail(packet, origin=from_node is None)
+                self.drop_packet(packet, "ttl")
+            elif not self._send(packet, origin=False):
+                self._no_route(packet, origin=False)
 
-    def deliver_local(self, packet: Packet):
-        self.trace.add(self.sim.now, EV_RECEIVED, "none", LAYER_APP, packet.kind,
-                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
-
-    def drop_packet(self, packet: Packet, reason: str, layer: str):
+    def drop_packet(self, packet: Packet, reason: str):
         """A data packet ends here; routing never drops a control packet."""
-        self.trace.add(self.sim.now, EV_DROPPED, reason, layer, packet.kind,
-                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
+        self.record(EV_DROPPED, reason, LAYER_ROUTING, packet)
 
-    def _route_or_fail(self, packet: Packet, origin: bool):
+    def _send(self, packet: Packet, origin: bool) -> bool:
+        """Hand the packet to the MAC for its next hop, with a forward record
+        unless it started here. False, and no record, when there is no route."""
         nh = self.route_lookup(packet.dst)
         if nh is None:
-            self._no_route(packet, origin)
-            return
+            return False
         if not origin:
-            self._trace_forward(packet)
+            self.record(EV_FORWARDED, "none", LAYER_ROUTING, packet)
         self.mac.enqueue_packet(packet, nh)
-
-    def _trace_forward(self, packet: Packet):
-        self.trace.add(self.sim.now, EV_FORWARDED, "none", LAYER_ROUTING, packet.kind,
-                       packet.packet_id, packet.flow_id, self.node_id, packet.size)
+        return True
 
     def _no_route(self, packet: Packet, origin: bool):
-        self.drop_packet(packet, "no-route", LAYER_ROUTING)
+        self.drop_packet(packet, "no-route")
 
     # -- control emission helper ----------------------------------------------
 
     def send_control(self, payload, size: int, dest: int = BROADCAST):
-        pkt = Packet(KIND_CONTROL, self.node_id, dest, size, self.new_packet_id(),
-                     None, 255, self.sim.now, payload)
-        self.mac.enqueue_packet(pkt, dest)
-        return pkt
+        self.mac.enqueue_packet(Packet(KIND_CONTROL, self.node_id, dest, size,
+                                       self.new_packet_id(), None, 255, self.sim.now,
+                                       payload), dest)
 
 
 class RecentKeys(dict):
@@ -143,12 +136,6 @@ class RecentKeys(dict):
         super().__setitem__(key, value)
 
 
-@dataclass
-class _Discovery:
-    attempt: int
-    timer: object
-
-
 class ReactiveProtocol(RoutingProtocol):
     """Expanding-ring route discovery shared by the on-demand protocols.
 
@@ -165,7 +152,7 @@ class ReactiveProtocol(RoutingProtocol):
         super().__init__(net, node_id)
         self.seq = 0
         self.rreq_id = 0
-        self.pending: dict[int, _Discovery] = {}
+        self.pending: dict = {}                 # dest -> the discovery's timeout event
         self.buffer: dict[int, deque] = {}      # dest -> deque[(packet, enq time, origin)]
         # RREQ duplicate keys are forgotten, and RREQ copies ignored, this long
         # after the flood began: by then every packet that started the flood
@@ -189,10 +176,10 @@ class ReactiveProtocol(RoutingProtocol):
         q = self.buffer.setdefault(packet.dst, deque())
         self._expire_buffer(packet.dst)
         if len(q) >= self.cfg.buffer_packets:
-            old, _, _ = q.popleft()
-            self.drop_packet(old, "no-route", LAYER_ROUTING)
+            self.drop_packet(q.popleft()[0], "no-route")
         q.append((packet, self.sim.now, origin))
-        self.begin_discovery(packet.dst)
+        if packet.dst not in self.pending:
+            self._send_rreq(packet.dst, 0)
 
     def _expire_buffer(self, dest: int):
         q = self.buffer.get(dest)
@@ -200,32 +187,16 @@ class ReactiveProtocol(RoutingProtocol):
             return
         horizon = self.sim.now - self.cfg.buffer_timeout
         while q and q[0][1] < horizon:
-            old, _, _ = q.popleft()
-            self.drop_packet(old, "no-route", LAYER_ROUTING)
+            self.drop_packet(q.popleft()[0], "no-route")
 
     def flush_buffer(self, dest: int):
-        """Send everything buffered for dest via the (now valid) route."""
+        """Send everything buffered for dest; with no route, each is dropped."""
         self._expire_buffer(dest)
         for packet, _, origin in self.buffer.pop(dest, ()):
-            nh = self.route_lookup(dest)
-            if nh is None:
-                self.drop_packet(packet, "no-route", LAYER_ROUTING)
-                continue
-            if not origin:
-                self._trace_forward(packet)
-            self.mac.enqueue_packet(packet, nh)
-
-    def drop_buffer(self, dest: int):
-        """Discovery failed: drop everything buffered for dest."""
-        for packet, _, _ in self.buffer.pop(dest, ()):
-            self.drop_packet(packet, "no-route", LAYER_ROUTING)
+            if not self._send(packet, origin):
+                self.drop_packet(packet, "no-route")
 
     # -- discovery -------------------------------------------------------------
-
-    def begin_discovery(self, dest: int):
-        if dest in self.pending:
-            return
-        self._send_rreq(dest, attempt=0)
 
     def _send_rreq(self, dest: int, attempt: int):
         ttls = self.cfg.aodv_ring_ttls
@@ -233,23 +204,19 @@ class ReactiveProtocol(RoutingProtocol):
         self.rreq_id += 1
         self.seq += 1
         self._flood_rreq(dest, ttl)
-        timeout = 2.0 * self.cfg.aodv_node_traversal * ttl
-        timer = self.sim.after(timeout, lambda: self._discovery_timeout(dest),
-                               target=self.discovery_target)
-        self.pending[dest] = _Discovery(attempt, timer)
+        self.pending[dest] = self.sim.after(
+            2.0 * self.cfg.aodv_node_traversal * ttl,
+            lambda: self._discovery_timeout(dest, attempt), target=self.discovery_target)
 
-    def _discovery_timeout(self, dest: int):
-        disc = self.pending.pop(dest)        # _discovery_done cancels this timer
-        if self._has_route(dest):
-            self.flush_buffer(dest)
-            return
-        if disc.attempt >= self.cfg.aodv_rreq_retries:
-            self.drop_buffer(dest)
-            return
-        self._send_rreq(dest, disc.attempt + 1)
+    def _discovery_timeout(self, dest: int, attempt: int):
+        del self.pending[dest]               # _discovery_done cancels this timer
+        if self._has_route(dest) or attempt >= self.cfg.aodv_rreq_retries:
+            self.flush_buffer(dest)          # sends, or drops what found no route
+        else:
+            self._send_rreq(dest, attempt + 1)
 
     def _discovery_done(self, dest: int):
         """A reply reached the origin: stop the timer and send what waited."""
         if dest in self.pending:            # later replies find the discovery over
-            self.sim.cancel(self.pending.pop(dest).timer)
+            self.sim.cancel(self.pending.pop(dest))
         self.flush_buffer(dest)

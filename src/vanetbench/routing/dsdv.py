@@ -93,7 +93,7 @@ class Dsdv(RoutingProtocol):
         stale = [n for n, t in self.last_heard.items() if now - t > timeout]
         for n in stale:
             del self.last_heard[n]
-            self._mark_broken_via(n)
+            self.on_link_break(n)
 
     # -- updates -------------------------------------------------------------------
 
@@ -135,9 +135,7 @@ class Dsdv(RoutingProtocol):
     # -- failures --------------------------------------------------------------------
 
     def on_link_break(self, neighbor: int):
-        self._mark_broken_via(neighbor)
-
-    def _mark_broken_via(self, neighbor: int):
+        """The MAC gave up on `neighbor`, or its updates stopped: break its routes."""
         changed = False
         for e in self.table.values():
             if e.next_hop == neighbor and e.metric != INF_METRIC:

@@ -158,10 +158,9 @@ def test_emergency_beacon_fires_once_per_rate_window():
         def new_packet_id():
             return len(emitted)
 
-        class trace:
-            @staticmethod
-            def add(*a):
-                pass
+        @staticmethod
+        def record(*a):
+            pass
 
         class mac:
             @staticmethod

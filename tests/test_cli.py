@@ -75,6 +75,35 @@ def test_report_refuses_a_trace_with_an_unterminated_packet(tmp_path, capsys):
     assert err.startswith(f"error: {run}: conservation violated: sent=1 received=0")
 
 
+def _boom(node):
+    raise RuntimeError("boom")
+
+
+def test_a_run_that_raises_leaves_no_directory_and_the_next_run_goes_in(tmp_path, capsys,
+                                                                        monkeypatch):
+    from vanetbench.routing.aodv import Aodv
+    out = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        patch.setattr(Aodv, "start", _boom)
+        assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 1
+    assert capsys.readouterr().err == "error: run failed: boom\n"
+    assert not out.exists()
+    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 0
+    assert {p.name for p in out.iterdir()} == RUN_FILES
+
+
+def test_a_batch_job_that_raises_leaves_only_its_own_directory_absent(tmp_path, capsys,
+                                                                      monkeypatch):
+    from vanetbench.routing.dsdv import Dsdv
+    monkeypatch.setattr(Dsdv, "start", _boom)
+    root = tmp_path / "batch"
+    assert cli.main(["batch", "--protocols", "aodv,dsdv", "--seeds", "1", "--jobs", "1",
+                     "--out", str(root), *TINY]) == 1
+    assert "failed: dsdv/idm-im/seed 1: boom" in capsys.readouterr().err
+    assert sorted(p.name for p in root.iterdir()) == ["aodv-idm-im-s1", "batch.csv"]
+    assert {p.name for p in (root / "aodv-idm-im-s1").iterdir()} == RUN_FILES
+
+
 def test_batch_fails_only_the_job_whose_directory_is_taken(tmp_path, capsys):
     root = tmp_path / "batch"
     taken = root / "dsdv-idm-im-s1"
