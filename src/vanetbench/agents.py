@@ -54,8 +54,7 @@ class CbrAgent:
     def _emit(self):
         f = self.flow
         self.node.originate(Packet(KIND_CBR, f.src, f.dst, f.packet_size,
-                                   self.node.new_packet_id(), f.flow_id, self.node.cfg.ttl,
-                                   self.sim.now))
+                                   self.node.new_packet_id(), f.flow_id, self.node.cfg.ttl))
         self._k += 1
         t_next = f.start + self._k / f.rate      # multiplicative grid, no drift
         if t_next < f.stop:
@@ -89,7 +88,7 @@ class PbcAgent:
         st = self.world.vehicles[vid]
         beacon = SafetyBeacon(vid, st.x, st.y, st.speed, st.heading, self.sim.now, flag)
         return Packet(KIND_PBC, vid, BROADCAST, self.cfg.beacon_size,
-                      self.node.new_packet_id(), None, 1, self.sim.now, beacon)
+                      self.node.new_packet_id(), None, 1, beacon)
 
     def _emit(self, flag: str):
         pkt = self._beacon(flag)

@@ -23,7 +23,11 @@ METRICS_NAME = "metrics.csv"
 DELAY_NAME = "delay.csv"
 JITTER_NAME = "jitter.csv"
 CONFIG_NAME = "scenario.effective.ini"
+MOBILITY_NAME = "mobility.txt"
 SUMMARY_NAME = "run.json"
+# every file a run may write; a run directory holds these of one run only
+RUN_NAMES = (TRACE_NAME, METRICS_NAME, DELAY_NAME, JITTER_NAME, CONFIG_NAME,
+             MOBILITY_NAME, SUMMARY_NAME)
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
@@ -73,48 +77,52 @@ def _write_series_csv(path, header, rows):
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _write_delay_jitter(run_dir: Path, agg):
+    _write_series_csv(run_dir / DELAY_NAME, ["time", "delay"], delay_series(agg))
+    _write_series_csv(run_dir / JITTER_NAME, ["time", "jitter"], jitter_series(agg))
+
+
+def _remove_run_files(run_dir: Path):
+    for name in RUN_NAMES:
+        (run_dir / name).unlink(missing_ok=True)
+
+
 def execute_run(cfg: ScenarioConfig, out_dir: Path, force: bool = False) -> dict:
     """Run one scenario into an output directory; returns the summary dict.
 
-    A run that raises takes back what it wrote: its files, and the directory
-    if this call made it."""
+    The files of RUN_NAMES are removed before the run writes, so a forced rerun
+    leaves none of an earlier run's. A run that raises removes them again, and
+    the directory if this call made it. Any other file in the directory stays."""
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise FileExistsError(f"output directory {out_dir} is not empty "
                               f"(use --force to overwrite)")
     made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def out(name):
-        written.append(out_dir / name)
-        return written[-1]
-
     try:
-        return _write_run(cfg, out)
+        _remove_run_files(out_dir)
+        return _write_run(cfg, out_dir)
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+        _remove_run_files(out_dir)
         if made:
             out_dir.rmdir()
         raise
 
 
-def _write_run(cfg: ScenarioConfig, out) -> dict:
-    with open(out(TRACE_NAME), "w", encoding="utf-8") as trace_fh:
+def _write_run(cfg: ScenarioConfig, out_dir: Path) -> dict:
+    with open(out_dir / TRACE_NAME, "w", encoding="utf-8") as trace_fh:
         sim = Simulation(cfg, trace_file=trace_fh)
         result = sim.run()
     agg = result.aggregator
     conservation_check(agg)
-    report = build_report(agg, duration=cfg.run.duration)
+    report = build_report(agg)
     meta = {"protocol": cfg.routing.protocol, "mobility": cfg.mobility.model,
             "seed": cfg.run.seed}
-    _write_metrics_csv(out(METRICS_NAME), report, meta)
-    _write_series_csv(out(DELAY_NAME), ["time", "delay"], delay_series(agg))
-    _write_series_csv(out(JITTER_NAME), ["time", "jitter"], jitter_series(agg))
-    out(CONFIG_NAME).write_text(effective_ini(cfg), encoding="utf-8")
+    _write_metrics_csv(out_dir / METRICS_NAME, report, meta)
+    _write_delay_jitter(out_dir, agg)
+    (out_dir / CONFIG_NAME).write_text(effective_ini(cfg), encoding="utf-8")
     if cfg.run.mobility_trace:
-        with open(out("mobility.txt"), "w", encoding="utf-8") as fh:
+        with open(out_dir / MOBILITY_NAME, "w", encoding="utf-8") as fh:
             fh.write("#time vehicle x y speed\n")
             for t, vid, x, y, speed in sim.mobility_rows:
                 fh.write(f"{t!r} {vid} {x!r} {y!r} {speed!r}\n")
@@ -125,7 +133,8 @@ def _write_run(cfg: ScenarioConfig, out) -> dict:
         "warnings": result.warnings,
         "metrics": {name: value for name, value in report.rows()},
     }
-    out(SUMMARY_NAME).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    (out_dir / SUMMARY_NAME).write_text(json.dumps(summary, indent=2) + "\n",
+                                        encoding="utf-8")
     return summary
 
 
@@ -238,10 +247,7 @@ def cmd_report(args) -> int:
             meta = json.loads(summary_path.read_text(encoding="utf-8")) \
                 if summary_path.exists() else {}
             report = build_report(agg)
-            _write_series_csv(run_dir / DELAY_NAME, ["time", "delay"],
-                              delay_series(agg))
-            _write_series_csv(run_dir / JITTER_NAME, ["time", "jitter"],
-                              jitter_series(agg))
+            _write_delay_jitter(run_dir, agg)
             table_rows.append((meta.get("protocol", "?"), meta.get("mobility", "?"),
                                meta.get("seed", "?"), report))
         except Exception as exc:
@@ -267,30 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic VANET simulator: mobility, fading channel, "
                     "802.11p MAC, ad-hoc routing, trace metrics.")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--scenario", help="scenario file (defaults applied when absent)")
+    shared.add_argument("--out", help="output directory (batch: one subdirectory per run)")
+    shared.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                        help="override any scenario key (repeatable)")
+    shared.add_argument("--force", action="store_true",
+                        help="overwrite a non-empty run directory")
 
-    run_p = sub.add_parser("run", help="run one scenario")
-    run_p.add_argument("--scenario", help="scenario file (defaults applied when absent)")
+    run_p = sub.add_parser("run", parents=[shared], help="run one scenario")
     run_p.add_argument("--seed", type=int, help="override [run] seed")
     run_p.add_argument("--protocol", choices=PROTOCOLS, help="override routing protocol")
     run_p.add_argument("--mobility", choices=MOBILITY_MODELS,
                        help="override mobility model")
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                       help="override any scenario key (repeatable)")
-    run_p.add_argument("--force", action="store_true",
-                       help="overwrite a non-empty output directory")
     run_p.set_defaults(func=cmd_run)
 
-    batch_p = sub.add_parser("batch", help="run a protocol x mobility x seed matrix")
-    batch_p.add_argument("--scenario")
+    batch_p = sub.add_parser("batch", parents=[shared],
+                             help="run a protocol x mobility x seed matrix")
     batch_p.add_argument("--protocols", help="comma-separated protocol list")
     batch_p.add_argument("--mobilities", help="comma-separated mobility models")
     batch_p.add_argument("--seeds", help="comma-separated seeds")
     batch_p.add_argument("--jobs", type=int,
                          help="parallel workers (default: CPUs)")
-    batch_p.add_argument("--out", help="batch output root")
-    batch_p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    batch_p.add_argument("--force", action="store_true")
     batch_p.set_defaults(func=cmd_batch, seed=None, protocol=None, mobility=None)
 
     report_p = sub.add_parser("report", help="print the metrics table; rewrite "

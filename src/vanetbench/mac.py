@@ -217,8 +217,8 @@ class Channel:
 class NodeMac:
     """Per-node CSMA/CA state machine over the shared channel.
 
-    Frozen nodes schedule their own resume at the sensed busy-until time rather
-    than being polled on every transmission end.
+    A frozen node joins the `waiters` of the transmission that blocks it, and
+    `Channel._tx_end` resumes it inline when that transmission ends.
     """
 
     def __init__(self, node_id, sim, channel: Channel, params, rng, trace,

@@ -261,21 +261,12 @@ def jitter_series(agg: TraceAggregator):
                              for (_, d_prev), (t, d) in zip(delays, delays[1:])])
 
 
-def average_throughput(agg: TraceAggregator, window="flow", duration=None) -> float:
-    """Received bits over the active window, in kbit/s.
-
-    window='flow' uses (last receive - first send); window='nominal' uses the
-    configured run duration.
-    """
+def average_throughput(agg: TraceAggregator) -> float:
+    """Received bits over the flow window (last receive - first send), in kbit/s."""
     if agg.received() == 0:
         raise ValueError("average throughput undefined with zero deliveries")
-    if window == "nominal":
-        if not duration:
-            raise ValueError("nominal window needs the run duration")
-        span = float(duration)
-    else:
-        span = (max(t for t, _, _ in agg.recv_events)
-                - min(meta[0] for meta in agg.sent_meta.values()))
+    span = (max(t for t, _, _ in agg.recv_events)
+            - min(meta[0] for meta in agg.sent_meta.values()))
     if span <= 0:
         raise ValueError("zero-length throughput window")
     return agg.cbr_recv_bytes * 8.0 / span / 1000.0
@@ -323,14 +314,15 @@ class MetricsReport:
                 if f.name != "drops_by_reason"]
 
 
-def build_report(agg: TraceAggregator, window="flow", duration=None) -> MetricsReport:
-    """The metrics of one run; ratios over zero deliveries (or sends) are None."""
+def build_report(agg: TraceAggregator, duration=None) -> MetricsReport:
+    """The metrics of one run; ratios over zero deliveries (or sends) are None.
+    `duration` is ignored: the benchmark's job runner still passes it."""
     sent, received, forwards = agg.sent(), agg.received(), agg.forwards()
     if received > sent:
         raise TraceCorruptionError(f"negative drop count: {sent - received}")
     pdr = received / sent * 100.0 if sent else None
     try:
-        avg = average_throughput(agg, window=window, duration=duration)
+        avg = average_throughput(agg)
     except ValueError:
         avg = None
     if agg.control_tx_bytes == 0:

@@ -25,7 +25,6 @@ class VehicleState:
     lane: int
     offset: float
     speed: float
-    accel: float
     trip: Trip
     waypoint_index: int
     v0: float                   # desired speed, drawn at spawn
@@ -178,12 +177,11 @@ class VehicleWorld:
             span = max(0.0, edge.length - length - cfg.s0)
             offset = float(self.rng.uniform(0.0, span)) if span > 0 else 0.0
             if self._clear_at(edge.id, lane, offset, length):
-                st = VehicleState(vid, edge.id, lane, offset, 0.0, 0.0, trip, 0, v0,
-                                  length)
+                st = VehicleState(vid, edge.id, lane, offset, 0.0, trip, 0, v0, length)
                 break
         if st is None:
             # dense map: hold the vehicle at its origin and enter when space opens
-            st = VehicleState(vid, None, 0, 0.0, 0.0, 0.0, trip, 0, v0, length,
+            st = VehicleState(vid, None, 0, 0.0, 0.0, trip, 0, v0, length,
                               paused_until=0.0)
         self._update_xy(st)
         self.vehicles[vid] = st
@@ -282,7 +280,6 @@ class VehicleWorld:
                 if gap <= 0:
                     self.emergency_warnings += 1
                 a = idm_acceleration(st.speed, st.v0, gap, st.speed - leader_speed, cfg)
-                st.accel = a
                 for listener in self.brake_listeners:
                     listener(st.vehicle_id, a, self.now)
                 # hold the jam distance: the underdamped approach would otherwise
@@ -353,7 +350,6 @@ class VehicleWorld:
                 st.offset = edge.length
                 st.edge = None
                 st.speed = 0.0
-                st.accel = 0.0
                 st.paused_until = self.now + st.trip.pause
                 st.trip = Trip(st.trip.destination, st.trip.destination, [], 0.0)
                 return

@@ -22,7 +22,6 @@ class Packet:
     packet_id: int
     flow_id: int | None = None
     ttl: int = 64
-    created_at: float = 0.0
     payload: object = None
 
 

@@ -39,10 +39,9 @@ class TrafficLight:
     vertex: str
     phases: tuple[frozenset, ...]
     phase_length: float = 10.0
-    offset: float = 0.0
 
     def phase_index(self, t: float) -> int:
-        return int(math.floor((t - self.offset) / self.phase_length)) % len(self.phases)
+        return int(math.floor(t / self.phase_length)) % len(self.phases)
 
     def is_green(self, edge_id: str, t: float) -> bool:
         return edge_id in self.phases[self.phase_index(t)]

@@ -107,8 +107,7 @@ class RoutingProtocol:
 
     def send_control(self, payload, size: int, dest: int = BROADCAST):
         self.mac.enqueue_packet(Packet(KIND_CONTROL, self.node_id, dest, size,
-                                       self.new_packet_id(), None, 255, self.sim.now,
-                                       payload), dest)
+                                       self.new_packet_id(), None, 255, payload), dest)
 
 
 class RecentKeys(dict):

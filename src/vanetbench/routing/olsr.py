@@ -71,11 +71,11 @@ def select_mprs(neighbors: set, two_hop: dict) -> set:
 
 class Olsr(RoutingProtocol):
     """One node's OLSR state. The MPR set and the route table are derived from
-    `links` and `topology`, and only a change to those marks them stale: a new
-    neighbor, a changed link status or symmetric-neighbor set, a TC from a new
-    origin or with changed selectors, an expiry or a link break. Each is
-    recomputed on its next read: the MPR set by the node's own HELLO, the routes
-    by `route_lookup`.
+    `links` and `topology`. The MPR set is elected on each read, once per own
+    HELLO, as a moving neighborhood changes between any two of them. The route
+    table is recomputed by the next `route_lookup` after a change marks it
+    stale: a new neighbor, a changed link status or symmetric-neighbor set, a TC
+    from a new origin or with changed selectors, an expiry or a link break.
 
     A received fact is kept as a reference to the message that carried it plus
     the instant it was heard, the dispatching event's clock value: a link keeps
@@ -90,7 +90,6 @@ class Olsr(RoutingProtocol):
     def __init__(self, net, node_id: int):
         super().__init__(net, node_id)
         self.links: dict[int, LinkInfo] = {}
-        self._mprs: set | None = None                # None while stale
         self.mpr_selectors: dict[int, float] = {}    # nbr -> heard
         self.topology: dict[int, float] = {}         # origin -> heard
         self.tc_seq = 0
@@ -139,7 +138,6 @@ class Olsr(RoutingProtocol):
             del self.topology[o]
             dirty = True
         if dirty:
-            self._mprs = None
             self._dirty = True
 
     # -- control ------------------------------------------------------------------
@@ -159,7 +157,6 @@ class Olsr(RoutingProtocol):
         # MPR election nor the routes, so it alone marks nothing stale
         if old is None or old.status != status or (
                 old.sym != sym and old.sym ^ sym != {me}):
-            self._mprs = None
             self._dirty = True
         self.links[nbr] = LinkInfo(status, sym, now)
 
@@ -184,12 +181,10 @@ class Olsr(RoutingProtocol):
 
     @property
     def mpr_set(self) -> set:
-        """Multipoint relays among the symmetric neighbors, elected on read when stale."""
-        if self._mprs is None:
-            neighbors = self._sym_neighbors()
-            two_hop = {n: self.links[n].sym - {self.node_id} for n in neighbors}
-            self._mprs = select_mprs(neighbors, two_hop)
-        return self._mprs
+        """Multipoint relays among the symmetric neighbors, elected on each read."""
+        neighbors = self._sym_neighbors()
+        return select_mprs(neighbors, {n: self.links[n].sym - {self.node_id}
+                                       for n in neighbors})
 
     def _recompute_routes(self):
         """Hop-count BFS over the learned topology; deterministic next hops."""
@@ -230,5 +225,4 @@ class Olsr(RoutingProtocol):
         if neighbor in self.links:
             del self.links[neighbor]
             self.mpr_selectors.pop(neighbor, None)
-            self._mprs = None
             self._dirty = True

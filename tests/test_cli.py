@@ -92,6 +92,31 @@ def test_a_run_that_raises_leaves_no_directory_and_the_next_run_goes_in(tmp_path
     assert {p.name for p in out.iterdir()} == RUN_FILES
 
 
+def test_a_forced_rerun_that_raises_leaves_none_of_the_earlier_runs_files(tmp_path, capsys,
+                                                                          monkeypatch):
+    from vanetbench.routing.aodv import Aodv
+    out = tmp_path / "run"
+    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 0
+    (out / "notes.txt").write_text("not a run file\n", encoding="utf-8")
+    capsys.readouterr()
+    monkeypatch.setattr(Aodv, "start", _boom)
+    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), "--force",
+                     *TINY]) == 1
+    assert capsys.readouterr().err == "error: run failed: boom\n"
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
+def test_a_forced_rerun_without_a_mobility_trace_removes_the_earlier_one(tmp_path,
+                                                                         capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--out", str(out), "--set", "run.mobility_trace=true",
+                     *TINY]) == 0
+    assert (out / "mobility.txt").exists()
+    assert cli.main(["run", "--out", str(out), "--force", *TINY]) == 0
+    assert {p.name for p in out.iterdir()} == RUN_FILES
+    capsys.readouterr()
+
+
 def test_a_batch_job_that_raises_leaves_only_its_own_directory_absent(tmp_path, capsys,
                                                                       monkeypatch):
     from vanetbench.routing.dsdv import Dsdv

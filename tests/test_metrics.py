@@ -81,15 +81,8 @@ def test_report_fields_on_hand_built_records():
         "mean_hop_raw"]
 
 
-def test_both_throughput_windows():
-    agg = two_flows()
-    assert average_throughput(agg, window="flow") == pytest.approx(600 * 8 / 1.6 / 1000)
-    assert average_throughput(agg, window="nominal", duration=4.0) == \
-        pytest.approx(600 * 8 / 4.0 / 1000)
-    nominal = build_report(agg, window="nominal", duration=4.0)
-    assert nominal.avg_throughput_kbps == pytest.approx(1.2)
-    with pytest.raises(ValueError):
-        average_throughput(agg, window="nominal")        # needs the duration
+def test_throughput_spans_first_send_to_last_receive():
+    assert average_throughput(two_flows()) == pytest.approx(600 * 8 / 1.6 / 1000)
 
 
 def test_report_without_deliveries():

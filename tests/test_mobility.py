@@ -71,7 +71,7 @@ def make_world(graph, lanes_active=False, seed=1, **cfg_overrides):
 
 
 def put_vehicle(world, vid, edge_ref, lane, offset, speed, v0, path):
-    st = VehicleState(vid, edge_ref, lane, offset, speed, 0.0,
+    st = VehicleState(vid, edge_ref, lane, offset, speed,
                       Trip(world.graph.edges[path[0]].src,
                            world.graph.edges[path[-1]].dst, list(path), 3.0),
                       path.index(edge_ref), v0, world.cfg.vehicle_length)
@@ -119,7 +119,7 @@ def test_border_intersections_ignored():
 # -- mobil_decide ------------------------------------------------------------------
 
 def _veh(offset, speed, v0=20.0, vid=0):
-    return VehicleState(vid, "w>c", 0, offset, speed, 0.0,
+    return VehicleState(vid, "w>c", 0, offset, speed,
                         Trip("w", "c", ["w>c"], 3.0), 0, v0, P.vehicle_length)
 
 

@@ -47,7 +47,7 @@ def test_grid_light_phases_partition_inbound():
 
 
 def test_light_phase_periodicity():
-    tl = TrafficLight("v", (frozenset({"a"}), frozenset({"b"})), 10.0, offset=3.0)
+    tl = TrafficLight("v", (frozenset({"a"}), frozenset({"b"})), 10.0)
     period = 10.0 * 2
     for t in np.linspace(0, 60, 241):
         assert tl.is_green("a", t) == tl.is_green("a", t + period)
