@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from .metrics import EV_SENT, LAYER_APP
-from .packets import BROADCAST, KIND_CBR, KIND_PBC, Packet, SafetyBeacon
+from .packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 
 
 @dataclass
@@ -53,8 +53,8 @@ class CbrAgent:
 
     def _emit(self):
         f = self.flow
-        self.node.originate(Packet(KIND_CBR, f.src, f.dst, f.packet_size,
-                                   self.node.new_packet_id(), f.flow_id, self.node.cfg.ttl))
+        self.node.originate(Packet(KIND_CBR, f.dst, f.packet_size, self.node.new_packet_id(),
+                                   f.flow_id, self.node.cfg.ttl))
         self._k += 1
         t_next = f.start + self._k / f.rate      # multiplicative grid, no drift
         if t_next < f.stop:
@@ -62,17 +62,18 @@ class CbrAgent:
 
 
 class PbcAgent:
-    """Per-vehicle periodic single-hop beacon broadcaster with an emergency path.
+    """Per-vehicle periodic single-hop safety beacon broadcaster.
 
-    Beacons are never routed or forwarded; hard braking at or beyond the
-    configured deceleration emits an immediate out-of-cycle beacon, rate
-    limited per vehicle.
+    A beacon is a packet of `beacon_size` bytes with no content: what a run
+    measures is its delivery at each hearer, never what it carries. Beacons
+    are never routed or forwarded. An emergency is one extra out-of-cycle
+    beacon, sent at once when the vehicle brakes at or beyond the configured
+    deceleration, at most once per rate-limit window.
     """
 
-    def __init__(self, sim, node, world, cfg, duration, phase: float):
+    def __init__(self, sim, node, cfg, duration, phase: float):
         self.sim = sim
         self.node = node
-        self.world = world
         self.cfg = cfg
         self.duration = duration
         self.phase = phase
@@ -83,29 +84,23 @@ class PbcAgent:
         if self.phase < self.duration:
             self.sim.schedule(self.phase, self._tick, target="pbc.tick")
 
-    def _beacon(self, flag: str) -> Packet:
-        vid = self.node.node_id
-        st = self.world.vehicles[vid]
-        beacon = SafetyBeacon(vid, st.x, st.y, st.speed, st.heading, self.sim.now, flag)
-        return Packet(KIND_PBC, vid, BROADCAST, self.cfg.beacon_size,
-                      self.node.new_packet_id(), None, 1, beacon)
-
-    def _emit(self, flag: str):
-        pkt = self._beacon(flag)
+    def _emit(self):
+        pkt = Packet(KIND_PBC, BROADCAST, self.cfg.beacon_size, self.node.new_packet_id(),
+                     None, 1)
         self.node.record(EV_SENT, "none", LAYER_APP, pkt)
         self.node.mac.enqueue_packet(pkt, BROADCAST)
 
     def _tick(self):
-        self._emit("none")
+        self._emit()
         self._k += 1
         t_next = self.phase + self._k * self.cfg.beacon_interval
         if t_next < self.duration:
             self.sim.schedule(t_next, self._tick, target="pbc.tick")
 
-    def on_accel(self, vehicle_id: int, accel: float, t: float):
+    def on_accel(self, accel: float, t: float):
         if accel > -self.cfg.emergency_decel:
             return
         if t - self._last_emergency < self.cfg.emergency_rate_limit:
             return
         self._last_emergency = t
-        self._emit("emergency")
+        self._emit()

@@ -15,7 +15,7 @@ from pathlib import Path
 from .metrics import build_report, conservation_check, delay_series, jitter_series, \
     read_trace
 from .scenario import (MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError,
-                       effective_ini, load_scenario, parse_scenario_text)
+                       effective_ini, load_scenario, set_value, settle)
 from .simulation import Simulation
 
 TRACE_NAME = "trace.txt"
@@ -31,7 +31,12 @@ RUN_NAMES = (TRACE_NAME, METRICS_NAME, DELAY_NAME, JITTER_NAME, CONFIG_NAME,
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    lines = []
+    flags = [(section, name, value) for section, name, value in (
+        ("run", "seed", getattr(args, "seed", None)),
+        ("routing", "protocol", getattr(args, "protocol", None)),
+        ("mobility", "model", getattr(args, "mobility", None))) if value is not None]
+    if not args.set and not flags:
+        return cfg   # unchanged: parsing validated a loaded file, and the run validates
     for item in args.set or []:
         if "=" not in item:
             raise SchemaError(f"--set expects section.key=value, got '{item}'")
@@ -39,20 +44,10 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         if "." not in key:
             raise SchemaError(f"--set key must be section.key, got '{key}'")
         section, name = key.split(".", 1)
-        lines.append((section.strip(), f"{name.strip()} = {value.strip()}"))
-    if getattr(args, "seed", None) is not None:
-        lines.append(("run", f"seed = {args.seed}"))
-    if getattr(args, "protocol", None) is not None:
-        lines.append(("routing", f"protocol = {args.protocol}"))
-    if getattr(args, "mobility", None) is not None:
-        lines.append(("mobility", f"model = {args.mobility}"))
-    if not lines:
-        return cfg   # unchanged: parsing validated a loaded file, and the run validates
-    by_section: dict[str, list] = {}
-    for section, line in lines:
-        by_section.setdefault(section, []).append(line)
-    text = "\n".join(f"[{s}]\n" + "\n".join(ls) for s, ls in by_section.items())
-    return parse_scenario_text(text, base=cfg)
+        set_value(cfg, section.strip().lower(), name.strip(), value.strip(), f"--set {item}")
+    for section, name, value in flags:      # argparse has typed and checked these
+        setattr(getattr(cfg, section), name, value)
+    return settle(cfg)
 
 
 def _load_config(args) -> ScenarioConfig:

@@ -30,9 +30,6 @@ class VehicleState:
     v0: float                   # desired speed, drawn at spawn
     length: float
     paused_until: float = -1.0
-    x: float = 0.0
-    y: float = 0.0
-    heading: float = 0.0
 
     @property
     def driving(self) -> bool:
@@ -156,7 +153,7 @@ class VehicleWorld:
         self.recalc_every = max(1, round(cfg.recalc_step / cfg.integration_dt))
         self.emergency_warnings = 0
         self.lane_change_count = 0
-        self.brake_listeners: list = []    # callables (vehicle_id, accel, t)
+        self.on_brake = None    # callable (vehicle_id, accel, t), per driving vehicle per step
         for vid in range(n_vehicles):
             self._spawn_initial(vid)
 
@@ -183,7 +180,6 @@ class VehicleWorld:
             # dense map: hold the vehicle at its origin and enter when space opens
             st = VehicleState(vid, None, 0, 0.0, 0.0, trip, 0, v0, length,
                               paused_until=0.0)
-        self._update_xy(st)
         self.vehicles[vid] = st
 
     def _clear_at(self, edge_id: str, lane: int, offset: float, length: float) -> bool:
@@ -206,19 +202,17 @@ class VehicleWorld:
         st.offset = 0.0
         st.speed = 0.0
         st.waypoint_index = 0
-        self._update_xy(st)
         return True
 
     # -- geometry ----------------------------------------------------------
 
-    def _update_xy(self, st: VehicleState):
+    def position(self, st: VehicleState) -> tuple[float, float]:
+        """The point at the vehicle's offset on its edge, or its origin vertex
+        while parked."""
         if st.driving:
-            st.x, st.y = self.graph.edge_point(st.edge, st.offset)
-            st.heading = self.graph.edge_heading(st.edge)
-        else:
-            v = self.graph.vertices[st.trip.origin]
-            st.x, st.y = v.x, v.y
-            st.heading = 0.0
+            return self.graph.edge_point(st.edge, st.offset)
+        v = self.graph.vertices[st.trip.origin]
+        return v.x, v.y
 
     # -- stepping ----------------------------------------------------------
 
@@ -280,8 +274,8 @@ class VehicleWorld:
                 if gap <= 0:
                     self.emergency_warnings += 1
                 a = idm_acceleration(st.speed, st.v0, gap, st.speed - leader_speed, cfg)
-                for listener in self.brake_listeners:
-                    listener(st.vehicle_id, a, self.now)
+                if self.on_brake is not None:
+                    self.on_brake(st.vehicle_id, a, self.now)
                 # hold the jam distance: the underdamped approach would otherwise
                 # creep inside s0 of a standing leader and rest there
                 bound = None
@@ -315,8 +309,6 @@ class VehicleWorld:
             self._advance_waypoints(st)
 
         self._handle_paused()
-        for st in self.vehicles.values():
-            self._update_xy(st)
         self._steps += 1
         self.now += dt
 

@@ -13,10 +13,9 @@ BROADCAST = -1  # MAC destination for single-transmission broadcast frames
 
 @dataclass(slots=True)
 class Packet:
-    """One network-layer packet; `payload` holds protocol messages or beacons."""
+    """One network-layer packet; `payload` holds a routing protocol's message."""
 
     kind: str
-    src: int
     dst: int                 # final destination node, or BROADCAST
     size: int                # payload bytes as counted by the metrics
     packet_id: int
@@ -24,15 +23,3 @@ class Packet:
     ttl: int = 64
     payload: object = None
 
-
-@dataclass(slots=True)
-class SafetyBeacon:
-    """Single-hop safety message: position snapshot of the sender at emission."""
-
-    sender: int
-    x: float
-    y: float
-    speed: float
-    heading: float
-    timestamp: float
-    event_flag: str = "none"   # none | emergency

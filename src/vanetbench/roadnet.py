@@ -76,11 +76,6 @@ class RoadGraph:
         x0, x1, y0, y1 = self._bounds
         return v.x in (x0, x1) or v.y in (y0, y1)
 
-    def edge_heading(self, edge_id: str) -> float:
-        e = self.edges[edge_id]
-        a, b = self.vertices[e.src], self.vertices[e.dst]
-        return math.atan2(b.y - a.y, b.x - a.x)
-
     def edge_point(self, edge_id: str, offset: float) -> tuple[float, float]:
         e = self.edges[edge_id]
         a, b = self.vertices[e.src], self.vertices[e.dst]

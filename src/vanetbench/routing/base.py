@@ -106,8 +106,8 @@ class RoutingProtocol:
     # -- control emission helper ----------------------------------------------
 
     def send_control(self, payload, size: int, dest: int = BROADCAST):
-        self.mac.enqueue_packet(Packet(KIND_CONTROL, self.node_id, dest, size,
-                                       self.new_packet_id(), None, 255, payload), dest)
+        self.mac.enqueue_packet(Packet(KIND_CONTROL, dest, size, self.new_packet_id(),
+                                       None, 255, payload), dest)
 
 
 class RecentKeys(dict):

@@ -60,7 +60,7 @@ class GraphConfig:
     vertices: list[tuple[str, float, float]] = field(default_factory=list)
     edges: list[tuple[str, str, int]] = field(default_factory=list)
     lanes: int = 2
-    speed_limit: float = 80 / 3.6
+    speed_limit: float = 80 / 3.6       # stored on each edge; no model reads it yet
     phase_length: float = 10.0
 
 
@@ -248,6 +248,7 @@ class ScenarioConfig:
         for what, compute in (
                 ("phy.capture_margin as a linear ratio", lambda: 10.0 ** (p.capture_margin / 10)),
                 ("1 / traffic.rate", lambda: 1.0 / t.rate),
+                ("run.vehicles as a count of firings", lambda: float(n)),
                 ("run.duration / graph.phase_length", lambda: self.run.duration / g.phase_length),
                 ("(1 + a_max * integration_dt / v0) ** 4 at v0 = mobility.v_min_kmh",
                  lambda: (1.0 + m.a_max * m.integration_dt / (m.v_min_kmh / 3.6)) ** 4)):
@@ -257,7 +258,38 @@ class ScenarioConfig:
                 finite = False
             if not finite:
                 raise SchemaError(f"{what} overflows a float")
+        terms = periodic_firings(self)
+        total = sum(terms.values())
+        if total > MAX_PERIODIC_FIRINGS:
+            key = max(terms, key=terms.get)
+            raise SchemaError(f"the run schedules {total:.3g} periodic firings, above the "
+                              f"cap of {MAX_PERIODIC_FIRINGS:.3g}; {key} sets the most "
+                              f"({terms[key]:.3g})")
         return graph
+
+
+def periodic_firings(cfg: ScenarioConfig) -> dict[str, float]:
+    """The periodic firings a run of `cfg` schedules, by the key that sets their
+    period: cbr emissions, beacons, mobility steps and the routing protocol's
+    timers (OLSR HELLO and TC, DSDV full dumps)."""
+    r, t, n = cfg.run, cfg.traffic, cfg.run.vehicles
+    cbr_stop = min(t.cbr_stop if t.cbr_stop is not None else r.duration, r.duration)
+    terms = {"traffic.rate": t.cbr_connections * max(0.0, cbr_stop - t.cbr_start) * t.rate,
+             "traffic.beacon_interval": n * r.duration / t.beacon_interval,
+             "mobility.integration_dt": r.duration / cfg.mobility.integration_dt if n else 0.0}
+    timers = {"olsr": ("olsr_hello_interval", "olsr_tc_interval"),
+              "dsdv": ("dsdv_full_dump_interval",)}
+    for key in timers.get(cfg.routing.protocol, ()):
+        terms[f"routing.{key}"] = n * r.duration / getattr(cfg.routing, key)
+    return terms
+
+
+# validate() refuses a run that schedules more periodic firings than 100
+# reference frames (the defaults: 117,000 firings). That admits 1,000 vehicles
+# for 100 s, about 9 frames under OLSR, and refuses a beacon or routing timer
+# whose period is below the clock's resolution: it counts over 1e15 firings,
+# and a routing timer would fire again and again at one instant.
+MAX_PERIODIC_FIRINGS = 100 * sum(periodic_firings(ScenarioConfig()).values())
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +361,9 @@ def _key_line(text: str, section: str, key: str) -> int:
     return 0
 
 
-def parse_scenario_text(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Parse scenario text over `base` (defaults when None) and validate it.
-    An inline graph (`vertices` and `edges`) replaces the grid: the parsed
-    config has `grid = None`, and edges without a lane count get `lanes`."""
-    cfg = base if base is not None else ScenarioConfig()
+def parse_scenario_text(text: str) -> ScenarioConfig:
+    """Parse scenario text over the defaults, then `settle` it."""
+    cfg = ScenarioConfig()
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -342,17 +372,27 @@ def parse_scenario_text(text: str, base: ScenarioConfig | None = None) -> Scenar
     for section in parser.sections():
         sec = section.lower()
         for key, raw in parser.items(section):
-            attr = key.lower()
-            parse = _SCHEMA.get((sec, attr))
-            line = _key_line(text, sec, key)
-            if parse is None:
-                raise SchemaError(f"unknown key '{key}' in section [{sec}] (line {line})")
-            try:
-                value = parse(raw)
-            except ValueError as exc:
-                raise SchemaError(
-                    f"bad value for [{sec}] {key} (line {line}): {exc}") from exc
-            setattr(getattr(cfg, sec), attr, value)
+            set_value(cfg, sec, key, raw, f"line {_key_line(text, sec, key)}")
+    return settle(cfg)
+
+
+def set_value(cfg: ScenarioConfig, section: str, key: str, raw: str, where: str):
+    """Parse `raw` as the value of [section] key into `cfg`; an error names
+    the key and `where`, the place in the input the text came from."""
+    parse = _SCHEMA.get((section, key.lower()))
+    if parse is None:
+        raise SchemaError(f"unknown key '{key}' in section [{section}] ({where})")
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise SchemaError(f"bad value for [{section}] {key} ({where}): {exc}") from exc
+    setattr(getattr(cfg, section), key.lower(), value)
+
+
+def settle(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Validate `cfg` once every key is set. An inline graph (`vertices` and
+    `edges`) replaces the grid: the config gets `grid = None`, and edges
+    without a lane count get `lanes`."""
     g = cfg.graph
     if g.vertices or g.edges:
         g.grid = None

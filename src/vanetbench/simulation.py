@@ -27,8 +27,9 @@ class Network:
     """The run services shared by every node, and one node per node id: its
     routing protocol, wired to its own NodeMac.
 
-    Node i sits at row i of `coords` and is `nodes[i]`; subclasses place the
-    nodes there.
+    Node i sits at row i of `coords` and is `nodes[i]`. Whoever moves a node
+    writes its new position there, then calls `channel.bump_geometry()`,
+    which drops the link budgets of the old positions.
     """
 
     def __init__(self, cfg: ScenarioConfig, node_ids, trace_file=None):
@@ -65,7 +66,12 @@ class Network:
 
 
 class Simulation(Network):
-    """One deterministic run: mobility + channel + MAC + routing + traffic."""
+    """One deterministic run: mobility + channel + MAC + routing + traffic.
+
+    `_refresh_coords` is the only writer of `coords`: once at build, before any
+    link budget exists, then after every mobility step, each time followed by
+    `channel.bump_geometry()`.
+    """
 
     def __init__(self, cfg: ScenarioConfig, trace_file=None):
         self.graph = cfg.validate()
@@ -84,21 +90,20 @@ class Simulation(Network):
         self.cbr_agents = [CbrAgent(self.sim, self.nodes[f.src], f)
                            for f in self.flows]
         phases = rng_traffic.uniform(0.0, cfg.traffic.beacon_interval, size=n)
-        self.pbc_agents = [PbcAgent(self.sim, self.nodes[i], self.world,
-                                    cfg.traffic, cfg.run.duration, float(phases[i]))
+        self.pbc_agents = [PbcAgent(self.sim, self.nodes[i], cfg.traffic, cfg.run.duration,
+                                    float(phases[i]))
                            for i in range(n)]
-        self.world.brake_listeners.append(self._dispatch_brake)
+        self.world.on_brake = self._dispatch_brake
         self.mobility_rows: list[tuple] = []   # (t, vehicle, x, y, speed) on the 1 s grid
 
     # -- wiring helpers ---------------------------------------------------------
 
     def _refresh_coords(self):
         for vid, st in self.world.vehicles.items():
-            self.coords[vid, 0] = st.x
-            self.coords[vid, 1] = st.y
+            self.coords[vid, 0], self.coords[vid, 1] = self.world.position(st)
 
     def _dispatch_brake(self, vehicle_id: int, accel: float, t: float):
-        self.pbc_agents[vehicle_id].on_accel(vehicle_id, accel, t)
+        self.pbc_agents[vehicle_id].on_accel(accel, t)
 
     def _mobility_tick(self, k: int):
         dt = self.cfg.mobility.integration_dt
@@ -107,8 +112,8 @@ class Simulation(Network):
         self.channel.bump_geometry()
         if self.cfg.run.mobility_trace and (k + 1) % self.world.recalc_every == 0:
             t = self.sim.now
-            for vid, st in self.world.vehicles.items():
-                self.mobility_rows.append((t, vid, st.x, st.y, st.speed))
+            for (vid, st), (x, y) in zip(self.world.vehicles.items(), self.coords.tolist()):
+                self.mobility_rows.append((t, vid, x, y, st.speed))
         t_next = (k + 1) * dt
         if t_next < self.cfg.run.duration:
             self.sim.schedule(t_next, lambda: self._mobility_tick(k + 1),

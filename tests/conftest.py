@@ -88,7 +88,7 @@ class StaticNetwork(Network):
 
     def send_data(self, src: int, dst: int, size: int = 512, flow_id: int | None = None):
         node = self.nodes[src]
-        pkt = Packet(KIND_CBR, src, dst, size, node.new_packet_id(), flow_id,
+        pkt = Packet(KIND_CBR, dst, size, node.new_packet_id(), flow_id,
                      self.cfg.routing.ttl)
         node.originate(pkt)
         return pkt

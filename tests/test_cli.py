@@ -196,6 +196,19 @@ def test_run_rejects_a_slot_below_the_clock_resolution_before_any_output(tmp_pat
     assert not out.exists()
 
 
+# both errors once named a line of the text that --set builds, which the
+# user never wrote
+@pytest.mark.parametrize("item, error", [("mac.cw_min=x", "bad value for [mac] cw_min"),
+                                         ("run.bogus=1", "unknown key 'bogus' in section [run]")])
+def test_a_bad_set_item_is_named_in_the_error(tmp_path, capsys, item, error):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--out", str(out), "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error} (--set {item})")
+    assert "(line" not in err
+    assert not out.exists()
+
+
 def test_batch_on_two_workers_writes_the_bytes_of_one_worker(tmp_path, capsys):
     outputs = []
     for jobs in ("1", "2"):

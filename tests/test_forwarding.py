@@ -10,7 +10,7 @@ from conftest import fast_convergence_config, line_positions, make_net
 
 def test_local_destination_delivers_without_forward_record():
     net = make_net(line_positions(2, 150.0), "aodv")
-    pkt = Packet(KIND_CBR, 1, 0, 512, 777)
+    pkt = Packet(KIND_CBR, 0, 512, 777)
     net.trace.add(0.0, "sent", "none", "app", "cbr", 777, None, 1, 512)
     net.nodes[0].on_packet_arrival(pkt, 1)
     received = [r for r in net.trace.records
@@ -23,7 +23,7 @@ def test_transit_packet_buffered_at_a_relay_is_forwarded_once_when_the_route_arr
     net = make_net(line_positions(3, 240.0), "aodv")
     relay = net.nodes[1]
     pid = relay.new_packet_id()
-    pkt = Packet(KIND_CBR, 0, 2, 512, pid, None, net.cfg.routing.ttl)
+    pkt = Packet(KIND_CBR, 2, 512, pid, None, net.cfg.routing.ttl)
     net.trace.add(0.0, "sent", "none", "app", "cbr", pid, None, 0, 512)
     relay.on_packet_arrival(pkt, 0)         # no route to 2 exists yet
     assert [p for p, _, _ in relay.buffer[2]] == [pkt]

@@ -15,8 +15,8 @@ from conftest import (StaticNetwork, fast_convergence_config, line_positions,
                       recording_trace)
 
 
-def _packet(pid, src=0, dst=1, size=512, kind=KIND_CBR):
-    return Packet(kind, src, dst, size, pid)
+def _packet(pid, dst=1, size=512, kind=KIND_CBR):
+    return Packet(kind, dst, size, pid)
 
 
 class Harness:
@@ -108,7 +108,7 @@ def test_two_contenders_serialize_with_freeze():
     # node0 draws 3 slots, node1 draws 7; broadcast so no ACK traffic interferes
     h = Harness(line_positions(2, 100.0), rng_values=[3, 7])
     h.macs[0].enqueue_packet(_packet(0, dst=BROADCAST), BROADCAST)
-    h.macs[1].enqueue_packet(_packet(1, src=1, dst=BROADCAST), BROADCAST)
+    h.macs[1].enqueue_packet(_packet(1, dst=BROADCAST), BROADCAST)
     h.sim.run_until(1.0)
     cfg = h.mac_cfg
     sent = [r for r in h.trace.records if r.event == "sent" and r.layer == "mac"]
@@ -169,8 +169,8 @@ def test_simultaneous_unicasts_without_collisions_get_one_ack_slot():
     # both senders fire at DIFS and their frames end at the same instant; with
     # collisions off the receiver decodes both but has one ACK slot
     h = Harness(line_positions(3, 100.0), collisions=False, rng_values=[0, 0])
-    h.macs[0].enqueue_packet(_packet(0, src=0, dst=1), 1)
-    h.macs[2].enqueue_packet(_packet(1, src=2, dst=1), 1)
+    h.macs[0].enqueue_packet(_packet(0, dst=1), 1)
+    h.macs[2].enqueue_packet(_packet(1, dst=1), 1)
     h.sim.run_until(0.5)
     assert sorted((n, frm) for n, _, frm in h.delivered) == [(1, 0), (1, 2)]
     assert not h.macs[0].queue and not h.macs[2].queue and not h.breaks
@@ -231,7 +231,7 @@ def test_pbc_outcomes_are_traced_in_hearer_order_one_reception_per_delivery():
     try:
         h.macs[0].enqueue_packet(_packet(7, dst=BROADCAST, size=300, kind=KIND_PBC),
                                  BROADCAST)
-        h.macs[4].enqueue_packet(_packet(8, src=4, dst=BROADCAST, size=300), BROADCAST)
+        h.macs[4].enqueue_packet(_packet(8, dst=BROADCAST, size=300), BROADCAST)
         h.sim.run_until(0.5)
     finally:
         NodeMac.frame_received = orig
@@ -252,9 +252,9 @@ def test_frames_that_only_touch_do_not_overlap():
     # power; C's sender is near the edge of range, so B captures over C there
     h = Harness({0: (-10.0, 0.0), 1: (10.0, 0.0), 2: (0.0, 0.0), 3: (240.0, 0.0)})
     p = h.mac_cfg
-    a = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(0, src=0, dst=BROADCAST), 512, 1)
-    b = Frame(p, FRAME_DATA, 1, BROADCAST, _packet(1, src=1, dst=BROADCAST), 512, 1)
-    c = Frame(p, FRAME_DATA, 3, 2, _packet(2, src=3, dst=2), 512, 1)
+    a = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(0, dst=BROADCAST), 512, 1)
+    b = Frame(p, FRAME_DATA, 1, BROADCAST, _packet(1, dst=BROADCAST), 512, 1)
+    c = Frame(p, FRAME_DATA, 3, 2, _packet(2, dst=2), 512, 1)
     # B starts at the instant A ends, sequenced before A's channel.tx_end
     h.sim.schedule(a.duration, lambda: h.channel.transmit(1, b))
     h.sim.schedule(0.0, lambda: h.channel.transmit(0, a))
@@ -298,7 +298,7 @@ def test_saturation_broadcast_throughput_bounded():
     pid = 1000
     for k in range(900):
         for src in (0, 1, 2):
-            pkt = Packet(KIND_PBC, src, BROADCAST, 512, pid)
+            pkt = Packet(KIND_PBC, BROADCAST, 512, pid)
             pid += 1
             net.nodes[src].mac.enqueue_packet(pkt, BROADCAST)
         net.run_for(1.0 / 900)
@@ -387,7 +387,7 @@ def beacon_storm(seed, loss_model, collisions, n=40, senders=12):
                 link_break_cb=None)
     for pid, sender in enumerate(rng.choice(n, size=senders, replace=False).tolist()):
         frame = Frame(mac_cfg, FRAME_DATA, sender, BROADCAST,
-                      _packet(pid, src=sender, dst=BROADCAST, size=300, kind=KIND_PBC),
+                      _packet(pid, dst=BROADCAST, size=300, kind=KIND_PBC),
                       300, 1)
         sim.schedule(float(rng.uniform(0.0, 2.0 * frame.duration)),
                      lambda s=sender, f=frame: channel.transmit(s, f))

@@ -75,7 +75,6 @@ def put_vehicle(world, vid, edge_ref, lane, offset, speed, v0, path):
                       Trip(world.graph.edges[path[0]].src,
                            world.graph.edges[path[-1]].dst, list(path), 3.0),
                       path.index(edge_ref), v0, world.cfg.vehicle_length)
-    world._update_xy(st)
     world.vehicles[vid] = st
     return st
 

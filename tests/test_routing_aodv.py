@@ -168,7 +168,7 @@ def test_rreq_copy_older_than_the_horizon_is_ignored():
 
     def deliver(flood_time, rreq_id):
         rreq = Rreq(0, rreq_id, 1, 2, -1, 0, 3, flood_time)
-        r.on_control(Packet(KIND_CONTROL, 0, -1, RREQ_SIZE, 900 + rreq_id,
+        r.on_control(Packet(KIND_CONTROL, -1, RREQ_SIZE, 900 + rreq_id,
                             payload=rreq), 0)
 
     deliver(net.sim.now - 0.5, rreq_id=1)

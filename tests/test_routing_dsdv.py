@@ -38,7 +38,7 @@ def test_silent_neighbor_marked_broken_with_odd_seq():
 
 
 def _inject(net, node, from_node, entries):
-    pkt = Packet(KIND_CONTROL, from_node, -1, 32, 9000 + from_node,
+    pkt = Packet(KIND_CONTROL, -1, 32, 9000 + from_node,
                  payload=DsdvUpdate(entries))
     net.nodes[node].on_control(pkt, from_node)
 

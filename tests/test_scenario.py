@@ -1,11 +1,13 @@
 """Scenario file parsing, schema validation, defaults and the effective echo."""
 
+import re
 from dataclasses import fields
 
 import pytest
 
-from vanetbench.scenario import (ScenarioConfig, SchemaError, effective_ini,
-                                 load_scenario, parse_scenario_text)
+from vanetbench.scenario import (MAX_PERIODIC_FIRINGS, PROTOCOLS, ScenarioConfig,
+                                 SchemaError, effective_ini, load_scenario,
+                                 parse_scenario_text, periodic_firings)
 
 
 def test_minimal_inline_file(tmp_path):
@@ -132,6 +134,53 @@ def test_slot_below_the_clock_resolution_is_schema_error(slot, duration, refused
             parse_scenario_text(text)
     else:
         parse_scenario_text(text)
+
+
+def ten_vehicle_frame(protocol):
+    cfg = ScenarioConfig()
+    cfg.run.duration, cfg.run.vehicles = 0.5, 10
+    cfg.graph.grid = (3, 3, 100.0)
+    cfg.traffic.cbr_connections = 4
+    cfg.routing.protocol = protocol
+    return cfg
+
+
+# each passed validate() and still ran after 8 s on this 10-vehicle frame: a
+# period below the clock's resolution never lets the run's time advance
+@pytest.mark.parametrize("key, value, protocol", [
+    ("traffic.rate", 1e300, "aodv"), ("traffic.beacon_interval", 1e-300, "aodv"),
+    ("routing.olsr_hello_interval", 1e-300, "olsr"),
+    ("routing.dsdv_full_dump_interval", 1e-300, "dsdv")])
+def test_too_many_periodic_firings_is_schema_error_naming_the_largest_term(key, value,
+                                                                            protocol):
+    cfg = ten_vehicle_frame(protocol)
+    section, name = key.split(".")
+    setattr(getattr(cfg, section), name, value)
+    with pytest.raises(SchemaError, match=re.escape(f"; {key} sets the most")):
+        cfg.validate()
+
+
+def test_the_reference_frame_is_within_the_firing_cap():
+    cfg = ScenarioConfig()
+    cfg.validate()
+    assert periodic_firings(cfg) == {"traffic.rate": 16_000.0,
+                                     "traffic.beacon_interval": 100_000.0,
+                                     "mobility.integration_dt": 1_000.0}
+    assert MAX_PERIODIC_FIRINGS == 100 * 117_000
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_a_thousand_vehicles_for_100_s_are_within_the_firing_cap(protocol):
+    cfg = ScenarioConfig()
+    cfg.run.vehicles = 1000
+    cfg.routing.protocol = protocol
+    cfg.validate()
+    assert periodic_firings(cfg)["traffic.beacon_interval"] == 1e6
+
+
+def test_a_vehicle_count_beyond_a_float_is_schema_error():
+    with pytest.raises(SchemaError, match="run.vehicles"):
+        parse_scenario_text(f"[run]\nvehicles = 1{'0' * 400}\n")
 
 
 FLOAT_FIELDS = [(sec.name, f.name) for sec in fields(ScenarioConfig)
