@@ -15,7 +15,7 @@ from pathlib import Path
 from .metrics import build_report, conservation_check, delay_series, jitter_series, \
     read_trace
 from .scenario import (MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError,
-                       effective_ini, load_scenario, set_value, settle)
+                       effective_ini, load_scenario, periodic_firings, set_value, settle)
 from .simulation import Simulation
 
 TRACE_NAME = "trace.txt"
@@ -127,6 +127,8 @@ def _write_run(cfg: ScenarioConfig, out_dir: Path) -> dict:
         "events": result.events,
         "warnings": result.warnings,
         "metrics": {name: value for name, value in report.rows()},
+        # validate()'s work estimate, to set beside the dispatched `events`
+        "periodic_firings": sum(periodic_firings(cfg).values()),
     }
     (out_dir / SUMMARY_NAME).write_text(json.dumps(summary, indent=2) + "\n",
                                         encoding="utf-8")

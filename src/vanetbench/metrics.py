@@ -78,9 +78,13 @@ class Trace:
             sink.add(time, event, reason, layer, kind, packet_id, flow_id, node, size)
 
     def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
-        """The records of one beacon broadcast at its hearers, ascending ids in
-        `hearers`: `outcomes` holds (node, outcome) in hearer order for each
-        hearer whose outcome is not PBC_DEFAULT, each a key of PBC_OUTCOMES."""
+        """The records of one beacon broadcast at its hearers.
+
+        Preconditions, which the sinks rely on without checking: `hearers`
+        lists node ids in ascending order, each once; `outcomes` holds
+        (node, outcome) for each hearer whose outcome is not PBC_DEFAULT, every
+        node a hearer and the pairs in hearer order, each outcome a key of
+        PBC_OUTCOMES."""
         for sink in self._sinks:
             sink.add_pbc_block(time, packet_id, size, hearers, outcomes)
 
@@ -90,6 +94,8 @@ class TraceFileWriter:
 
     def __init__(self, fh):
         self.fh = fh
+        self._tails: list[str] = []     # f"{node} {size}\n" for node ids 0..len - 1
+        self._size = None               # the beacon size of those tails
         fh.write(TRACE_HEADER)
 
     def add(self, time, event, reason, layer, kind, packet_id, flow_id, node, size):
@@ -98,12 +104,26 @@ class TraceFileWriter:
                       f"{packet_id} {fid} {node} {size}\n")
 
     def add_pbc_block(self, time, packet_id, size, hearers, outcomes):
-        t, tail = repr(time), f" {size}\n"
+        """Write the block's lines with one join, each line the head of its
+        outcome and the cached tail of its node. Relies on the preconditions of
+        `Trace.add_pbc_block`: with `hearers` ascending, its last id is the
+        largest, and each decided hearer lies after the one before it."""
+        tails = self._tails
+        if size != self._size:
+            tails.clear()
+            self._size = size
+        if hearers and hearers[-1] >= len(tails):
+            tails.extend([f"{node} {size}\n" for node in range(len(tails), hearers[-1] + 1)])
+        t = repr(time)
         head = {outcome: f"{t} {event} {reason} {layer} {KIND_PBC} {packet_id} - "
                 for outcome, (event, reason, layer) in PBC_OUTCOMES.items()}
-        lost = head[PBC_DEFAULT]
-        heads = {node: head[outcome] for node, outcome in outcomes}
-        self.fh.write("".join([f"{heads.get(node, lost)}{node}{tail}" for node in hearers]))
+        parts = [head[PBC_DEFAULT]] * (2 * len(hearers))     # head, tail, head, tail...
+        parts[1::2] = [tails[node] for node in hearers]
+        i = 0
+        for node, outcome in outcomes:
+            i = hearers.index(node, i)
+            parts[2 * i] = head[outcome]
+        self.fh.write("".join(parts))
 
 
 class TraceAggregator:

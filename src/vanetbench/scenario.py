@@ -258,6 +258,11 @@ class ScenarioConfig:
                 finite = False
             if not finite:
                 raise SchemaError(f"{what} overflows a float")
+        need = epoch_bytes(float(n))           # float(n) is finite: checked above
+        if need > MAX_EPOCH_BYTES:
+            raise SchemaError(f"run.vehicles={n} needs {need:,.0f} bytes to build "
+                              f"one link-budget epoch, above the cap of "
+                              f"{MAX_EPOCH_BYTES:,}")
         terms = periodic_firings(self)
         total = sum(terms.values())
         if total > MAX_PERIODIC_FIRINGS:
@@ -290,6 +295,20 @@ def periodic_firings(cfg: ScenarioConfig) -> dict[str, float]:
 # whose period is below the clock's resolution: it counts over 1e15 firings,
 # and a routing timer would fire again and again at one instant.
 MAX_PERIODIC_FIRINGS = 100 * sum(periodic_firings(ScenarioConfig()).values())
+
+
+def epoch_bytes(vehicles: float) -> float:
+    """The bytes the channel holds at once while it builds one geometry epoch's
+    link budgets (`mac.Channel._budget_matrices`): three N x N float64 arrays
+    and the N x N bool carrier-sense matrix, 25 bytes per (sender, receiver)."""
+    return (3 * 8 + 1) * vehicles * vehicles
+
+
+# validate() refuses a run whose epoch build needs more than 1 GiB: 43 times
+# the 25 MB of a 1,000-vehicle run, the scale spatial culling aims at, so up to
+# 6,553 vehicles; 20,000 vehicles would need 10 GB. Set-up spawns each vehicle
+# against all earlier ones, about 21 M pair checks at the cap.
+MAX_EPOCH_BYTES = 2 ** 30
 
 
 # ---------------------------------------------------------------------------

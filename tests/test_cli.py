@@ -8,7 +8,7 @@ import pytest
 
 from vanetbench import cli
 from vanetbench.metrics import TRACE_HEADER, build_report, read_trace
-from vanetbench.scenario import ScenarioConfig
+from vanetbench.scenario import ScenarioConfig, load_scenario, periodic_firings
 
 TINY = ["--set", "run.duration=1.0", "--set", "run.vehicles=12",
         "--set", "traffic.cbr_connections=4"]
@@ -24,6 +24,10 @@ def test_run_writes_its_files_and_report_renders_the_same_metrics(tmp_path, caps
     report = build_report(read_trace(out / cli.TRACE_NAME))
     assert summary["metrics"] == dict(report.rows())
     assert report.sent > 0
+    # validate()'s work estimate, after the keys run.json had before it
+    assert list(summary)[-1] == "periodic_firings"
+    assert summary["periodic_firings"] == sum(periodic_firings(
+        load_scenario(out / cli.CONFIG_NAME)).values()) > 0
     capsys.readouterr()
 
     assert cli.main(["report", str(out)]) == 0

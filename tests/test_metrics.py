@@ -297,6 +297,10 @@ PBC_BLOCKS = {
                              (7, "received"), (9, "collision")]),
     "empty": (3.0, 43, 300, []),
     "17-digit time": (0.1 + 0.2, 44, 300, [(3, "fading"), (8, "received")]),
+    # after the blocks above, whose ids are one digit: the file writer's cached
+    # node tails run out mid-trace
+    "3-digit ids": (3.5, 45, 300, [(9, "fading"), (100, "received"), (101, "fading"),
+                                   (250, "collision"), (999, "received")]),
 }
 
 

@@ -2,8 +2,10 @@
 cbr packets are conserved, events are dispatched in time order, the written
 trace re-aggregates to the run's live aggregator, and the same seed replays
 the same run. And of the schema: drawn from each field's bounds, a value
-outside them is a SchemaError naming the key, and a config within them runs."""
+outside them is a SchemaError naming the key, and a config within them runs.
+And of the trace file: a beacon block writes the text of its records."""
 
+import io
 import itertools
 import math
 import os
@@ -14,7 +16,9 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, reject, strategies as st
 
-from vanetbench.metrics import conservation_check, read_trace
+from vanetbench.metrics import (PBC_DEFAULT, PBC_OUTCOMES, TraceFileWriter,
+                                conservation_check, read_trace)
+from vanetbench.packets import KIND_PBC
 from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError
 from vanetbench.simulation import Simulation
 
@@ -206,3 +210,43 @@ def test_a_config_within_bounds_runs_and_conserves(changes):
     except SchemaError:
         reject()            # a rule across fields, which the draws do not model
     conservation_check(run_within(cfg).aggregator)
+
+
+# -- beacon outcome blocks in the trace file --------------------------------------
+
+OUTCOME_PATTERNS = ("random", "none decided", "all decided", "first decided",
+                    "last decided")
+
+
+@st.composite
+def pbc_blocks(draw):
+    """(time, packet id, size, [(node, outcome)]) of one beacon broadcast, an
+    outcome for each of its ascending hearers. Its time is one ulp above a
+    drawn float, so that its repr takes up to 17 digits."""
+    hearers = sorted(draw(st.sets(st.integers(0, 999), max_size=60)))
+    pattern = draw(st.sampled_from(OUTCOME_PATTERNS))
+    decided = st.sampled_from([o for o in PBC_OUTCOMES if o != PBC_DEFAULT])
+    if pattern == "random":
+        outcomes = [draw(st.sampled_from(tuple(PBC_OUTCOMES))) for _ in hearers]
+    elif pattern == "all decided":
+        outcomes = [draw(decided) for _ in hearers]
+    else:
+        outcomes = [PBC_DEFAULT] * len(hearers)
+        if hearers and pattern != "none decided":
+            outcomes[0 if pattern == "first decided" else -1] = draw(decided)
+    time = math.nextafter(draw(st.floats(0.0, 100.0)), math.inf)
+    return (time, draw(st.integers(0, 10**6)), draw(st.sampled_from((200, 512))),
+            list(zip(hearers, outcomes)))
+
+
+@example(blocks=[(0.1 + 0.2, 7, 200, [(3, "fading"), (8, "received"), (120, "collision")])])
+@given(st.lists(pbc_blocks(), min_size=1, max_size=4))
+def test_a_pbc_block_writes_the_text_of_one_add_per_record(blocks):
+    by_block, by_record = io.StringIO(), io.StringIO()
+    block_writer, record_writer = TraceFileWriter(by_block), TraceFileWriter(by_record)
+    for time, pid, size, outcomes in blocks:
+        block_writer.add_pbc_block(time, pid, size, [node for node, _ in outcomes],
+                                   [(node, o) for node, o in outcomes if o != PBC_DEFAULT])
+        for node, outcome in outcomes:
+            record_writer.add(time, *PBC_OUTCOMES[outcome], KIND_PBC, pid, None, node, size)
+    assert by_block.getvalue() == by_record.getvalue()

@@ -1,13 +1,14 @@
 """Scenario file parsing, schema validation, defaults and the effective echo."""
 
 import re
+import tracemalloc
 from dataclasses import fields
 
 import pytest
 
-from vanetbench.scenario import (MAX_PERIODIC_FIRINGS, PROTOCOLS, ScenarioConfig,
-                                 SchemaError, effective_ini, load_scenario,
-                                 parse_scenario_text, periodic_firings)
+from vanetbench.scenario import (MAX_EPOCH_BYTES, MAX_PERIODIC_FIRINGS, PROTOCOLS,
+                                 ScenarioConfig, SchemaError, effective_ini, epoch_bytes,
+                                 load_scenario, parse_scenario_text, periodic_firings)
 
 
 def test_minimal_inline_file(tmp_path):
@@ -181,6 +182,30 @@ def test_a_thousand_vehicles_for_100_s_are_within_the_firing_cap(protocol):
 def test_a_vehicle_count_beyond_a_float_is_schema_error():
     with pytest.raises(SchemaError, match="run.vehicles"):
         parse_scenario_text(f"[run]\nvehicles = 1{'0' * 400}\n")
+
+
+# 20,000 vehicles for 5 s schedule 1 M beacons, within the firing cap, yet one
+# link-budget epoch of theirs needs 10 GB; validate() only counts, so checking
+# either frame allocates no matrix
+@pytest.mark.parametrize("vehicles, duration, refused", [(1000, 100.0, False),
+                                                         (20000, 5.0, True)])
+def test_the_epoch_memory_cap_admits_1000_vehicles_and_refuses_20000(vehicles, duration,
+                                                                      refused):
+    cfg = ScenarioConfig()
+    cfg.run.vehicles, cfg.run.duration = vehicles, duration
+    assert sum(periodic_firings(cfg).values()) <= MAX_PERIODIC_FIRINGS
+    assert (epoch_bytes(vehicles) > MAX_EPOCH_BYTES) == refused
+    tracemalloc.start()
+    try:
+        if refused:
+            with pytest.raises(SchemaError, match=r"^run\.vehicles=20000 "):
+                cfg.validate()
+        else:
+            cfg.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
 
 
 FLOAT_FIELDS = [(sec.name, f.name) for sec in fields(ScenarioConfig)
