@@ -209,9 +209,9 @@ def cmd_batch(args) -> int:
         job.validate()
         payloads.append((job, str(out_root / f"{protocol}-{mobility}-s{seed}"), args.force))
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs or os.cpu_count() or 1
-    results = []
-    if jobs > 1 and len(payloads) > 1:
+    # the pool forks all its workers at once: no more than there are runs
+    jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, payloads))
     else:
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--mobilities", help="comma-separated mobility models")
     batch_p.add_argument("--seeds", help="comma-separated seeds")
     batch_p.add_argument("--jobs", type=int,
-                         help="parallel workers (default: CPUs)")
+                         help="parallel workers (default: CPUs), at most one per run")
     batch_p.set_defaults(func=cmd_batch, seed=None, protocol=None, mobility=None)
 
     report_p = sub.add_parser("report", help="print the metrics table; rewrite "

@@ -5,10 +5,10 @@ optional; defaults reproduce the reference experimental frame (100 vehicles,
 1000x1000 m grid, 100 s, 40 CBR flows at 4 pkt/s x 512 B, 6 Mbps 802.11p,
 Nakagami fading calibrated to 250 m). The schema is the config dataclasses below:
 each section is one dataclass, each key one of its fields, parsed by the field's
-type. A field's legal values are its metadata (see `bounded`), the only place
-they are stated; `validate()` checks every field against them in one loop and
-lists only the rules that span fields or build something. `scenario.effective.ini`
-in a run directory lists every key with its value.
+type. A field's legal values are its metadata (see `bounded`): bounds from physics
+or the standard, each with its reason, stated nowhere else. `validate()` checks every
+field against them in one loop, then the rules that span fields, build the road graph
+or cap a run's memory and work. `scenario.effective.ini` lists every key's value.
 """
 
 import configparser
@@ -55,28 +55,28 @@ def _check_bounds(name: str, value, bounds) -> None:
 
 @dataclass
 class GraphConfig:
-    # the road-graph build checks these, the layout keys included
+    # the road-graph build checks the layout, lanes and speed_limit
     grid: tuple[int, int, float] | None = (5, 5, 250.0)   # rows cols spacing
     vertices: list[tuple[str, float, float]] = field(default_factory=list)
     edges: list[tuple[str, str, int]] = field(default_factory=list)
     lanes: int = 2
     speed_limit: float = 80 / 3.6       # stored on each edge; no model reads it yet
-    phase_length: float = 10.0
+    phase_length: float = bounded(10.0, ge=1)    # s; a signal phase lasts seconds
 
 
 @dataclass
 class MobilityConfig:
     model: str = bounded("idm-im", one_of=MOBILITY_MODELS)
-    a_max: float = bounded(0.6, gt=0)            # maximal acceleration, m/s^2
-    b: float = bounded(0.9, gt=0)                # comfortable deceleration, m/s^2
-    s0: float = bounded(1.0, gt=0)               # jam distance, m
-    headway: float = bounded(0.5, gt=0)          # safe time headway, s
+    a_max: float = bounded(0.6, ge=0.1, le=10)   # maximal acceleration, m/s^2; 10 is about 1 g
+    b: float = bounded(0.9, ge=0.1, le=10)       # comfortable deceleration, m/s^2
+    s0: float = bounded(1.0, gt=0, le=100)       # jam distance, m
+    headway: float = bounded(0.5, gt=0, le=60)   # safe time headway, s
     vehicle_length: float = bounded(5.0, gt=0)
     visibility: float = bounded(200.0, gt=0)
     recalc_step: float = bounded(1.0, gt=0)      # lane-change / reporting grid, s
-    integration_dt: float = bounded(0.1, gt=0)
-    v_min_kmh: float = bounded(10.0, gt=0)
-    v_max_kmh: float = 80.0
+    integration_dt: float = bounded(0.1, gt=0, le=1)   # s; so IDM's (v / v0) ** 4 stays < 37 ** 4
+    v_min_kmh: float = bounded(10.0, ge=1, le=500)     # km/h; 500 is past any road vehicle
+    v_max_kmh: float = bounded(80.0, ge=1, le=500)
     politeness: float = bounded(0.5, ge=0, le=1)
     accel_threshold: float = bounded(0.5, ge=0)
     safe_decel_limit: float | None = None    # defaults to b
@@ -86,22 +86,22 @@ class MobilityConfig:
 
 @dataclass
 class PhyConfig:
-    m0: float = bounded(1.5, gt=0)
-    m1: float = bounded(0.75, gt=0)
-    m2: float = bounded(0.75, gt=0)
+    m0: float = bounded(1.5, ge=0.5)     # Nakagami shape: defined for m >= 1/2
+    m1: float = bounded(0.75, ge=0.5)
+    m2: float = bounded(0.75, ge=0.5)
     d0_m: float = 80.0
     d1_m: float = 200.0
-    gamma0: float = bounded(1.9, gt=0)
-    gamma1: float = bounded(3.8, gt=0)
-    gamma2: float = bounded(3.8, gt=0)
+    gamma0: float = bounded(1.9, gt=0, le=10)    # path-loss exponents: measured ones are 1.5 to 6
+    gamma1: float = bounded(3.8, gt=0, le=10)
+    gamma2: float = bounded(3.8, gt=0, le=10)
     d0_g: float = bounded(200.0, gt=0)
     d1_g: float = 500.0
-    ref_distance: float = bounded(1.0, gt=0)
-    frequency: float = bounded(5.9e9, gt=0)
-    rx_threshold: float = -82.0          # dBm
-    carrier_sense_threshold: float = -92.0
-    target_range: float = bounded(250.0, gt=0)
-    capture_margin: float = 10.0         # dB
+    ref_distance: float = bounded(1.0, ge=1e-3, le=1e3)    # m; 1 m for a 5.9 GHz antenna
+    frequency: float = bounded(5.9e9, ge=1e6, le=1e12)     # Hz; the radio spectrum, 1 MHz-1 THz
+    rx_threshold: float = bounded(-82.0, ge=-200, le=200)   # dBm; 200 dBm is 1e17 W
+    carrier_sense_threshold: float = bounded(-92.0, ge=-200, le=200)
+    target_range: float = bounded(250.0, gt=0, le=1e4)     # m; 10 times a DSRC radio's reach
+    capture_margin: float = bounded(10.0, ge=-300, le=300)  # dB; 200 makes any overlap collide
     loss_model: str = bounded("nakagami", one_of=("nakagami", "ideal"))
     collisions: bool = True
 
@@ -113,10 +113,10 @@ class MacConfig:
     sifs: float = bounded(32e-6, ge=0)
     cw_min: int = bounded(15, mask=True)
     cw_max: int = bounded(1023, mask=True)
-    retry_limit: int = 7
+    retry_limit: int = bounded(7, ge=0)
     queue_capacity: int = bounded(50, gt=0)
     phy_overhead: float = bounded(40e-6, ge=0)
-    mac_overhead: int = bounded(34, ge=0)
+    mac_overhead: int = bounded(34, ge=0, le=2304)   # header and FCS: at most a frame
 
     @property
     def difs(self) -> float:
@@ -130,33 +130,33 @@ class MacConfig:
 @dataclass
 class RoutingConfig:
     protocol: str = bounded("aodv", one_of=PROTOCOLS)
-    ttl: int = 64
+    ttl: int = bounded(64, ge=1, le=255)         # an IP TTL is one byte
     buffer_packets: int = bounded(64, gt=0)      # reactive send buffer, per destination
-    buffer_timeout: float = 30.0
-    aodv_route_timeout: float = 3.0
-    aodv_rreq_retries: int = 2
-    aodv_ring_ttls: tuple[int, ...] = bounded((1, 3, 7), ge=0)
+    buffer_timeout: float = bounded(30.0, ge=0)  # timeouts and delays: a time is >= 0
+    aodv_route_timeout: float = bounded(3.0, ge=0)
+    aodv_rreq_retries: int = bounded(2, ge=0)
+    aodv_ring_ttls: tuple[int, ...] = bounded((1, 3, 7), ge=0, le=255)
     aodv_node_traversal: float = bounded(0.04, ge=0)
-    aomdv_max_paths: int = 3
+    aomdv_max_paths: int = bounded(3, gt=0)     # at 0 no route is ever kept
     dsdv_full_dump_interval: float = bounded(15.0, gt=0)
-    dsdv_settling_time: float = 6.0
-    dsdv_trigger_min_gap: float = 1.0
+    dsdv_settling_time: float = bounded(6.0, ge=0)
+    dsdv_trigger_min_gap: float = bounded(1.0, ge=0)
     olsr_hello_interval: float = bounded(2.0, gt=0)
     olsr_tc_interval: float = bounded(5.0, gt=0)
-    hold_multiplier: float = 3.0
+    hold_multiplier: float = bounded(3.0, ge=1)  # an entry outlives the interval that refreshes it
 
 
 @dataclass
 class TrafficConfig:
     cbr_connections: int = bounded(40, ge=0)
-    packet_size: int = bounded(512, gt=0)
-    rate: float = bounded(4.0, gt=0)
+    packet_size: int = bounded(512, gt=0, le=2304)   # bytes; the 802.11 MSDU maximum
+    rate: float = bounded(4.0, ge=1e-6)          # pkt/s; 1e-6 is one packet in 11.6 days
     cbr_start: float = bounded(0.0, ge=0)
     cbr_stop: float | None = None        # defaults to run duration
     beacon_interval: float = bounded(0.1, gt=0)
-    beacon_size: int = bounded(200, gt=0)
-    emergency_decel: float = 2.7         # m/s^2 deceleration magnitude triggering a beacon
-    emergency_rate_limit: float = 1.0    # min seconds between emergency beacons per vehicle
+    beacon_size: int = bounded(200, gt=0, le=2304)
+    emergency_decel: float = bounded(2.7, ge=0)  # m/s^2 deceleration magnitude triggering a beacon
+    emergency_rate_limit: float = bounded(1.0, ge=0)  # min seconds between emergency beacons
 
 
 @dataclass
@@ -197,8 +197,9 @@ class ScenarioConfig:
         return generate_grid(rows, cols, spacing, g.lanes, g.speed_limit, g.phase_length)
 
     def validate(self) -> RoadGraph:
-        """Check every field against its bounds, then the rules across fields;
-        returns the road graph the check built, so a run needs no second build."""
+        """Check every field against its bounds, build the road graph, then check
+        the rules across fields and the caps on the run's link-budget memory and
+        periodic firings; returns the graph, so a run needs no second build."""
         for sec in fields(self):
             obj = getattr(self, sec.name)
             for f in fields(obj):
@@ -243,24 +244,9 @@ class ScenarioConfig:
                  f"available ordered pairs for {n} vehicles")):
             if broken:
                 raise SchemaError(message)
-        # arithmetic of the run that must stay finite; a vehicle's speed never
-        # exceeds v0 + a_max * integration_dt, which bounds IDM's (v / v0) ** 4
-        for what, compute in (
-                ("phy.capture_margin as a linear ratio", lambda: 10.0 ** (p.capture_margin / 10)),
-                ("1 / traffic.rate", lambda: 1.0 / t.rate),
-                ("run.vehicles as a count of firings", lambda: float(n)),
-                ("run.duration / graph.phase_length", lambda: self.run.duration / g.phase_length),
-                ("(1 + a_max * integration_dt / v0) ** 4 at v0 = mobility.v_min_kmh",
-                 lambda: (1.0 + m.a_max * m.integration_dt / (m.v_min_kmh / 3.6)) ** 4)):
-            try:
-                finite = math.isfinite(compute())
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise SchemaError(f"{what} overflows a float")
-        need = epoch_bytes(float(n))           # float(n) is finite: checked above
+        need = epoch_bytes(n)
         if need > MAX_EPOCH_BYTES:
-            raise SchemaError(f"run.vehicles={n} needs {need:,.0f} bytes to build "
+            raise SchemaError(f"run.vehicles={n} needs {need:,} bytes to build "
                               f"one link-budget epoch, above the cap of "
                               f"{MAX_EPOCH_BYTES:,}")
         terms = periodic_firings(self)
@@ -297,7 +283,7 @@ def periodic_firings(cfg: ScenarioConfig) -> dict[str, float]:
 MAX_PERIODIC_FIRINGS = 100 * sum(periodic_firings(ScenarioConfig()).values())
 
 
-def epoch_bytes(vehicles: float) -> float:
+def epoch_bytes(vehicles: int) -> int:
     """The bytes the channel holds at once while it builds one geometry epoch's
     link budgets (`mac.Channel._budget_matrices`): three N x N float64 arrays
     and the N x N bool carrier-sense matrix, 25 bytes per (sender, receiver)."""

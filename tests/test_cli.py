@@ -228,6 +228,36 @@ def test_batch_on_two_workers_writes_the_bytes_of_one_worker(tmp_path, capsys):
     capsys.readouterr()
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records `max_workers` and maps in
+    this process, forking nothing."""
+
+    def __init__(self, max_workers, workers):
+        workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+# a pool forks every worker up front, so 5,000 jobs forked 5,000 processes
+@pytest.mark.parametrize("jobs", [["--jobs", "5000"], []])
+def test_a_batch_forks_no_more_workers_than_it_has_runs(tmp_path, capsys, monkeypatch, jobs):
+    workers = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(max_workers, workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli.main(["batch", "--protocols", "aodv,dsdv", *jobs, "--out", str(tmp_path),
+                     "--set", "run.duration=0.5", "--set", "run.vehicles=10"]) == 0
+    assert workers == [2]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, most", [
     (["run", "--out", "{tmp}/run"], 2),          # once at parse, once in the run
     (["batch", "--seeds", "1,2", "--jobs", "1", "--out", "{tmp}/batch"], 5),

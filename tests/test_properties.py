@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import re
+import sys
 import tempfile
 from dataclasses import fields
 
@@ -97,19 +98,27 @@ def small_config():
     return cfg
 
 
+# magnitudes far outside any plausible value, where arithmetic overflows or
+# underflows: ints beyond a float, the largest and smallest finite floats
+MAGNITUDES = {int: {10**400, -10**400},
+              float: {1e300, -1e300, 1e-300, -1e-300, sys.float_info.max,
+                      -sys.float_info.max, sys.float_info.min, 5e-324}}
+
+
 def probes(f, base):
     """Values to draw for field `f`, whose small-config value is `base`: the
     choices, each bound and the value just outside it, and for a number also
-    0, -1, minus the base and half and twice the base. Positive scale-type
-    values stay in that band: an accepted integration_dt or beacon_interval
-    near 0 runs for a very long time rather than crashing."""
+    0, -1, minus the base, half and twice the base and the `MAGNITUDES` (for
+    a tuple, each of these as a one-item tuple). Each must be refused or run:
+    a bound or the cap on periodic firings refuses an integration_dt or
+    beacon_interval near 0, which would run for a very long time."""
     bounds = f.metadata
     if f.type is bool:
         return [False, True]
     if f.type is str:
         return [*bounds.get("one_of", (base,)), "bogus"]
     kind = int if f.type in (int, tuple[int, ...]) else float
-    values = {kind(0), kind(-1)}
+    values = {kind(0), kind(-1), *MAGNITUDES[kind]}
     for key, outward in (("gt", -1), ("ge", -1), ("le", 1)):
         if key in bounds:
             edge = bounds[key]
@@ -126,14 +135,14 @@ def probes(f, base):
 
 def _schema_draws():
     """(section, key, value) for each probe of each field, split by whether
-    the field's bounds accept it. The [graph] keys are not drawn: the road
-    graph build checks them."""
+    the field's bounds accept it. Of the [graph] keys only those with bounds
+    are drawn: the road graph build checks the others."""
     base = small_config()
     draws = {True: [], False: []}
     for sec in fields(ScenarioConfig):
-        if sec.name == "graph":
-            continue
         for f in fields(sec.type):
+            if sec.name == "graph" and not f.metadata:
+                continue
             for value in probes(f, getattr(getattr(base, sec.name), f.name)):
                 draws[within(value, f.metadata)].append((sec.name, f.name, value))
     return draws[True], draws[False]
@@ -154,12 +163,19 @@ def config_with(changes):
     return cfg
 
 
+# the protocols that read a [routing] key, by the key's first word; every
+# protocol reads a key whose first word is not here
+READERS = {"aodv": ("aodv", "aomdv"), "aomdv": ("aomdv",), "dsdv": ("dsdv",),
+           "olsr": ("olsr",), "hold": ("olsr",)}
+
+
 def alone(probe):
     """The change lists that try `probe` by itself: a [routing] key under
-    each protocol, since most of them are read by one protocol only."""
+    each protocol that reads it."""
     if probe[0] != "routing":
         return [[probe]]
-    return [[("routing", "protocol", protocol), probe] for protocol in PROTOCOLS]
+    readers = READERS.get(probe[1].split("_")[0], PROTOCOLS)
+    return [[("routing", "protocol", protocol), probe] for protocol in readers]
 
 
 def with_examples(kwargs_list):

@@ -117,6 +117,15 @@ def test_flows_bounded_by_ordered_pairs():
     ("traffic", "rate", "1e-310"), ("graph", "phase_length", "1e-310"),
     pytest.param("mobility", "v_min_kmh", "1e-100\nv_max_kmh = 1e-100",
                  id="mobility-v_min_kmh-v_max_kmh-1e-100"),
+    # each crashed a 10- or 20-vehicle run, or validate() itself for v_min_kmh
+    ("mobility", "headway", "1e300"), ("mobility", "v_min_kmh", "5e-324"),
+    ("mobility", "b", "5e-324"), ("mobility", "s0", "1e300"), ("phy", "frequency", "5e-324"),
+    *(pytest.param(section, key, "1" + "0" * 400, id=f"{section}-{key}-10**400")
+      for section, key in (("traffic", "packet_size"), ("mac", "mac_overhead"),
+                           ("traffic", "beacon_size"), ("routing", "aodv_ring_ttls"))),
+    # each finished with numbers that mean nothing: PDR 100 % or, under OLSR, 0
+    ("phy", "rx_threshold", "1e300"), ("phy", "target_range", "1e300"),
+    ("routing", "hold_multiplier", "-1"),
 ])
 def test_value_that_breaks_a_run_is_schema_error(section, key, value):
     with pytest.raises(SchemaError, match=key if section != "graph" else "graph"):
