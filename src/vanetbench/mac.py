@@ -9,6 +9,18 @@ import numpy as np
 from . import phy
 from .metrics import EV_DROPPED, EV_SENT, LAYER_MAC
 from .packets import BROADCAST, KIND_ACK, KIND_PBC
+from .scenario import EPOCH_BLOCK_BYTES
+
+# the most temporary bytes a pair of an epoch block holds at once, in
+# phy.path_loss_db: the distance, the loss being built, its log10 term and a mask
+BLOCK_BYTES_PER_PAIR = 3 * 8 + 1
+
+
+def epoch_block_rows(n: int) -> int:
+    """Sender rows per block of an n-node epoch build: as many as keep the
+    block's temporaries within EPOCH_BLOCK_BYTES, and at least one."""
+    return max(1, EPOCH_BLOCK_BYTES // (BLOCK_BYTES_PER_PAIR * max(n, 1)))
+
 
 FRAME_DATA = "data"
 FRAME_ACK = "ack"
@@ -77,6 +89,14 @@ class Channel:
     Geometry contract: every write to the `coords` array must be followed by
     `bump_geometry()`. The first link budget asked for after a bump
     snapshots all senders at once, and that snapshot holds until the next bump.
+
+    Epoch layout: that snapshot is three N x N matrices, row s for sender s,
+    10 bytes per (sender, receiver) pair: the float64 mean power in mW, the
+    uint8 Nakagami shape band (`phy.shape_band`) and the bool carrier-sense
+    matrix. `transmit` expands its sender's band row to shapes through the
+    3-entry `phy.shape_table`. The build runs over blocks of sender rows, each
+    block's temporaries within `scenario.EPOCH_BLOCK_BYTES`, so that
+    `scenario.epoch_bytes` bounds the whole build.
     """
 
     def __init__(self, sim, coords, phy_cfg, tx_power, rng, trace):
@@ -92,7 +112,8 @@ class Channel:
         self._cs_dbm = phy_cfg.carrier_sense_threshold
         self._rx_mw = float(phy.dbm_to_mw(phy_cfg.rx_threshold))
         self._capture_ratio = 10.0 ** (phy_cfg.capture_margin / 10.0)
-        self._epoch = None                    # (sensed, mean mW, shape) matrices
+        self._shapes = phy.shape_table(phy_cfg)
+        self._epoch = None                    # (sensed, mean mW, shape band) matrices
         self._geometry: dict[int, tuple] = {}   # sender -> cached link budget
 
     # -- medium state --------------------------------------------------------
@@ -115,48 +136,57 @@ class Channel:
         self._geometry.clear()
 
     def _budget_matrices(self):
-        """Carrier sense, mean power in mW and Nakagami shape for every
-        (sender, receiver) pair of the current geometry; row s is sender s."""
+        """Carrier sense, mean power in mW and Nakagami shape band for every
+        (sender, receiver) pair of the current geometry; row s is sender s.
+        Built in blocks of sender rows, so that every temporary is block-sized."""
+        n = len(self.coords)
         x, y = self.coords[:, 0], self.coords[:, 1]
-        d = x - x[:, None]                    # d[s, j] = x[j] - x[s]
-        dy = y - y[:, None]
-        d *= d
-        dy *= dy
-        d += dy
-        del dy
-        np.sqrt(d, out=d)
-        np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
-        # the shape after the mean power: at most three N x N float arrays at once
-        mean_dbm = phy.mean_rx_power(d, self.phy, self.tx_power)
-        shape = phy.shape_m(d, self.phy)
-        del d
-        sensed = mean_dbm >= self._cs_dbm
+        sensed = np.empty((n, n), dtype=bool)
+        mean_mw = np.empty((n, n))
+        band = np.empty((n, n), dtype=np.uint8)
+        rows = epoch_block_rows(n)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            d = x - x[lo:hi, None]            # d[s, j] = x[j] - x[s]
+            dy = y - y[lo:hi, None]
+            d *= d
+            dy *= dy
+            d += dy
+            del dy
+            np.sqrt(d, out=d)
+            np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
+            band[lo:hi] = phy.shape_band(d, self.phy)
+            mean_dbm = phy.mean_rx_power(d, self.phy, self.tx_power)
+            del d
+            np.greater_equal(mean_dbm, self._cs_dbm, out=sensed[lo:hi])
+            phy.dbm_to_mw(mean_dbm, out=mean_mw[lo:hi])
+            del mean_dbm
         np.fill_diagonal(sensed, False)      # a sender is not its own hearer
-        return sensed, phy.dbm_to_mw(mean_dbm), shape
+        return sensed, mean_mw, band
 
     def _link_budget(self, sender: int):
         """This sender's row of the current geometry: who senses it (bytearray,
         1 at the sender), the ascending ids of the other nodes that do (index
-        array), and the mean power in mW and Nakagami shape at every node
-        (arrays)."""
+        array), and the mean power in mW and Nakagami shape band at every
+        node (arrays)."""
         cached = self._geometry.get(sender)
         if cached is not None:
             return cached
         if self._epoch is None:
             self._epoch = self._budget_matrices()
-        sensed, mean_mw, shape = self._epoch
+        sensed, mean_mw, band = self._epoch
         row = sensed[sender]
         sensed_by = bytearray(row.tobytes())
         sensed_by[sender] = 1                 # a sender senses its own transmission
-        budget = (sensed_by, np.flatnonzero(row), mean_mw[sender], shape[sender])
+        budget = (sensed_by, np.flatnonzero(row), mean_mw[sender], band[sender])
         self._geometry[sender] = budget
         return budget
 
     def transmit(self, sender: int, frame: Frame):
         now = self.sim.now
-        sensed, hearers, mean_mw, shape = self._link_budget(sender)
+        sensed, hearers, mean_mw, band = self._link_budget(sender)
         if self.phy.loss_model == "nakagami":
-            sample_mw = phy.sample_rx_power(self.rng, mean_mw, shape)
+            sample_mw = phy.sample_rx_power(self.rng, mean_mw, self._shapes.take(band))
         else:
             sample_mw = mean_mw.copy()        # the row is a view into the epoch's matrix
         # the sender's own entry also carries the half-duplex rule: an infinite
@@ -184,7 +214,9 @@ class Channel:
 
     def _tx_end(self, tx: Transmission):
         """Hand the frame to each receiver whose outcome is a reception: every
-        hearer of a broadcast, or the one destination of a unicast frame."""
+        hearer of a broadcast, or the one destination of a unicast frame. A
+        beacon ends here: its outcome at each hearer, received or lost, is
+        traced as one block, and no MAC sees it."""
         self.active.remove(tx)
         frame = tx.frame
         args = (tx.overlaps, self._rx_mw, self._capture_ratio, self.phy.collisions)
@@ -196,18 +228,17 @@ class Channel:
             # the sender's _ack_timeout reads last_outcome
             frame.last_outcome = phy.frame_outcome_mw(tx.sample_mw[node], node, *args)
             decided = [(node, frame.last_outcome)]
-        macs = self.macs
-        for node, outcome in decided:
-            if outcome == phy.OUTCOME_RECEIVED:
-                mac = macs.get(node)
-                if mac is not None:           # an id without a node receives nothing
-                    mac.frame_received(frame, tx)
-        # a beacon's outcome at each hearer, received or lost, is traced as one
-        # block after the fan-out; frame_received writes no record for it
         packet = frame.packet
         if packet.kind == KIND_PBC:
             self.trace.add_pbc_block(self.sim.now, packet.packet_id, frame.payload_size,
                                      tx.hearers.tolist(), decided)
+        else:
+            macs = self.macs
+            for node, outcome in decided:
+                if outcome == phy.OUTCOME_RECEIVED:
+                    mac = macs.get(node)
+                    if mac is not None:       # an id without a node receives nothing
+                        mac.frame_received(frame, tx)
         self.macs[tx.sender].own_tx_ended(frame)
         for mac in tx.waiters:
             mac.resume_contention()
@@ -369,12 +400,18 @@ class NodeMac:
     def _freeze_for_reception(self, tx_start: float):
         """Decoding a frame occupies the radio even when the transmitter sits
         below the carrier-sense threshold; the countdown must not have run
-        through the frame, and nothing may transmit before the SIFS ack slot."""
+        through the frame, and nothing may transmit before the SIFS ack slot.
+        Only a unicast frame's destination may not have sensed it: a
+        broadcast's receivers are its hearers, which froze at its start or
+        were sending."""
         if self.state == CONTEND:
             self._freeze(tx_start)
             self._begin_wait()
 
     def frame_received(self, frame: Frame, tx: Transmission):
+        if frame.dest == BROADCAST:
+            self.deliver_cb(frame.packet, frame.src)
+            return
         self._freeze_for_reception(tx.start)
         if frame.kind == FRAME_ACK:
             if (self.state == WAIT_ACK and self.queue
@@ -383,11 +420,6 @@ class NodeMac:
                 self.sim.cancel(self._timeout_ev)     # armed for as long as WAIT_ACK lasts
                 self._timeout_ev = None
                 self._frame_done()
-            return
-        if frame.dest == BROADCAST:
-            # a beacon ends here: the channel traces its reception
-            if frame.packet.kind != KIND_PBC:
-                self.deliver_cb(frame.packet, frame.src)
             return
         self._send_ack(frame)
         if self._dedupe.get(frame.src) == frame.mac_seq:

@@ -154,12 +154,13 @@ class VehicleWorld:
         self.emergency_warnings = 0
         self.lane_change_count = 0
         self.on_brake = None    # callable (vehicle_id, accel, t), per driving vehicle per step
+        lanes: dict[tuple[str, int], list[VehicleState]] = {}   # spawned, by (edge, lane)
         for vid in range(n_vehicles):
-            self._spawn_initial(vid)
+            self._spawn_initial(vid, lanes)
 
     # -- spawning ----------------------------------------------------------
 
-    def _spawn_initial(self, vid: int):
+    def _spawn_initial(self, vid: int, lanes):
         g = self.graph
         cfg = self.cfg
         origins = sorted(g.vertices)
@@ -173,8 +174,9 @@ class VehicleWorld:
             lane = int(self.rng.integers(0, edge.lane_count))
             span = max(0.0, edge.length - length - cfg.s0)
             offset = float(self.rng.uniform(0.0, span)) if span > 0 else 0.0
-            if self._clear_at(edge.id, lane, offset, length):
+            if self._clear_at(lanes.get((edge.id, lane), ()), offset, length):
                 st = VehicleState(vid, edge.id, lane, offset, 0.0, trip, 0, v0, length)
+                lanes.setdefault((edge.id, lane), []).append(st)
                 break
         if st is None:
             # dense map: hold the vehicle at its origin and enter when space opens
@@ -182,21 +184,24 @@ class VehicleWorld:
                               paused_until=0.0)
         self.vehicles[vid] = st
 
-    def _clear_at(self, edge_id: str, lane: int, offset: float, length: float) -> bool:
+    def _clear_at(self, others, offset: float, length: float) -> bool:
+        """Whether a vehicle of `length` fits at `offset` with a jam distance to
+        each of `others`, the driving vehicles of its lane."""
         s0 = self.cfg.s0
-        for other in self.vehicles.values():
-            if other.driving and other.edge == edge_id and other.lane == lane:
-                if other.offset >= offset:
-                    if other.offset - other.length - offset < s0:
-                        return False
-                elif offset - length - other.offset < s0:
+        for other in others:
+            if other.offset >= offset:
+                if other.offset - other.length - offset < s0:
                     return False
+            elif offset - length - other.offset < s0:
+                return False
         return True
 
     def _try_respawn(self, st: VehicleState):
         """Re-enter traffic on the first edge of the pending trip if there is room."""
         edge = self.graph.edges[st.trip.path[0]]
-        if not self._clear_at(edge.id, st.lane, 0.0, st.length):
+        lane = (other for other in self.vehicles.values()
+                if other.driving and other.edge == edge.id and other.lane == st.lane)
+        if not self._clear_at(lane, 0.0, st.length):
             return False
         st.edge = edge.id
         st.offset = 0.0

@@ -46,9 +46,9 @@ def path_loss_db(d, p: PhyConfig):
     return loss if loss.ndim else float(loss)
 
 
-def _by_band(d, edge0, edge1, v0, v1, v2):
-    """v0 where d < edge0, else v1 where d < edge1, else v2 (a new float array)."""
-    out = np.full(d.shape, v2, dtype=float)
+def _by_band(d, edge0, edge1, v0, v1, v2, dtype=float):
+    """v0 where d < edge0, else v1 where d < edge1, else v2 (a new array)."""
+    out = np.full(d.shape, v2, dtype=dtype)
     np.copyto(out, v1, where=d < edge1)
     np.copyto(out, v0, where=d < edge0)
     return out
@@ -62,16 +62,27 @@ def mean_rx_power(d, p: PhyConfig, tx_power: float):
     return tx_power - loss
 
 
+def shape_band(d, p: PhyConfig):
+    """The Nakagami shape band of each distance: 0 below d0_m, 1 below d1_m,
+    else 2 (uint8 array)."""
+    return _by_band(np.asarray(d, dtype=float), p.d0_m, p.d1_m, 0, 1, 2, np.uint8)
+
+
+def shape_table(p: PhyConfig):
+    """The Nakagami shape of each band, indexed by `shape_band`."""
+    return np.array([p.m0, p.m1, p.m2])
+
+
 def shape_m(d, p: PhyConfig):
     """Nakagami shape factor by distance band. Accepts arrays."""
-    d = np.asarray(d, dtype=float)
-    m = _by_band(d, p.d0_m, p.d1_m, p.m0, p.m1, p.m2)
-    return m if m.ndim else float(m)
+    m = shape_table(p).take(shape_band(d, p))
+    return m if np.ndim(m) else float(m)
 
 
-def dbm_to_mw(dbm):
-    mw = np.asarray(dbm, dtype=float) / 10.0
-    return np.power(10.0, mw, out=mw if mw.ndim else None)
+def dbm_to_mw(dbm, out=None):
+    """Power in mW of `dbm`; an array result may be written into `out`."""
+    mw = np.divide(np.asarray(dbm, dtype=float), 10.0, out=out)
+    return np.power(10.0, mw, out=mw if np.ndim(mw) else None)
 
 
 def sample_rx_power(rng, mean_mw, shape):

@@ -53,6 +53,23 @@ def _check_bounds(name: str, value, bounds) -> None:
             raise SchemaError(f"{name} must be of the form 2^k - 1, not {v}")
 
 
+# Bounds of the [graph] layout keys, which validate() checks itself, since
+# they are not single numbers:
+# - a road between junctions, a grid block or an inline edge, is 10 m to
+#   100 km long: a shorter one barely holds a vehicle and its jam distance,
+#   and no road runs longer without a junction. A grid spacing of 1e-300 m put
+#   every vehicle at one point (PDR 100 %, as did inline vertices 1e-300 m
+#   apart), and one of 1e300 m made every distance inf (PDR 0).
+# - an inline vertex lies within 1,000 km of the origin, ten times the
+#   longest block, so that no distance between vertices overflows.
+# - a road graph has at most 10,000 intersections, a 100 x 100 grid 25 km
+#   across at 250 m, which validate() builds in 0.24 s; a 2,000 x 2,000 grid
+#   was still building after 60 s.
+ROAD_LENGTH_M = (10.0, 1e5)
+MAX_VERTEX_COORDINATE_M = 1e6
+MAX_INTERSECTIONS = 10_000
+
+
 @dataclass
 class GraphConfig:
     # the road-graph build checks the layout, lanes and speed_limit
@@ -208,18 +225,32 @@ class ScenarioConfig:
                         and not math.isfinite(value):
                     raise SchemaError(f"{name} must be finite, not {value}")
                 _check_bounds(name, value, f.metadata)
-        g = self.graph
-        # the floats inside the layout fields, which the loop above does not see
-        if g.grid is not None and not math.isfinite(g.grid[2]):
-            raise SchemaError(f"graph.grid spacing must be finite, not {g.grid[2]}")
+        g, (lo, hi) = self.graph, ROAD_LENGTH_M
+        # the layout fields, which the loop above does not see
+        if g.vertices or g.edges:
+            key, intersections = "graph.vertices", len(g.vertices)
+        else:
+            rows, cols, spacing = g.grid
+            key, intersections = "graph.grid", rows * cols
+            if not lo <= spacing <= hi:
+                raise SchemaError(f"graph.grid spacing must be finite and within "
+                                  f"[{lo:g}, {hi:g}] m, not {spacing}")
+        if intersections > MAX_INTERSECTIONS:
+            raise SchemaError(f"{key} makes {intersections:,} intersections, above "
+                              f"the cap of {MAX_INTERSECTIONS:,}")
         for vid, x, y in g.vertices:
-            if not (math.isfinite(x) and math.isfinite(y)):
+            if not (abs(x) <= MAX_VERTEX_COORDINATE_M and abs(y) <= MAX_VERTEX_COORDINATE_M):
                 raise SchemaError(f"graph.vertices: vertex '{vid}' must have finite "
-                                  f"coordinates, not ({x}, {y})")
+                                  f"coordinates within {MAX_VERTEX_COORDINATE_M:g} m "
+                                  f"of the origin, not ({x}, {y})")
         try:
             graph = self.build_graph()
         except GraphError as exc:
             raise SchemaError(f"graph: {exc}") from exc
+        for e in graph.edges.values():
+            if not lo <= e.length <= hi:
+                raise SchemaError(f"graph.edges: edge '{e.id}' must be within [{lo:g}, "
+                                  f"{hi:g}] m long, not {e.length}")
         if len(graph.vertices) < 2:
             raise SchemaError("graph: trips need two or more vertices")
         m, p, t, n = self.mobility, self.phy, self.traffic, self.run.vehicles
@@ -283,17 +314,25 @@ def periodic_firings(cfg: ScenarioConfig) -> dict[str, float]:
 MAX_PERIODIC_FIRINGS = 100 * sum(periodic_firings(ScenarioConfig()).values())
 
 
+# The channel builds a link-budget epoch in blocks of sender rows, and a
+# block's temporaries fit in this many bytes: a quarter of a 2 MiB L2 cache.
+EPOCH_BLOCK_BYTES = 2 ** 19
+
+
 def epoch_bytes(vehicles: int) -> int:
     """The bytes the channel holds at once while it builds one geometry epoch's
-    link budgets (`mac.Channel._budget_matrices`): three N x N float64 arrays
-    and the N x N bool carrier-sense matrix, 25 bytes per (sender, receiver)."""
-    return (3 * 8 + 1) * vehicles * vehicles
+    link budgets (`mac.Channel._budget_matrices`): 10 bytes per (sender,
+    receiver) pair (float64 mean power, uint8 shape band, bool carrier sense)
+    and one block of sender rows' temporaries. A block holds one row or more,
+    so this holds up to 20,971 vehicles, twice the cap below."""
+    return 10 * vehicles * vehicles + EPOCH_BLOCK_BYTES
 
 
-# validate() refuses a run whose epoch build needs more than 1 GiB: 43 times
-# the 25 MB of a 1,000-vehicle run, the scale spatial culling aims at, so up to
-# 6,553 vehicles; 20,000 vehicles would need 10 GB. Set-up spawns each vehicle
-# against all earlier ones, about 21 M pair checks at the cap.
+# validate() refuses a run whose epoch build needs more than 1 GiB: 102 times
+# the 10.5 MB of a 1,000-vehicle run, the scale spatial culling aims at, so up
+# to 10,359 vehicles; 20,000 vehicles would need 4 GB. Set-up checks a spawning
+# vehicle against its own lane only; at the cap, on a 51 x 51 grid, spawning
+# takes about 45 s, nearly all of it one shortest-path search per trip.
 MAX_EPOCH_BYTES = 2 ** 30
 
 

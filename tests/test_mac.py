@@ -1,14 +1,16 @@
 """Queue admission, CSMA timing, unicast retries, broadcast service."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vanetbench import phy
 from vanetbench.core import Simulator
-from vanetbench.mac import FRAME_DATA, Channel, Frame, NodeMac
+from vanetbench.mac import CONTEND, FRAME_DATA, Channel, Frame, NodeMac, epoch_block_rows
 from vanetbench.metrics import Trace, TraceAggregator, conservation_check
 from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
-from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig
+from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig, epoch_bytes
 from vanetbench.simulation import Simulation
 
 from conftest import (StaticNetwork, fast_convergence_config, line_positions,
@@ -240,11 +242,51 @@ def test_pbc_outcomes_are_traced_in_hearer_order_one_reception_per_delivery():
     assert outcomes == [(1, "app", "received", "none"), (2, "mac", "dropped", "fading"),
                         (3, "mac", "dropped", "collision"),
                         (4, "mac", "dropped", "collision")]
-    assert received == [(1, KIND_PBC)]
-    # the beacon's one reception ends in the MAC: nothing goes up the stack
+    # the beacon's one reception is its one received record; it ends in the
+    # channel, so no MAC sees it (nor the lost cbr frame) and nothing goes up
+    assert [r.node for r in h.trace.records
+            if r.packet_id == 7 and r.event == "received"] == [1]
+    assert received == []
     assert h.delivered == []
     # the cbr broadcast's lost copies leave no record
     assert [r.event for r in h.trace.records if r.kind == KIND_CBR] == ["sent"]
+
+
+@pytest.mark.parametrize("collisions", [True, False])
+@pytest.mark.parametrize("protocol, seed", [("aodv", 1), ("olsr", 2), ("dsdv", 3),
+                                            ("aomdv", 4)])
+def test_no_broadcast_hearer_is_contending_when_the_frame_ends(protocol, seed, collisions):
+    # a hearer sensed the frame at its start, so it froze then or was sending:
+    # the channel has no countdown to stop at a broadcast's receivers
+    cfg = ScenarioConfig()
+    cfg.graph.grid = (3, 3, 100.0)
+    cfg.run.vehicles, cfg.run.duration, cfg.run.seed = 20, 2.0, seed
+    cfg.routing.protocol = protocol
+    cfg.phy.collisions = collisions
+    cfg.traffic.cbr_connections = 6
+    net = Simulation(cfg)
+    hearers_seen, receptions = [], []
+    orig_end, orig_received = Channel._tx_end, NodeMac.frame_received
+
+    def end_spy(channel, tx):
+        if tx.frame.dest == BROADCAST:
+            states = [channel.macs[node].state for node in tx.hearers.tolist()]
+            assert CONTEND not in states
+            hearers_seen.append(len(states))
+        return orig_end(channel, tx)
+
+    def received_spy(mac, frame, tx):
+        if frame.dest == BROADCAST:
+            assert mac.state != CONTEND
+            receptions.append(frame.packet.kind)
+        return orig_received(mac, frame, tx)
+
+    Channel._tx_end, NodeMac.frame_received = end_spy, received_spy
+    try:
+        net.run()
+    finally:
+        Channel._tx_end, NodeMac.frame_received = orig_end, orig_received
+    assert sum(hearers_seen) > 1000 and receptions
 
 
 def test_frames_that_only_touch_do_not_overlap():
@@ -325,9 +367,11 @@ def per_sender_budget(coords, sender, p, tx_power):
 def assert_budget_matches(channel, coords, sender):
     p = channel.phy
     mean_dbm, mean_mw, shape = per_sender_budget(coords, sender, p, channel.tx_power)
-    sensed, hearers, got_mw, got_shape = channel._link_budget(sender)
+    sensed, hearers, got_mw, got_band = channel._link_budget(sender)
     assert got_mw.tobytes() == mean_mw.tobytes()
-    assert got_shape.tobytes() == shape.tobytes()
+    # the channel keeps a band per pair and expands it to shapes at transmit
+    assert got_band.dtype == np.uint8
+    assert phy.shape_table(p).take(got_band).tobytes() == shape.tobytes()
     cs = p.carrier_sense_threshold
     assert [bool(b) for b in sensed] == [j == sender or v >= cs
                                          for j, v in enumerate(mean_dbm.tolist())]
@@ -354,6 +398,36 @@ def test_link_budget_rows_equal_the_per_sender_formula(seed):
         assert_budget_matches(channel, coords, sender)
     assert 1 in channel._link_budget(0)[1]          # co-located nodes hear each other
     assert channel._link_budget(2)[1].size == 0     # the far node hears nobody
+
+
+def test_link_budget_rows_equal_the_per_sender_formula_over_several_blocks():
+    # the smallest count from 250 on whose build takes three or more blocks
+    # and ends in a partial one
+    n = next(n for n in range(250, 2000) if n // epoch_block_rows(n) >= 3
+             and n % epoch_block_rows(n))
+    coords = random_coords(5, n=n, box=3000.0)
+    phy_cfg = PhyConfig()
+    channel = Channel(Simulator(), coords, phy_cfg, phy.calibrate_range(phy_cfg),
+                      np.random.default_rng(5), Trace())
+    for sender in range(n):
+        assert_budget_matches(channel, coords, sender)
+
+
+def test_an_epoch_build_peaks_within_its_memory_estimate():
+    n = 1000
+    coords = random_coords(6, n=n, box=3000.0)
+    phy_cfg = PhyConfig()
+    channel = Channel(Simulator(), coords, phy_cfg, phy.calibrate_range(phy_cfg),
+                      np.random.default_rng(6), Trace())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        epoch = channel._budget_matrices()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(matrix.nbytes for matrix in epoch) == 10 * n * n
+    assert 0.75 * epoch_bytes(n) <= peak <= epoch_bytes(n)
 
 
 def test_link_budget_follows_a_moved_node_after_bump_geometry():

@@ -246,6 +246,46 @@ def test_non_finite_vertex_coordinate_is_schema_error(vertices, value):
         parse_scenario_text(text)
 
 
+# layouts that passed validate() but meant nothing: 1e-300 put every vehicle at
+# one point (PDR 100 %), 1e300 made every distance inf (PDR 0), and 2000 x 2000
+# never left validate()'s graph build
+@pytest.mark.parametrize("text", ["grid = 3 3 1e-300", "grid = 3 3 5e-324",
+                                  "grid = 3 3 9.99", "grid = 3 3 100001",
+                                  "grid = 3 3 1e300", "grid = 2000 2000 250",
+                                  "grid = 101 100 250"])
+def test_a_grid_outside_its_bounds_is_schema_error(text):
+    with pytest.raises(SchemaError, match=r"^graph\.grid "):
+        parse_scenario_text(f"[graph]\n{text}\n")
+
+
+@pytest.mark.parametrize("text", ["grid = 3 3 10", "grid = 2 2 100000",
+                                  "grid = 100 100 250"])
+def test_a_grid_at_its_bounds_is_accepted(text):
+    parse_scenario_text(f"[graph]\n{text}\n")
+
+
+@pytest.mark.parametrize("vertices", ["a 0 0; b 1000001 0", "a 0 -1e300; b 250 0"])
+def test_a_vertex_beyond_a_thousand_km_is_schema_error(vertices):
+    text = f"[graph]\nvertices = {vertices}\nedges = a b; b a\n"
+    with pytest.raises(SchemaError, match="^graph.vertices: vertex '[ab]' must have"):
+        parse_scenario_text(text)
+
+
+@pytest.mark.parametrize("b", ["1e-300 0", "9.99 0", "100001 0"])
+def test_an_inline_edge_outside_the_road_lengths_is_schema_error(b):
+    text = f"[graph]\nvertices = a 0 0; b {b}\nedges = a b; b a\n"
+    with pytest.raises(SchemaError, match="^graph.edges: edge 'a>b' must be within"):
+        parse_scenario_text(text)
+
+
+def test_an_inline_graph_of_more_intersections_than_the_cap_is_schema_error():
+    ring = [f"v{i}" for i in range(10_001)]
+    vertices = "; ".join(f"{v} {i * 10} 0" for i, v in enumerate(ring))
+    edges = "; ".join(f"{a} {b}" for a, b in zip(ring, ring[1:] + ring[:1]))
+    with pytest.raises(SchemaError, match=r"^graph\.vertices makes 10,001 intersections"):
+        parse_scenario_text(f"[graph]\nvertices = {vertices}\nedges = {edges}\n")
+
+
 def test_inline_graph_with_one_vertex_is_schema_error():
     # strongly connected through its self-loop, but no trip has a destination
     with pytest.raises(SchemaError, match="graph"):
