@@ -56,13 +56,13 @@ def intersection_constraint(vehicle: VehicleState, graph: RoadGraph, lights: dic
                             t: float, p: MobilityConfig) -> VirtualLeader | None:
     """Virtual standing leader at the stop line when the edge end shows red.
 
-    Applies only to the first vehicle in its lane; border intersections and
-    anything beyond visibility are ignored. The stop line sits one jam
-    distance before the edge end so the standstill gap stays meaningful.
+    Applies only to the first vehicle in its lane, and only at a lit
+    intersection within visibility. The stop line sits one jam distance
+    before the edge end so the standstill gap stays meaningful.
     """
     edge = graph.edges[vehicle.edge]
     light = lights.get(edge.dst)
-    if light is None or graph.is_border_vertex(edge.dst):
+    if light is None:
         return None
     if light.is_green(edge.id, t):
         return None
@@ -163,7 +163,7 @@ class VehicleWorld:
     def _spawn_initial(self, vid: int, lanes):
         g = self.graph
         cfg = self.cfg
-        origins = sorted(g.vertices)
+        origins = g.vertex_ids
         v0 = float(self.rng.uniform(cfg.v_min_kmh, cfg.v_max_kmh)) / 3.6
         length = cfg.vehicle_length
         st = None

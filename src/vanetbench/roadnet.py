@@ -2,6 +2,7 @@
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 MAX_LANES = 10  # hard cap on lanes per edge
@@ -60,6 +61,7 @@ class RoadGraph:
 
     def __init__(self, vertices, edges, lights=()):
         self.vertices: dict[str, Vertex] = {v.id: v for v in vertices}
+        self.vertex_ids: list[str] = sorted(self.vertices)   # sorted once; trips index it
         self.edges: dict[str, Edge] = {e.id: e for e in edges}
         self.lights: dict[str, TrafficLight] = {tl.vertex: tl for tl in lights}
         self.out_edges: dict[str, list[Edge]] = {v: [] for v in self.vertices}
@@ -67,14 +69,6 @@ class RoadGraph:
         for e in self.edges.values():
             self.out_edges[e.src].append(e)
             self.in_edges[e.dst].append(e)
-        xs = [v.x for v in self.vertices.values()]
-        ys = [v.y for v in self.vertices.values()]
-        self._bounds = (min(xs), max(xs), min(ys), max(ys)) if xs else (0, 0, 0, 0)
-
-    def is_border_vertex(self, vid: str) -> bool:
-        v = self.vertices[vid]
-        x0, x1, y0, y1 = self._bounds
-        return v.x in (x0, x1) or v.y in (y0, y1)
 
     def edge_point(self, edge_id: str, offset: float) -> tuple[float, float]:
         e = self.edges[edge_id]
@@ -90,13 +84,9 @@ class RoadGraph:
             want = math.hypot(b.x - a.x, b.y - a.y)
             if abs(e.length - want) > 1e-6:
                 raise GraphError(f"edge {e.id}: length {e.length} != endpoint distance {want}")
-            if e.speed_limit <= 0:
-                raise GraphError(f"edge {e.id}: speed_limit must be positive")
         for tl in self.lights.values():
             if tl.vertex not in self.vertices:
                 raise GraphError(f"traffic light at unknown vertex {tl.vertex}")
-            if tl.phase_length <= 0:
-                raise GraphError(f"traffic light {tl.vertex}: phase_length must be positive")
             inbound = {e.id for e in self.in_edges[tl.vertex]}
             seen = set()
             for ph in tl.phases:
@@ -172,8 +162,6 @@ def generate_grid(rows: int, cols: int, spacing: float, lanes: int = 2,
     """Manhattan grid; interior vertices get two-phase lights (NS green / EW green)."""
     if rows < 2 or cols < 2:
         raise GraphError("grid needs rows >= 2 and cols >= 2")
-    if spacing <= 0:
-        raise GraphError("grid spacing must be positive")
 
     def vid(r, c):
         return f"g{r}_{c}"
@@ -206,11 +194,10 @@ def generate_grid(rows: int, cols: int, spacing: float, lanes: int = 2,
 
 def plan_trip(rng, graph: RoadGraph, origin: str,
               min_stay: float = 2.0, max_stay: float = 6.0) -> Trip:
-    """Uniform destination over other vertices, shortest path, uniform stay duration."""
-    candidates = sorted(v for v in graph.vertices if v != origin)
-    if not candidates:
-        raise GraphError("graph has a single vertex; no trips possible")
-    destination = candidates[int(rng.integers(0, len(candidates)))]
+    """Uniform destination among `graph.vertex_ids` but the origin, shortest path, uniform stay."""
+    ids = graph.vertex_ids
+    k = int(rng.integers(0, len(ids) - 1))
+    destination = ids[k + (k >= bisect_left(ids, origin))]
     path = graph.shortest_path(origin, destination)
     pause = float(rng.uniform(min_stay, max_stay))
     return Trip(origin, destination, path, pause)

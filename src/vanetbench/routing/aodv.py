@@ -20,6 +20,7 @@ class Rreq:
     hop_count: int
     ttl: int
     flood_time: float        # when the origin sent the first copy
+    first_hop: int | None = None   # AOMDV's extension: first forwarder after the origin
 
 
 @dataclass(slots=True)
@@ -28,6 +29,7 @@ class Rrep:
     dest: int                # destination the route leads to
     dest_seq: int
     hop_count: int
+    first_hop: int | None = None   # AOMDV's extension: dest-side neighbour it left through
 
 
 @dataclass(slots=True)

@@ -1,41 +1,16 @@
 """Multipath on-demand routing: link-disjoint path sets with loop freedom via
-the advertised-hop-count rule."""
+the advertised-hop-count rule. Its messages are AODV's plus the first hop
+(Marina and Das, ICNP 2001); a copy's `hop_count` is the count it advertises."""
 
 import math
 from dataclasses import dataclass, field
 
+from .aodv import Rerr, Rrep, Rreq
 from .base import ReactiveProtocol, RecentKeys
 
 RREQ_SIZE = 28
 RREP_SIZE = 24
 RERR_SIZE = 20
-
-
-@dataclass(slots=True)
-class MRreq:
-    origin: int
-    rreq_id: int
-    origin_seq: int
-    dest: int
-    dest_seq: int
-    advertised_hops: int     # hop count this copy advertises for the reverse path
-    first_hop: int           # first forwarder after the origin; origin itself at hop 0
-    ttl: int
-    flood_time: float        # when the origin sent the first copy
-
-
-@dataclass(slots=True)
-class MRrep:
-    origin: int
-    dest: int
-    dest_seq: int
-    advertised_hops: int
-    first_hop: int           # dest-side neighbor the reply left through
-
-
-@dataclass(slots=True)
-class MRerr:
-    unreachable: list
 
 
 @dataclass(slots=True)
@@ -59,7 +34,7 @@ class AomdvEntry:
 
 class Aomdv(ReactiveProtocol):
     discovery_target = "aomdv.discovery"
-    control_handlers = {MRreq: "_on_rreq", MRrep: "_on_rrep", MRerr: "_on_rerr"}
+    control_handlers = {Rreq: "_on_rreq", Rrep: "_on_rrep", Rerr: "_on_rerr"}
 
     def __init__(self, net, node_id: int):
         super().__init__(net, node_id)
@@ -124,17 +99,17 @@ class Aomdv(ReactiveProtocol):
     def _flood_rreq(self, dest: int, ttl: int):
         e = self.table.get(dest)
         dest_seq = e.dest_seq if e is not None else -1
-        rreq = MRreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq,
-                     0, self.node_id, ttl, self.sim.now)
+        rreq = Rreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq, 0, ttl,
+                    self.sim.now, first_hop=self.node_id)
         self.seen_forwarded[(self.node_id, self.rreq_id)] = True
         self.send_control(rreq, RREQ_SIZE)
 
     # -- control --------------------------------------------------------------------
 
-    def _on_rreq(self, rreq: MRreq, prev: int):
+    def _on_rreq(self, rreq: Rreq, prev: int):
         if rreq.origin == self.node_id or self._stale_rreq(rreq.flood_time):
             return
-        hops_here = rreq.advertised_hops + 1
+        hops_here = rreq.hop_count + 1
         last_hop = rreq.first_hop if rreq.first_hop != rreq.origin else prev
         # every copy is examined for an additional disjoint reverse path
         self._install_path(rreq.origin, rreq.origin_seq, prev, last_hop, hops_here)
@@ -151,8 +126,8 @@ class Aomdv(ReactiveProtocol):
                 self.seq += 1
                 reply_seq = self.seq
             self.replied[key] = (replies + 1, reply_seq)
-            self.send_control(MRrep(rreq.origin, self.node_id, reply_seq, 0,
-                                    self.node_id), RREP_SIZE, dest=prev)
+            self.send_control(Rrep(rreq.origin, self.node_id, reply_seq, 0,
+                                   first_hop=self.node_id), RREP_SIZE, dest=prev)
             return
         if key in self.seen_forwarded:
             return
@@ -162,13 +137,12 @@ class Aomdv(ReactiveProtocol):
             if entry is not None:
                 self._freeze_advertised(entry)   # forwarding advertises the reverse path
             first = self.node_id if rreq.first_hop == rreq.origin else rreq.first_hop
-            fwd = MRreq(rreq.origin, rreq.rreq_id, rreq.origin_seq, rreq.dest,
-                        rreq.dest_seq, hops_here, first, rreq.ttl - 1,
-                        rreq.flood_time)
+            fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.origin_seq, rreq.dest,
+                       rreq.dest_seq, hops_here, rreq.ttl - 1, rreq.flood_time, first)
             self.send_control(fwd, RREQ_SIZE)
 
-    def _on_rrep(self, rrep: MRrep, prev: int):
-        hops_here = rrep.advertised_hops + 1
+    def _on_rrep(self, rrep: Rrep, prev: int):
+        hops_here = rrep.hop_count + 1
         last_hop = rrep.first_hop if rrep.first_hop != rrep.dest else prev
         installed = self._install_path(rrep.dest, rrep.dest_seq, prev, last_hop,
                                        hops_here)
@@ -184,8 +158,7 @@ class Aomdv(ReactiveProtocol):
         e = self.table[rrep.dest]
         self._freeze_advertised(e)
         first = self.node_id if rrep.first_hop == rrep.dest else rrep.first_hop
-        fwd = MRrep(rrep.origin, rrep.dest, rrep.dest_seq,
-                    int(e.advertised_hops), first)
+        fwd = Rrep(rrep.origin, rrep.dest, rrep.dest_seq, int(e.advertised_hops), first)
         self.send_control(fwd, RREP_SIZE, dest=alive[0].next_hop)
 
     # -- failure ----------------------------------------------------------------------
@@ -199,9 +172,9 @@ class Aomdv(ReactiveProtocol):
                 e.dest_seq += 1
                 lost.append((e.dest, e.dest_seq))
         if lost:
-            self.send_control(MRerr(lost), RERR_SIZE)
+            self.send_control(Rerr(lost), RERR_SIZE)
 
-    def _on_rerr(self, rerr: MRerr, prev: int):
+    def _on_rerr(self, rerr: Rerr, prev: int):
         propagate = []
         for dest, seq in rerr.unreachable:
             e = self.table.get(dest)
@@ -214,4 +187,4 @@ class Aomdv(ReactiveProtocol):
                     e.dest_seq = seq
                 propagate.append((dest, e.dest_seq))
         if propagate:
-            self.send_control(MRerr(propagate), RERR_SIZE)
+            self.send_control(Rerr(propagate), RERR_SIZE)

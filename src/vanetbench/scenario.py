@@ -72,12 +72,12 @@ MAX_INTERSECTIONS = 10_000
 
 @dataclass
 class GraphConfig:
-    # the road-graph build checks the layout, lanes and speed_limit
+    # the road-graph build checks the layout and lanes
     grid: tuple[int, int, float] | None = (5, 5, 250.0)   # rows cols spacing
     vertices: list[tuple[str, float, float]] = field(default_factory=list)
     edges: list[tuple[str, str, int]] = field(default_factory=list)
     lanes: int = 2
-    speed_limit: float = 80 / 3.6       # stored on each edge; no model reads it yet
+    speed_limit: float = bounded(80 / 3.6, gt=0)   # stored on each edge; no model reads it yet
     phase_length: float = bounded(10.0, ge=1)    # s; a signal phase lasts seconds
 
 

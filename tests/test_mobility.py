@@ -110,7 +110,8 @@ def test_red_beyond_visibility_ignored():
 def test_border_intersections_ignored():
     g = plus_graph()
     world = make_world(g)
-    # a light at a border vertex would be ignored; emulate by checking edge into 'e'
+    # a border vertex has no light (generate_grid lights only interior ones), so
+    # nothing stops a vehicle on the edge into 'e'
     st = put_vehicle(world, 0, "c>e", 0, 400.0, 10.0, 15.0, ["c>e"])
     assert intersection_constraint(st, g, g.lights, 0.0, world.cfg) is None
 

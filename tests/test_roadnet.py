@@ -54,13 +54,6 @@ def test_light_phase_periodicity():
         assert tl.is_green("a", t) != tl.is_green("b", t)
 
 
-def test_border_vertices():
-    g = generate_grid(4, 4, 100.0)
-    assert g.is_border_vertex("g0_0")
-    assert g.is_border_vertex("g0_2")
-    assert not g.is_border_vertex("g1_1")
-
-
 def test_lane_count_bounds_rejected():
     v = [Vertex("a", 0, 0), Vertex("b", 100, 0)]
     bad = [Edge("a>b", "a", "b", 0, 100.0, 20.0), Edge("b>a", "b", "a", 2, 100.0, 20.0)]
@@ -107,6 +100,18 @@ def test_pause_sampling_bounds_and_mean():
     assert min(pauses) >= 2.0
     assert max(pauses) <= 6.0
     assert abs(np.mean(pauses) - 4.0) < 0.05
+
+
+def test_plan_trip_destination_indexes_the_other_vertices_in_sorted_order():
+    g = generate_grid(4, 4, 100.0)
+    assert g.vertex_ids == sorted(g.vertices)
+    for seed in range(1, 6):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for origin in g.vertex_ids:
+            trip = plan_trip(rng, g, origin)
+            k = int(oracle.integers(0, len(g.vertices) - 1))
+            oracle.uniform(2.0, 6.0)          # the trip's stay, drawn after the destination
+            assert trip.destination == sorted(v for v in g.vertices if v != origin)[k]
 
 
 def test_trips_are_loop_free():

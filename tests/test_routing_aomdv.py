@@ -3,7 +3,7 @@
 import pytest
 
 from vanetbench.packets import KIND_CONTROL
-from vanetbench.routing.aomdv import MRreq
+from vanetbench.routing import aodv, aomdv
 
 from conftest import fast_convergence_config, line_positions, make_net
 
@@ -85,3 +85,25 @@ def test_paths_respect_advertised_hop_count():
         for entry in node.table.values():
             for p in entry.paths:
                 assert p.hop_count <= entry.advertised_hops
+
+
+@pytest.mark.parametrize("protocol,module,first_hop", [("aomdv", aomdv, 1),
+                                                       ("aodv", aodv, None)])
+def test_a_rreq_first_forwarder_writes_itself_as_first_hop_under_aomdv_only(
+        protocol, module, first_hop):
+    net = make_net(line_positions(3, 240.0), protocol)
+    relay = net.nodes[1]
+    sent = []
+    send_control = relay.send_control
+
+    def spy(payload, size, **kw):
+        sent.append((payload, size))
+        send_control(payload, size, **kw)
+
+    relay.send_control = spy
+    net.send_data(0, 2)
+    net.run_for(3.0)
+    rreqs = [(msg, size) for msg, size in sent if isinstance(msg, aodv.Rreq)]
+    assert rreqs and net.aggregator.received() == 1
+    assert all(msg.first_hop == first_hop and size == module.RREQ_SIZE
+               for msg, size in rreqs)
