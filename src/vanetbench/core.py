@@ -1,7 +1,7 @@
 """Deterministic discrete-event engine: virtual clock, event queue, seeded RNG streams."""
 
 import hashlib
-import heapq
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -21,17 +21,10 @@ class SimulationFault(RuntimeError):
 
 
 class Event:
-    """One scheduled callback. Equal fire times dispatch in ascending sequence order."""
+    """One scheduled callback. Equal fire times dispatch in ascending sequence order.
+    `Simulator.schedule` sets every field, so that no `__init__` frame runs."""
 
     __slots__ = ("fire_time", "sequence", "target", "payload", "fired", "cancelled")
-
-    def __init__(self, fire_time: float, sequence: int, target: str, payload):
-        self.fire_time = fire_time
-        self.sequence = sequence
-        self.target = target
-        self.payload = payload  # zero-arg callable, opaque to the engine
-        self.fired = False
-        self.cancelled = False
 
 
 class Simulator:
@@ -47,9 +40,13 @@ class Simulator:
         """Schedule `action()` at absolute time `at`; returns a cancellable handle."""
         if at < self.now:
             raise SchedulingError(f"cannot schedule at t={at!r}, clock is {self.now!r}")
-        ev = Event(at, self._seq, target or getattr(action, "__qualname__", "?"), action)
-        heapq.heappush(self._queue, (at, self._seq, ev))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event()
+        ev.fire_time, ev.sequence, ev.payload = at, seq, action
+        ev.target = target or getattr(action, "__qualname__", "?")
+        ev.fired = ev.cancelled = False
+        heappush(self._queue, (at, seq, ev))
         return ev
 
     def after(self, delay: float, action, target: str = "") -> Event:
@@ -69,7 +66,7 @@ class Simulator:
         count = 0
         q = self._queue
         while q and q[0][0] <= t_end:
-            at, _, ev = heapq.heappop(q)
+            at, _, ev = heappop(q)
             if ev.cancelled:
                 continue
             self.now = at

@@ -12,8 +12,9 @@ from .packets import BROADCAST, KIND_ACK, KIND_PBC
 from .scenario import EPOCH_BLOCK_BYTES
 
 # the most temporary bytes a pair of an epoch block holds at once, in
-# phy.path_loss_db: the distance, the loss being built, its log10 term and a mask
-BLOCK_BYTES_PER_PAIR = 3 * 8 + 1
+# phy.path_loss_db, which builds the loss in the block's output rows: the
+# distance, one float64 term of the loss (a band's value or the log10) and a mask
+BLOCK_BYTES_PER_PAIR = 2 * 8 + 1
 
 
 def epoch_block_rows(n: int) -> int:
@@ -97,6 +98,14 @@ class Channel:
     3-entry `phy.shape_table`. The build runs over blocks of sender rows, each
     block's temporaries within `scenario.EPOCH_BLOCK_BYTES`, so that
     `scenario.epoch_bytes` bounds the whole build.
+
+    Contention: `contenders` holds the MACs counting down a backoff, keyed by
+    node id in the order they entered, and a transmission's `waiters` holds the
+    MACs frozen on it, in the order they froze. `transmit` freezes the
+    contenders that sense its frame in `contenders` order, and `_tx_end` wakes
+    the waiters in `waiters` order. These orders set the sequence numbers of
+    re-armed timers, which order equal fire times: backoffs ending in one slot,
+    which collide.
     """
 
     def __init__(self, sim, coords, phy_cfg, tx_power, rng, trace):
@@ -147,20 +156,19 @@ class Channel:
         rows = epoch_block_rows(n)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
+            block = mean_mw[lo:hi]            # holds dy, then mean dBm, then mW
             d = x - x[lo:hi, None]            # d[s, j] = x[j] - x[s]
-            dy = y - y[lo:hi, None]
+            dy = np.subtract(y, y[lo:hi, None], out=block)
             d *= d
             dy *= dy
             d += dy
-            del dy
             np.sqrt(d, out=d)
             np.maximum(d, self.phy.ref_distance, out=d)   # co-located nodes: clamp to ref
             band[lo:hi] = phy.shape_band(d, self.phy)
-            mean_dbm = phy.mean_rx_power(d, self.phy, self.tx_power)
+            phy.mean_rx_power(d, self.phy, self.tx_power, out=block)
             del d
-            np.greater_equal(mean_dbm, self._cs_dbm, out=sensed[lo:hi])
-            phy.dbm_to_mw(mean_dbm, out=mean_mw[lo:hi])
-            del mean_dbm
+            np.greater_equal(block, self._cs_dbm, out=sensed[lo:hi])
+            phy.dbm_to_mw(block, out=block)
         np.fill_diagonal(sensed, False)      # a sender is not its own hearer
         return sensed, mean_mw, band
 
@@ -204,11 +212,11 @@ class Channel:
         pkt = frame.packet
         self.trace.add(now, EV_SENT, "none", LAYER_MAC, frame.trace_kind,
                        pkt.packet_id, pkt.flow_id, sender, frame.payload_size)
-        if self.contenders:
-            # freeze nodes mid-countdown that sense this transmission
-            for mac in list(self.contenders.values()):
-                if sensed[mac.node_id]:
-                    mac.medium_busy(now, tx)
+        contenders = self.contenders
+        if contenders:
+            # freeze, in the order they entered, the contenders that sense this frame
+            for mac in [mac for node, mac in contenders.items() if sensed[node]]:
+                mac.medium_busy(now, tx)
         self.sim.schedule(end, lambda: self._tx_end(tx), target="channel.tx_end")
         return tx
 
@@ -248,8 +256,12 @@ class Channel:
 class NodeMac:
     """Per-node CSMA/CA state machine over the shared channel.
 
-    A frozen node joins the `waiters` of the transmission that blocks it, and
-    `Channel._tx_end` resumes it inline when that transmission ends.
+    `_begin_wait` arms the backoff timer for DIFS plus the remaining slots and
+    enters `Channel.contenders` (CONTEND), or, while a sensed frame is on air,
+    joins the `waiters` of the one ending last (FROZEN). A contender leaves when
+    its timer fires or when it freezes (`medium_busy`): at the start of a sensed
+    frame, or on decoding a unicast frame it did not sense. `Channel._tx_end`
+    wakes a frozen node inline (`resume_contention`), and it waits again.
     """
 
     def __init__(self, node_id, sim, channel: Channel, params, rng, trace,
@@ -269,6 +281,7 @@ class NodeMac:
         self.backoff_remaining = 0
         self.wait_started = 0.0
         self._difs = params.difs
+        self._slot = params.slot
         self._ack_wait = params.sifs + params.airtime(0) + params.slot
         self._done_ev = None
         self._timeout_ev = None
@@ -305,48 +318,47 @@ class NodeMac:
         self._begin_wait()
 
     def _begin_wait(self):
-        blocker = self.channel.busy_tx(self.node_id)
+        channel = self.channel
+        # no frame on air, as often right after a wake: nothing to scan
+        blocker = channel.busy_tx(self.node_id) if channel.active else None
         if blocker is not None:
             self.state = FROZEN
             blocker.waiters.append(self)
             return
         self.state = CONTEND
-        self.channel.contenders[self.node_id] = self
-        self.wait_started = self.sim.now
-        fire = self.sim.now + self._difs + self.backoff_remaining * self.p.slot
+        channel.contenders[self.node_id] = self
+        now = self.wait_started = self.sim.now
+        # this operand order, as IEEE rounding makes it, decides same-slot ties
+        fire = now + self._difs + self.backoff_remaining * self._slot
         self._done_ev = self.sim.schedule(fire, self._backoff_done, target="mac.backoff")
 
-    def resume_contention(self):
-        """Woken by the channel when a transmission this node waited on ends.
-
-        The medium may have gone busy again meanwhile; _begin_wait re-checks
-        and re-registers on the new blocker, so stale wakeups are harmless."""
-        if self.state == FROZEN:
-            self._begin_wait()
-
-    def _freeze(self, t_busy: float):
-        """Stop the countdown (CONTEND only) at t_busy, keeping the slots not yet
-        counted down, and leave the contenders."""
-        self.sim.cancel(self._done_ev)
-        self._done_ev = None
-        elapsed = t_busy - (self.wait_started + self._difs)
-        consumed = int(math.floor(elapsed / self.p.slot + 1e-9)) if elapsed > 0 else 0
-        self.backoff_remaining -= min(max(consumed, 0), self.backoff_remaining)
-        self.channel.contenders.pop(self.node_id, None)
-        self.state = FROZEN
+    # the wake pass's call: a frozen node is in one `waiters` list and stays
+    # FROZEN until that frame ends, so waking it is waiting again
+    resume_contention = _begin_wait
 
     def medium_busy(self, t_busy: float, blocker):
-        """Only `Channel.transmit` calls this, for each contender that senses the
-        new transmission `blocker`; a contender is in CONTEND with a live countdown
-        from `_begin_wait` until `_freeze` or `_backoff_done` takes it out."""
-        if self._done_ev.fire_time <= self.sim.now:
+        """Freeze this contender's countdown at t_busy, leave the contenders
+        and join the `waiters` of `blocker`, if given. The whole slots counted
+        down since DIFS ended are consumed, none inside DIFS:
+        floor((t_busy - (wait_started + difs)) / slot + 1e-9)."""
+        done = self._done_ev
+        if done.fire_time <= t_busy:
             return   # backoff hit zero this same instant: transmit (and collide)
-        self._freeze(t_busy)
-        blocker.waiters.append(self)
+        done.cancelled = True                 # pending, so this is all cancel() does
+        self._done_ev = None
+        elapsed = t_busy - (self.wait_started + self._difs)
+        if elapsed > 0:
+            consumed = int(elapsed / self._slot + 1e-9)   # a positive quotient: floor
+            left = self.backoff_remaining
+            self.backoff_remaining = left - consumed if consumed < left else 0
+        del self.channel.contenders[self.node_id]
+        self.state = FROZEN
+        if blocker is not None:
+            blocker.waiters.append(self)
 
     def _backoff_done(self):
         self._done_ev = None
-        self.channel.contenders.pop(self.node_id, None)
+        del self.channel.contenders[self.node_id]
         frame = self.queue[0]
         self.state = TX
         self.channel.transmit(self.node_id, frame)
@@ -399,13 +411,13 @@ class NodeMac:
 
     def _freeze_for_reception(self, tx_start: float):
         """Decoding a frame occupies the radio even when the transmitter sits
-        below the carrier-sense threshold; the countdown must not have run
-        through the frame, and nothing may transmit before the SIFS ack slot.
-        Only a unicast frame's destination may not have sensed it: a
-        broadcast's receivers are its hearers, which froze at its start or
-        were sending."""
+        below the carrier-sense threshold: the countdown must not have run
+        through it, and nothing may transmit before the SIFS ack slot. Only a
+        unicast destination can be contending here: a broadcast's receivers
+        sensed it at its start. Its timer is due at or after now, which is
+        after tx_start, so it freezes."""
         if self.state == CONTEND:
-            self._freeze(tx_start)
+            self.medium_busy(tx_start, None)
             self._begin_wait()
 
     def frame_received(self, frame: Frame, tx: Transmission):

@@ -22,11 +22,11 @@ def reference_loss_db(frequency: float, ref_distance: float = 1.0) -> float:
     return 20.0 * math.log10(4.0 * math.pi * ref_distance * frequency / C_LIGHT)
 
 
-def path_loss_db(d, p: PhyConfig):
+def path_loss_db(d, p: PhyConfig, out=None):
     """Dual-slope log-distance loss, continuous across band edges. Accepts arrays.
 
     Within band b the loss is C_b + 10*gamma_b*log10(d); the intercepts C_b are
-    chosen so the curve is continuous at the band edges.
+    chosen so the curve is continuous at the band edges. `out` takes an array loss.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
@@ -39,8 +39,8 @@ def path_loss_db(d, p: PhyConfig):
     c2 = c1 + 10.0 * (p.gamma1 - p.gamma2) * lg10(p.d1_g)
     # intercept + 10 * gamma * log10(d), built in one array; IEEE + and * are
     # commutative, so the operand order does not change a bit
-    loss = _by_band(d, p.d0_g, p.d1_g, p.gamma0, p.gamma1, p.gamma2)
-    loss *= 10.0
+    loss = np.multiply(_by_band(d, p.d0_g, p.d1_g, p.gamma0, p.gamma1, p.gamma2), 10.0,
+                       out=out)
     loss *= np.log10(d)
     loss += _by_band(d, p.d0_g, p.d1_g, c0, c1, c2)
     return loss if loss.ndim else float(loss)
@@ -54,9 +54,9 @@ def _by_band(d, edge0, edge1, v0, v1, v2, dtype=float):
     return out
 
 
-def mean_rx_power(d, p: PhyConfig, tx_power: float):
-    """Deterministic mean received power in dBm; strictly decreasing in d."""
-    loss = path_loss_db(d, p)
+def mean_rx_power(d, p: PhyConfig, tx_power: float, out=None):
+    """Deterministic mean rx power in dBm, strictly decreasing in d; `out` as in path_loss_db."""
+    loss = path_loss_db(d, p, out)
     if np.ndim(loss):
         return np.subtract(tx_power, loss, out=loss)   # path_loss_db made this array
     return tx_power - loss

@@ -324,7 +324,7 @@ def epoch_bytes(vehicles: int) -> int:
     link budgets (`mac.Channel._budget_matrices`): 10 bytes per (sender,
     receiver) pair (float64 mean power, uint8 shape band, bool carrier sense)
     and one block of sender rows' temporaries. A block holds one row or more,
-    so this holds up to 20,971 vehicles, twice the cap below."""
+    so this holds up to 30,840 vehicles, about three times the cap below."""
     return 10 * vehicles * vehicles + EPOCH_BLOCK_BYTES
 
 

@@ -24,17 +24,20 @@ def _packet(pid, dst=1, size=512, kind=KIND_CBR):
 class Harness:
     """Two-or-more nodes on an ideal channel with scripted backoffs."""
 
-    def __init__(self, positions, mac_cfg=None, collisions=True, rng_values=None):
+    def __init__(self, positions, mac_cfg=None, collisions=True, rng_values=None,
+                 rng=None):
         self.sim = Simulator()
         self.trace = recording_trace()
         self.agg = self.trace.attach(TraceAggregator())
         self.mac_cfg = mac_cfg or MacConfig()
-        phy_cfg = PhyConfig(loss_model="ideal", collisions=collisions)
+        phy_cfg = PhyConfig(loss_model="ideal" if rng is None else "nakagami",
+                            collisions=collisions)
         coords = np.zeros((len(positions), 2))
         for node, (x, y) in positions.items():
             coords[node] = (x, y)
-        rng = _ScriptedRng(rng_values) if rng_values is not None \
-            else np.random.default_rng(7)
+        if rng is None:
+            rng = _ScriptedRng(rng_values) if rng_values is not None \
+                else np.random.default_rng(7)
         self.channel = Channel(self.sim, coords, phy_cfg,
                                phy.calibrate_range(phy_cfg), rng, self.trace)
         self.delivered = []
@@ -124,6 +127,102 @@ def test_two_contenders_serialize_with_freeze():
     assert sent[1].time == pytest.approx(expected, abs=1e-12)
     # deterministic serialization: both frames delivered, no collision
     assert len(h.delivered) == 2
+
+
+def _mac_sends(h):
+    return [(r.node, r.time) for r in h.trace.records
+            if r.event == "sent" and r.layer == "mac"]
+
+
+def _broadcast_at(h, t, node, pid):
+    h.sim.schedule(t, lambda: h.macs[node].enqueue_packet(_packet(pid, dst=BROADCAST),
+                                                          BROADCAST))
+
+
+def _freeze_node_0(t0, drawn, t1):
+    """Node 0 draws `drawn` slots at t0; node 1 draws none at t1, so it sends
+    DIFS later and node 0 senses it. Returns node 1's send time and node 0's."""
+    cfg = MacConfig()
+    rng_values = [drawn, 0] if t0 <= t1 else [0, drawn]
+    h = Harness(line_positions(2, 100.0), mac_cfg=cfg, rng_values=rng_values)
+    _broadcast_at(h, t0, 0, 0)
+    _broadcast_at(h, t1, 1, 1)
+    h.sim.run_until(1.0)
+    (first, t_first), (second, t_second) = _mac_sends(h)
+    assert (first, second) == (1, 0)
+    assert t_first == pytest.approx(t1 + cfg.difs, abs=1e-12)
+    return t_first, t_second
+
+
+def test_a_freeze_inside_difs_consumes_no_slot():
+    cfg = MacConfig()
+    # node 1 sends at DIFS, half a DIFS into node 0's own DIFS
+    busy, sent = _freeze_node_0(cfg.difs / 2, 3, 0.0)
+    assert sent == pytest.approx(busy + cfg.airtime(512) + cfg.difs + 3 * cfg.slot,
+                                 abs=1e-12)
+
+
+def test_a_freeze_after_two_and_a_half_slots_consumes_two():
+    cfg = MacConfig()
+    busy, sent = _freeze_node_0(0.0, 5, 2.5 * cfg.slot)
+    assert sent == pytest.approx(busy + cfg.airtime(512) + cfg.difs + 3 * cfg.slot,
+                                 abs=1e-12)
+
+
+def test_a_woken_node_waits_for_the_sensed_frame_that_ends_last():
+    # 0 and 2 do not sense each other; 1, between them, senses both
+    cfg = MacConfig()
+    h = Harness(line_positions(3, 300.0), mac_cfg=cfg, rng_values=[0, 7, 0])
+    _broadcast_at(h, 0.0, 0, 0)               # on air from DIFS
+    _broadcast_at(h, 0.0, 1, 1)               # frozen by 0's frame, 7 slots left
+    t2 = cfg.difs + cfg.airtime(512) / 2
+    _broadcast_at(h, t2, 2, 2)                # on air until after 0's frame ends
+    h.sim.run_until(1.0)
+    sends = dict(_mac_sends(h))
+    assert sends[2] == pytest.approx(t2 + cfg.difs, abs=1e-12)
+    end_last = sends[2] + cfg.airtime(512)
+    assert sends[0] + cfg.airtime(512) < end_last
+    assert sends[1] == pytest.approx(end_last + cfg.difs + 7 * cfg.slot, abs=1e-12)
+
+
+class _FadedUpRng(_ScriptedRng):
+    """Scripted backoffs, and every fading sample 20 dB above its mean."""
+
+    def standard_gamma(self, shape):
+        return shape * 100.0
+
+
+def test_decoding_an_unsensed_frame_freezes_the_countdown_at_its_start():
+    # 1 sits beyond 0's carrier-sense range, but fading lets it decode 0's
+    # frame; it starts counting down 40 slots halfway through that frame
+    cfg = MacConfig()
+    h = Harness(line_positions(2, 600.0), mac_cfg=cfg, rng=_FadedUpRng([0, 40]))
+    assert not h.channel._link_budget(0)[0][1]
+    h.sim.schedule(0.0, lambda: h.macs[0].enqueue_packet(_packet(0, dst=1), 1))
+    t1 = cfg.difs + cfg.airtime(512) / 2
+    _broadcast_at(h, t1, 1, 1)
+    h.sim.run_until(1.0)
+    assert [(node, pkt.packet_id) for node, pkt, _ in h.delivered] == [(1, 0)]
+    # no slot counted down during the frame: 1 re-arms at its end, freezes on
+    # its own ACK and counts all 40 slots after the ACK
+    (_, t_data), (_, t_ack), (node, t_sent) = _mac_sends(h)
+    assert t_ack == pytest.approx(t_data + cfg.airtime(512) + cfg.sifs, abs=1e-12)
+    ack_end = t_ack + cfg.airtime(0)
+    assert node == 1
+    assert t_sent == pytest.approx(ack_end + cfg.difs + 40 * cfg.slot, abs=1e-12)
+
+
+def test_nodes_frozen_by_one_frame_with_equal_slots_send_together_in_freeze_order():
+    # node 2 starts contending before node 1, so it froze first
+    cfg = MacConfig()
+    h = Harness(line_positions(3, 100.0), mac_cfg=cfg, rng_values=[0, 4, 4])
+    for node in (0, 2, 1):
+        _broadcast_at(h, 0.0, node, node)
+    h.sim.run_until(1.0)
+    sends = _mac_sends(h)
+    assert [node for node, _ in sends] == [0, 2, 1]
+    expected = sends[0][1] + cfg.airtime(512) + cfg.difs + 4 * cfg.slot
+    assert sends[1][1] == sends[2][1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_unicast_perfect_channel_first_attempt():
