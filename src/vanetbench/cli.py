@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .metrics import build_report, conservation_check, delay_series, jitter_series, \
     read_trace
-from .scenario import (MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError,
-                       effective_ini, load_scenario, periodic_firings, set_value, settle)
+from .scenario import (ScenarioConfig, SchemaError, effective_ini, load_scenario,
+                       periodic_firings, set_value, settle)
 from .simulation import Simulation
 
 TRACE_NAME = "trace.txt"
@@ -31,13 +31,9 @@ RUN_NAMES = (TRACE_NAME, METRICS_NAME, DELAY_NAME, JITTER_NAME, CONFIG_NAME,
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    flags = [(section, name, value) for section, name, value in (
-        ("run", "seed", getattr(args, "seed", None)),
-        ("routing", "protocol", getattr(args, "protocol", None)),
-        ("mobility", "model", getattr(args, "mobility", None))) if value is not None]
-    if not args.set and not flags:
+    if not args.set:
         return cfg   # unchanged: parsing validated a loaded file, and the run validates
-    for item in args.set or []:
+    for item in args.set:
         if "=" not in item:
             raise SchemaError(f"--set expects section.key=value, got '{item}'")
         key, value = item.split("=", 1)
@@ -45,8 +41,6 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
             raise SchemaError(f"--set key must be section.key, got '{key}'")
         section, name = key.split(".", 1)
         set_value(cfg, section.strip().lower(), name.strip(), value.strip(), f"--set {item}")
-    for section, name, value in flags:      # argparse has typed and checked these
-        setattr(getattr(cfg, section), name, value)
     return settle(cfg)
 
 
@@ -279,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="overwrite a non-empty run directory")
 
     run_p = sub.add_parser("run", parents=[shared], help="run one scenario")
-    run_p.add_argument("--seed", type=int, help="override [run] seed")
-    run_p.add_argument("--protocol", choices=PROTOCOLS, help="override routing protocol")
-    run_p.add_argument("--mobility", choices=MOBILITY_MODELS,
-                       help="override mobility model")
     run_p.set_defaults(func=cmd_run)
 
     batch_p = sub.add_parser("batch", parents=[shared],
@@ -292,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument("--seeds", help="comma-separated seeds")
     batch_p.add_argument("--jobs", type=int,
                          help="parallel workers (default: CPUs), at most one per run")
-    batch_p.set_defaults(func=cmd_batch, seed=None, protocol=None, mobility=None)
+    batch_p.set_defaults(func=cmd_batch)
 
     report_p = sub.add_parser("report", help="print the metrics table; rewrite "
                                              "delay.csv and jitter.csv")

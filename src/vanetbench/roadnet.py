@@ -26,7 +26,6 @@ class Edge:
     dst: str
     lane_count: int
     length: float
-    speed_limit: float
 
 
 @dataclass
@@ -158,7 +157,7 @@ def edge_id(src: str, dst: str) -> str:
 
 
 def generate_grid(rows: int, cols: int, spacing: float, lanes: int = 2,
-                  speed_limit: float = 80 / 3.6, phase_length: float = 10.0) -> RoadGraph:
+                  phase_length: float = 10.0) -> RoadGraph:
     """Manhattan grid; interior vertices get two-phase lights (NS green / EW green)."""
     if rows < 2 or cols < 2:
         raise GraphError("grid needs rows >= 2 and cols >= 2")
@@ -172,8 +171,8 @@ def generate_grid(rows: int, cols: int, spacing: float, lanes: int = 2,
 
     def add_pair(a, b):
         length = spacing
-        edges.append(Edge(edge_id(a, b), a, b, lanes, length, speed_limit))
-        edges.append(Edge(edge_id(b, a), b, a, lanes, length, speed_limit))
+        edges.append(Edge(edge_id(a, b), a, b, lanes, length))
+        edges.append(Edge(edge_id(b, a), b, a, lanes, length))
 
     for r in range(rows):
         for c in range(cols):

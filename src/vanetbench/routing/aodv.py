@@ -105,7 +105,6 @@ class Aodv(ReactiveProtocol):
         dest_seq = e.dest_seq if (e is not None and e.seq_valid) else -1
         rreq = Rreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq, 0, ttl,
                     self.sim.now)
-        self.seen[(self.node_id, self.rreq_id)] = 0
         self.send_control(rreq, RREQ_SIZE)
 
     # -- control handling ---------------------------------------------------------

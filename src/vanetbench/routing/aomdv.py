@@ -39,10 +39,9 @@ class Aomdv(ReactiveProtocol):
     def __init__(self, net, node_id: int):
         super().__init__(net, node_id)
         self.table: dict[int, AomdvEntry] = {}
-        # (origin, rreq_id) -> True once re-flooded
-        self.seen_forwarded = RecentKeys(self.sim, self.rreq_horizon)
-        # (origin, rreq_id) -> (replies, seq used)
-        self.replied = RecentKeys(self.sim, self.rreq_horizon)
+        # (origin, rreq_id) -> True at a relay once it handled the request, or
+        # (replies, seq used) at its destination
+        self.seen = RecentKeys(self.sim, self.rreq_horizon)
 
     # -- table ------------------------------------------------------------------
 
@@ -101,7 +100,6 @@ class Aomdv(ReactiveProtocol):
         dest_seq = e.dest_seq if e is not None else -1
         rreq = Rreq(self.node_id, self.rreq_id, self.seq, dest, dest_seq, 0, ttl,
                     self.sim.now, first_hop=self.node_id)
-        self.seen_forwarded[(self.node_id, self.rreq_id)] = True
         self.send_control(rreq, RREQ_SIZE)
 
     # -- control --------------------------------------------------------------------
@@ -115,7 +113,7 @@ class Aomdv(ReactiveProtocol):
         self._install_path(rreq.origin, rreq.origin_seq, prev, last_hop, hops_here)
         key = (rreq.origin, rreq.rreq_id)
         if rreq.dest == self.node_id:
-            replies, reply_seq = self.replied.get(key, (0, None))
+            replies, reply_seq = self.seen.get(key, (0, None))
             if replies >= self.cfg.aomdv_max_paths:
                 return
             if reply_seq is None:
@@ -125,13 +123,13 @@ class Aomdv(ReactiveProtocol):
                     self.seq = rreq.origin_seq
                 self.seq += 1
                 reply_seq = self.seq
-            self.replied[key] = (replies + 1, reply_seq)
+            self.seen[key] = (replies + 1, reply_seq)
             self.send_control(Rrep(rreq.origin, self.node_id, reply_seq, 0,
                                    first_hop=self.node_id), RREP_SIZE, dest=prev)
             return
-        if key in self.seen_forwarded:
+        if key in self.seen:
             return
-        self.seen_forwarded[key] = True
+        self.seen[key] = True
         if rreq.ttl - 1 > 0:
             entry = self.table.get(rreq.origin)
             if entry is not None:

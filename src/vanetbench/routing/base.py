@@ -73,7 +73,7 @@ class RoutingProtocol:
 
     def on_packet_arrival(self, packet: Packet, from_node: int):
         """Handle control; deliver data addressed here, or forward it."""
-        # a beacon never gets here: it ends in the MAC
+        # a beacon never gets here: it ends in the channel (`Channel._tx_end`)
         if packet.kind == KIND_CONTROL:
             self.on_control(packet, from_node)
         elif packet.dst == self.node_id:

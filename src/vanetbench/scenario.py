@@ -77,7 +77,6 @@ class GraphConfig:
     vertices: list[tuple[str, float, float]] = field(default_factory=list)
     edges: list[tuple[str, str, int]] = field(default_factory=list)
     lanes: int = 2
-    speed_limit: float = bounded(80 / 3.6, gt=0)   # stored on each edge; no model reads it yet
     phase_length: float = bounded(10.0, ge=1)    # s; a signal phase lasts seconds
 
 
@@ -208,10 +207,10 @@ class ScenarioConfig:
                         raise SchemaError(f"edge references unknown vertex '{vid}'")
                 a, b = coords[src], coords[dst]
                 length = math.hypot(b.x - a.x, b.y - a.y)
-                edges.append(Edge(edge_id(src, dst), src, dst, lanes, length, g.speed_limit))
+                edges.append(Edge(edge_id(src, dst), src, dst, lanes, length))
             return RoadGraph(verts, edges).validate()
         rows, cols, spacing = g.grid
-        return generate_grid(rows, cols, spacing, g.lanes, g.speed_limit, g.phase_length)
+        return generate_grid(rows, cols, spacing, g.lanes, g.phase_length)
 
     def validate(self) -> RoadGraph:
         """Check every field against its bounds, build the road graph, then check
@@ -251,8 +250,6 @@ class ScenarioConfig:
             if not lo <= e.length <= hi:
                 raise SchemaError(f"graph.edges: edge '{e.id}' must be within [{lo:g}, "
                                   f"{hi:g}] m long, not {e.length}")
-        if len(graph.vertices) < 2:
-            raise SchemaError("graph: trips need two or more vertices")
         m, p, t, n = self.mobility, self.phy, self.traffic, self.run.vehicles
         steps = m.recalc_step / m.integration_dt
         end_of_sifs = self.run.duration + self.mac.sifs
@@ -340,12 +337,10 @@ MAX_EPOCH_BYTES = 2 ** 30
 # parsing
 
 def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[s.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {s!r}") from None
 
 
 def _parse_grid(s: str):
@@ -355,39 +350,39 @@ def _parse_grid(s: str):
     return (int(parts[0]), int(parts[1]), float(parts[2]))
 
 
-def _parse_vertices(s: str):
-    out = []
+def _entries(s: str, counts, error: str):
+    """Each `;`-separated entry of `s`, as its tokens; an entry with a token
+    count not in `counts` raises `error`, formatted with the entry."""
     for item in filter(None, (p.strip() for p in s.split(";"))):
-        tok = item.split()
-        if len(tok) != 3:
-            raise ValueError(f"vertex entry '{item}' expects 'id x y'")
-        out.append((tok[0], float(tok[1]), float(tok[2])))
-    return out
+        tokens = item.split()
+        if len(tokens) not in counts:
+            raise ValueError(error.format(item))
+        yield tokens
+
+
+def _parse_vertices(s: str):
+    return [(vid, float(x), float(y))
+            for vid, x, y in _entries(s, (3,), "vertex entry '{}' expects 'id x y'")]
 
 
 def _parse_edges(s: str):
-    out = []
-    for item in filter(None, (p.strip() for p in s.split(";"))):
-        tok = item.split()
-        if len(tok) not in (2, 3):
-            raise ValueError(f"edge entry '{item}' expects 'src dst [lanes]'")
-        out.append((tok[0], tok[1], int(tok[2]) if len(tok) == 3 else -1))
-    return out
+    return [(src, dst, int(lanes[0]) if lanes else -1) for src, dst, *lanes in
+            _entries(s, (2, 3), "edge entry '{}' expects 'src dst [lanes]'")]
 
 
 def _parse_int_tuple(s: str):
     return tuple(int(x) for x in s.replace(",", " ").split())
 
 
-# field type -> parser; the [graph] layout keys have their own text formats
+# field type -> parser; each [graph] layout key has a type, and a text format, of its own
 _PARSERS = {int: int, float: float, float | None: float, str: str,
-            bool: _parse_bool, tuple[int, ...]: _parse_int_tuple}
-_LAYOUT_PARSERS = {("graph", "grid"): _parse_grid,
-                   ("graph", "vertices"): _parse_vertices,
-                   ("graph", "edges"): _parse_edges}
+            bool: _parse_bool, tuple[int, ...]: _parse_int_tuple,
+            tuple[int, int, float] | None: _parse_grid,
+            list[tuple[str, float, float]]: _parse_vertices,
+            list[tuple[str, str, int]]: _parse_edges}
 
 # (section, key) -> parser, for every field of every config section
-_SCHEMA = {(sec.name, f.name): _LAYOUT_PARSERS.get((sec.name, f.name)) or _PARSERS[f.type]
+_SCHEMA = {(sec.name, f.name): _PARSERS[f.type]
            for sec in fields(ScenarioConfig) for f in fields(sec.type)}
 
 

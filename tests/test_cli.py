@@ -18,7 +18,7 @@ RUN_FILES = {cli.TRACE_NAME, cli.METRICS_NAME, cli.DELAY_NAME, cli.JITTER_NAME,
 
 def test_run_writes_its_files_and_report_renders_the_same_metrics(tmp_path, capsys):
     out = tmp_path / "run"
-    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 0
+    assert cli.main(["run", "--set", "routing.protocol=aodv", "--out", str(out), *TINY]) == 0
     assert {p.name for p in out.iterdir()} == RUN_FILES
     summary = json.loads((out / cli.SUMMARY_NAME).read_text(encoding="utf-8"))
     report = build_report(read_trace(out / cli.TRACE_NAME))
@@ -41,7 +41,7 @@ def test_run_writes_its_files_and_report_renders_the_same_metrics(tmp_path, caps
 
 def test_report_header_and_rows_share_their_column_boundaries(tmp_path, capsys):
     out = tmp_path / "run"
-    assert cli.main(["run", "--protocol", "olsr", "--out", str(out), *TINY]) == 0
+    assert cli.main(["run", "--set", "routing.protocol=olsr", "--out", str(out), *TINY]) == 0
     capsys.readouterr()
     assert cli.main(["report", str(out), str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -53,7 +53,7 @@ def test_report_header_and_rows_share_their_column_boundaries(tmp_path, capsys):
 
 def test_report_names_a_bad_line_and_still_prints_the_good_run(tmp_path, capsys):
     good, bad = tmp_path / "good", tmp_path / "bad"
-    assert cli.main(["run", "--protocol", "dsdv", "--out", str(good), *TINY]) == 0
+    assert cli.main(["run", "--set", "routing.protocol=dsdv", "--out", str(good), *TINY]) == 0
     text = (good / cli.TRACE_NAME).read_text(encoding="utf-8")
     head, last = text[:-1].rsplit("\n", 1)
     last_line = text.count("\n")
@@ -89,10 +89,10 @@ def test_a_run_that_raises_leaves_no_directory_and_the_next_run_goes_in(tmp_path
     out = tmp_path / "run"
     with monkeypatch.context() as patch:
         patch.setattr(Aodv, "start", _boom)
-        assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 1
+        assert cli.main(["run", "--set", "routing.protocol=aodv", "--out", str(out), *TINY]) == 1
     assert capsys.readouterr().err == "error: run failed: boom\n"
     assert not out.exists()
-    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 0
+    assert cli.main(["run", "--set", "routing.protocol=aodv", "--out", str(out), *TINY]) == 0
     assert {p.name for p in out.iterdir()} == RUN_FILES
 
 
@@ -100,11 +100,11 @@ def test_a_forced_rerun_that_raises_leaves_none_of_the_earlier_runs_files(tmp_pa
                                                                           monkeypatch):
     from vanetbench.routing.aodv import Aodv
     out = tmp_path / "run"
-    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), *TINY]) == 0
+    assert cli.main(["run", "--set", "routing.protocol=aodv", "--out", str(out), *TINY]) == 0
     (out / "notes.txt").write_text("not a run file\n", encoding="utf-8")
     capsys.readouterr()
     monkeypatch.setattr(Aodv, "start", _boom)
-    assert cli.main(["run", "--protocol", "aodv", "--out", str(out), "--force",
+    assert cli.main(["run", "--set", "routing.protocol=aodv", "--out", str(out), "--force",
                      *TINY]) == 1
     assert capsys.readouterr().err == "error: run failed: boom\n"
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
@@ -279,3 +279,24 @@ def test_a_run_from_a_scenario_file_builds_its_road_graph_once(tmp_path, capsys,
     assert cli.main([argv[0], "--scenario", str(path), *argv[1:]]) == 0
     assert len(builds) <= most
     capsys.readouterr()
+
+
+def test_a_run_without_out_names_its_directory_from_its_set_values(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--set", "routing.protocol=olsr", "--set", "mobility.model=idm-lc",
+                     "--set", "run.seed=2", *TINY]) == 0
+    summary = json.loads((tmp_path / "runs" / "default-olsr-idm-lc-s2" / cli.SUMMARY_NAME)
+                         .read_text(encoding="utf-8"))
+    assert (summary["protocol"], summary["mobility"], summary["seed"]) == ("olsr", "idm-lc", 2)
+    capsys.readouterr()
+
+
+# --set is the one way a scenario value reaches a run
+@pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--protocol", "olsr"),
+                                         ("--mobility", "idm-lc")])
+def test_run_takes_no_second_override_flag(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["run", "--out", str(tmp_path / "run"), flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

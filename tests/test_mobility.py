@@ -56,7 +56,7 @@ def plus_graph(arm=500.0, lanes=1, red_approach="w", phase_length=4000.0):
         for src, dst in ((a, "c"), ("c", a)):
             va = dict(n=(0, arm), s=(0, -arm), e=(arm, 0), w=(-arm, 0))[a]
             length = math.hypot(*va)
-            edges.append(Edge(edge_id(src, dst), src, dst, lanes, length, 30.0))
+            edges.append(Edge(edge_id(src, dst), src, dst, lanes, length))
     approach = edge_id(red_approach, "c")
     others = frozenset(edge_id(a, "c") for a in ("n", "s", "e", "w")
                        if a != red_approach)
@@ -161,8 +161,8 @@ def test_safety_veto_blocks_change_regardless_of_gain():
 
 def long_road(length=5000.0, lanes=1):
     verts = [Vertex("a", 0, 0), Vertex("b", length, 0)]
-    edges = [Edge("a>b", "a", "b", lanes, length, 40.0),
-             Edge("b>a", "b", "a", lanes, length, 40.0)]
+    edges = [Edge("a>b", "a", "b", lanes, length),
+             Edge("b>a", "b", "a", lanes, length)]
     return RoadGraph(verts, edges).validate()
 
 

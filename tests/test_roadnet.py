@@ -56,30 +56,30 @@ def test_light_phase_periodicity():
 
 def test_lane_count_bounds_rejected():
     v = [Vertex("a", 0, 0), Vertex("b", 100, 0)]
-    bad = [Edge("a>b", "a", "b", 0, 100.0, 20.0), Edge("b>a", "b", "a", 2, 100.0, 20.0)]
+    bad = [Edge("a>b", "a", "b", 0, 100.0), Edge("b>a", "b", "a", 2, 100.0)]
     with pytest.raises(GraphError, match="lane_count"):
         RoadGraph(v, bad).validate()
 
 
 def test_edge_length_must_match_geometry():
     v = [Vertex("a", 0, 0), Vertex("b", 100, 0)]
-    bad = [Edge("a>b", "a", "b", 1, 150.0, 20.0), Edge("b>a", "b", "a", 1, 100.0, 20.0)]
+    bad = [Edge("a>b", "a", "b", 1, 150.0), Edge("b>a", "b", "a", 1, 100.0)]
     with pytest.raises(GraphError, match="length"):
         RoadGraph(v, bad).validate()
 
 
 def test_disconnected_graph_lists_unreachable():
     v = [Vertex("a", 0, 0), Vertex("b", 100, 0), Vertex("c", 200, 0)]
-    edges = [Edge("a>b", "a", "b", 1, 100.0, 20.0),
-             Edge("b>a", "b", "a", 1, 100.0, 20.0)]
+    edges = [Edge("a>b", "a", "b", 1, 100.0),
+             Edge("b>a", "b", "a", 1, 100.0)]
     with pytest.raises(GraphError, match="c"):
         RoadGraph(v, edges).validate()
 
 
 def test_plan_trip_two_vertex_graph():
     v = [Vertex("a", 0, 0), Vertex("b", 100, 0)]
-    edges = [Edge("a>b", "a", "b", 1, 100.0, 20.0),
-             Edge("b>a", "b", "a", 1, 100.0, 20.0)]
+    edges = [Edge("a>b", "a", "b", 1, 100.0),
+             Edge("b>a", "b", "a", 1, 100.0)]
     g = RoadGraph(v, edges).validate()
     rng = RngStreams(1).stream("mobility")
     trip = plan_trip(rng, g, "a")
@@ -145,8 +145,8 @@ def _random_small_graph(rng: random.Random):
             length = math.hypot(va.x - vb.x, va.y - vb.y)
             if length == 0:
                 break
-            edges.append(Edge(edge_id(a, b), a, b, 1, length, 20.0))
-            edges.append(Edge(edge_id(b, a), b, a, 1, length, 20.0))
+            edges.append(Edge(edge_id(a, b), a, b, 1, length))
+            edges.append(Edge(edge_id(b, a), b, a, 1, length))
         else:
             return RoadGraph(verts, edges).validate()
 

@@ -1,5 +1,6 @@
 """Scenario file parsing, schema validation, defaults and the effective echo."""
 
+import configparser
 import re
 import tracemalloc
 from dataclasses import fields
@@ -8,7 +9,8 @@ import pytest
 
 from vanetbench.scenario import (MAX_EPOCH_BYTES, MAX_PERIODIC_FIRINGS, PROTOCOLS,
                                  ScenarioConfig, SchemaError, effective_ini, epoch_bytes,
-                                 load_scenario, parse_scenario_text, periodic_firings)
+                                 load_scenario, parse_scenario_text, periodic_firings,
+                                 set_value)
 
 
 def test_minimal_inline_file(tmp_path):
@@ -100,7 +102,7 @@ def test_flows_bounded_by_ordered_pairs():
 
 # each value crashed or hung a 10-vehicle run when validate() let it through
 @pytest.mark.parametrize("section,key,value", [
-    ("graph", "lanes", "0"), ("graph", "grid", "1 5 250"), ("graph", "speed_limit", "0"),
+    ("graph", "lanes", "0"), ("graph", "grid", "1 5 250"),
     ("graph", "phase_length", "0"), ("mac", "bitrate", "0"), ("mac", "phy_overhead", "-1"),
     ("mac", "slot", "-1"), ("mac", "sifs", "-1"), ("mac", "mac_overhead", "-100"),
     ("traffic", "cbr_start", "-1"), ("phy", "target_range", "0"),
@@ -194,7 +196,7 @@ def test_a_vehicle_count_beyond_a_float_is_schema_error():
 
 
 # 20,000 vehicles for 5 s schedule 1 M beacons, within the firing cap, yet one
-# link-budget epoch of theirs needs 10 GB; validate() only counts, so checking
+# link-budget epoch of theirs needs 4 GB; validate() only counts, so checking
 # either frame allocates no matrix
 @pytest.mark.parametrize("vehicles, duration, refused", [(1000, 100.0, False),
                                                          (20000, 5.0, True)])
@@ -287,7 +289,8 @@ def test_an_inline_graph_of_more_intersections_than_the_cap_is_schema_error():
 
 
 def test_inline_graph_with_one_vertex_is_schema_error():
-    # strongly connected through its self-loop, but no trip has a destination
+    # strongly connected through its self-loop, but the loop is 0 m long, below
+    # the shortest road (ROAD_LENGTH_M)
     with pytest.raises(SchemaError, match="graph"):
         parse_scenario_text("[graph]\nvertices = a 0 0\nedges = a a\n")
 
@@ -295,8 +298,7 @@ def test_inline_graph_with_one_vertex_is_schema_error():
 # a valid non-default value for every field of every section
 NON_DEFAULT = {
     "graph": {"grid": None, "vertices": [("a", 0.0, 0.0), ("b", 250.0, 0.5)],
-              "edges": [("a", "b", 1), ("b", "a", 3)], "lanes": 3,
-              "speed_limit": 15.0, "phase_length": 12.5},
+              "edges": [("a", "b", 1), ("b", "a", 3)], "lanes": 3, "phase_length": 12.5},
     "mobility": {"model": "idm-lc", "a_max": 0.8, "b": 1.1, "s0": 1.5, "headway": 0.8,
                  "vehicle_length": 4.5, "visibility": 150.0, "recalc_step": 0.5,
                  "integration_dt": 0.05, "v_min_kmh": 20.0, "v_max_kmh": 70.0,
@@ -344,3 +346,39 @@ def test_grid_spec_parsing():
     assert cfg.graph.grid == (3, 4, 125.5)
     g = cfg.build_graph()
     assert len(g.vertices) == 12
+
+
+def _mixed_case(word):
+    return "".join(c.upper() if i % 2 else c for i, c in enumerate(word))
+
+
+@pytest.mark.parametrize("word, value", configparser.ConfigParser.BOOLEAN_STATES.items())
+def test_every_boolean_word_parses_in_any_case_and_spacing(word, value):
+    cfg = ScenarioConfig()
+    set_value(cfg, "run", "mobility_trace", f"  {_mixed_case(word)} ", "test")
+    assert cfg.run.mobility_trace is value
+
+
+def test_a_word_that_is_not_a_boolean_is_schema_error():
+    with pytest.raises(SchemaError, match=r"\[run\] mobility_trace .*not a boolean"):
+        parse_scenario_text("[run]\nmobility_trace = maybe\n")
+
+
+@pytest.mark.parametrize("vertices, edges, error", [
+    ("a 0 0; b 250", "a b; b a", "vertex entry 'b 250' expects 'id x y'"),
+    ("a 0 0; b 250 0", "a b; b a 1 2", "edge entry 'b a 1 2' expects 'src dst [lanes]'")])
+def test_a_graph_entry_of_the_wrong_length_is_schema_error(vertices, edges, error):
+    with pytest.raises(SchemaError, match=re.escape(error)):
+        parse_scenario_text(f"[graph]\nvertices = {vertices}\nedges = {edges}\n")
+
+
+def test_an_edge_without_lanes_takes_the_section_lanes():
+    cfg = parse_scenario_text("[graph]\nvertices = a 0 0; b 250 0\nedges = a b; b a 1\n"
+                              "lanes = 3\n")
+    assert cfg.graph.edges == [("a", "b", 3), ("b", "a", 1)]
+
+
+def test_a_scenario_naming_the_removed_speed_limit_is_refused_with_its_line():
+    with pytest.raises(SchemaError, match=re.escape(
+            "unknown key 'speed_limit' in section [graph] (line 3)")):
+        parse_scenario_text("[graph]\nlanes = 2\nspeed_limit = 20\n")
