@@ -28,7 +28,15 @@ class Event:
 
 
 class Simulator:
-    """Single-threaded event loop with a monotone virtual clock (seconds)."""
+    """Single-threaded event loop with a monotone virtual clock (seconds).
+
+    Reservation: `reserve` takes the sequence number that a `schedule` call
+    made now would get, and `schedule_reserved` queues an event under it
+    later, before the clock passes its fire time. Among events at one fire
+    time, that event dispatches where it would have, had it been scheduled at
+    reservation. A (fire time, number) key holds one queue entry at a time: to
+    queue a cancelled entry again, clear its flag, because a second entry with
+    an equal key would make the heap compare Events."""
 
     def __init__(self):
         self.now = 0.0
@@ -52,8 +60,27 @@ class Simulator:
     def after(self, delay: float, action, target: str = "") -> Event:
         return self.schedule(self.now + delay, action, target)
 
+    def reserve(self) -> int:
+        """Take the sequence number of the next `schedule` call, for
+        `schedule_reserved`; `schedule` then moves on to the one after it."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def schedule_reserved(self, at: float, seq: int, action, target: str = "") -> Event:
+        """`schedule` under the reserved number `seq`. The event goes through
+        `self.schedule`, so that a wrapper on it sees this event too, and the
+        counter is left as it was, also when `at` is in the past."""
+        count = self._seq
+        self._seq = seq
+        try:
+            return self.schedule(at, action, target)
+        finally:
+            self._seq = count
+
     def cancel(self, handle: Event) -> bool:
-        """True if the event was pending and is now removed; False otherwise."""
+        """True if the event was pending and is now flagged, so that the loop
+        skips it when it comes up; False otherwise."""
         if handle.fired or handle.cancelled:
             return False
         handle.cancelled = True

@@ -3,6 +3,7 @@ with freezing, broadcast and unicast (ACK/retry) services, and the shared medium
 
 import math
 from collections import deque
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,6 +23,8 @@ def epoch_block_rows(n: int) -> int:
     block's temporaries within EPOCH_BLOCK_BYTES, and at least one."""
     return max(1, EPOCH_BLOCK_BYTES // (BLOCK_BYTES_PER_PAIR * max(n, 1)))
 
+
+_BACKOFF_END = attrgetter("backoff_end")
 
 FRAME_DATA = "data"
 FRAME_ACK = "ack"
@@ -103,9 +106,19 @@ class Channel:
     node id in the order they entered, and a transmission's `waiters` holds the
     MACs frozen on it, in the order they froze. `transmit` freezes the
     contenders that sense its frame in `contenders` order, and `_tx_end` wakes
-    the waiters in `waiters` order. These orders set the sequence numbers of
-    re-armed timers, which order equal fire times: backoffs ending in one slot,
-    which collide.
+    the waiters in `waiters` order. These orders set the sequence numbers that
+    contenders reserve, which order equal end times: backoffs ending in one
+    slot, which collide.
+
+    Backoff event: the channel, not each contender, holds the one queued
+    `mac.backoff` event, that of the earliest contender by (end time, reserved
+    number), `armed`. `contenders` is in reservation order, so that is its
+    first entry with the least end time, and a new contender, whose number is
+    the newest, displaces `armed` only by a strictly earlier end. When `armed`
+    fires, it transmits, and `transmit` queues the next earliest after its
+    freeze pass; when it freezes for reception, `_arm` runs before it waits
+    again. Each fire time and sequence number is the one an event per
+    contender would have had, so the dispatch order is too.
     """
 
     def __init__(self, sim, coords, phy_cfg, tx_power, rng, trace):
@@ -117,6 +130,7 @@ class Channel:
         self.trace = trace
         self.active: list[Transmission] = []
         self.contenders: dict[int, "NodeMac"] = {}
+        self.armed: "NodeMac | None" = None   # the contender whose event is queued
         self.macs: dict[int, "NodeMac"] = {}
         self._cs_dbm = phy_cfg.carrier_sense_threshold
         self._rx_mw = float(phy.dbm_to_mw(phy_cfg.rx_threshold))
@@ -135,6 +149,30 @@ class Channel:
                 if latest is None or tx.end > latest.end:
                     latest = tx
         return latest
+
+    # -- contention ----------------------------------------------------------
+
+    def _arm(self):
+        """Queue the earliest contender's backoff event, unless one is queued."""
+        if self.armed is None and self.contenders:
+            # min keeps the first of equal end times: the earliest reservation
+            self._queue_backoff(min(self.contenders.values(), key=_BACKOFF_END))
+
+    def _queue_backoff(self, mac: "NodeMac"):
+        """Queue the backoff event of `mac`, the earliest contender, in place of
+        the one of `armed`, if any."""
+        armed = self.armed
+        if armed is not None:
+            armed._entry.cancelled = True
+        self.armed = mac
+        entry = mac._entry
+        if entry is not None:
+            # displaced earlier and still queued under its (end, number) key;
+            # a second entry with that key would make heapq compare Events
+            entry.cancelled = False
+        else:
+            mac._entry = self.sim.schedule_reserved(mac.backoff_end, mac.backoff_seq,
+                                                    mac._backoff_done, "mac.backoff")
 
     # -- transmission --------------------------------------------------------
 
@@ -217,6 +255,7 @@ class Channel:
             # freeze, in the order they entered, the contenders that sense this frame
             for mac in [mac for node, mac in contenders.items() if sensed[node]]:
                 mac.medium_busy(now, tx)
+            self._arm()
         self.sim.schedule(end, lambda: self._tx_end(tx), target="channel.tx_end")
         return tx
 
@@ -256,12 +295,16 @@ class Channel:
 class NodeMac:
     """Per-node CSMA/CA state machine over the shared channel.
 
-    `_begin_wait` arms the backoff timer for DIFS plus the remaining slots and
-    enters `Channel.contenders` (CONTEND), or, while a sensed frame is on air,
-    joins the `waiters` of the one ending last (FROZEN). A contender leaves when
-    its timer fires or when it freezes (`medium_busy`): at the start of a sensed
-    frame, or on decoding a unicast frame it did not sense. `Channel._tx_end`
-    wakes a frozen node inline (`resume_contention`), and it waits again.
+    `_begin_wait` sets the backoff's end, DIFS plus the remaining slots away,
+    reserves the sequence number its event gets, and enters
+    `Channel.contenders` (CONTEND); or, while a sensed frame is on air, it
+    joins the `waiters` of the one ending last (FROZEN). No event is queued
+    for the backoff here: the channel queues it, `_entry`, while this node is
+    the earliest contender, and flags it cancelled when another displaces it
+    or when it freezes. A contender leaves when its backoff fires or when it
+    freezes (`medium_busy`): at the start of a sensed frame, or on decoding a
+    unicast frame it did not sense. `Channel._tx_end` wakes a frozen node
+    inline (`resume_contention`), and it waits again.
     """
 
     def __init__(self, node_id, sim, channel: Channel, params, rng, trace,
@@ -283,7 +326,9 @@ class NodeMac:
         self._difs = params.difs
         self._slot = params.slot
         self._ack_wait = params.sifs + params.airtime(0) + params.slot
-        self._done_ev = None
+        self.backoff_end = 0.0
+        self.backoff_seq = 0
+        self._entry = None                    # queued backoff event of this reservation
         self._timeout_ev = None
         self._ack = None                      # ACK frame pending or in flight
         self._mac_seq = 0
@@ -326,11 +371,18 @@ class NodeMac:
             blocker.waiters.append(self)
             return
         self.state = CONTEND
-        channel.contenders[self.node_id] = self
-        now = self.wait_started = self.sim.now
+        sim = self.sim
+        now = self.wait_started = sim.now
         # this operand order, as IEEE rounding makes it, decides same-slot ties
-        fire = now + self._difs + self.backoff_remaining * self._slot
-        self._done_ev = self.sim.schedule(fire, self._backoff_done, target="mac.backoff")
+        end = self.backoff_end = now + self._difs + self.backoff_remaining * self._slot
+        self.backoff_seq = sim.reserve()
+        self._entry = None
+        channel.contenders[self.node_id] = self
+        armed = channel.armed
+        # on a tie `armed` keeps its place: its number is older. It is None only
+        # when no one else contends, since _freeze_for_reception re-arms first
+        if armed is None or end < armed.backoff_end:
+            channel._queue_backoff(self)
 
     # the wake pass's call: a frozen node is in one `waiters` list and stays
     # FROZEN until that frame ends, so waking it is waiting again
@@ -341,27 +393,29 @@ class NodeMac:
         and join the `waiters` of `blocker`, if given. The whole slots counted
         down since DIFS ended are consumed, none inside DIFS:
         floor((t_busy - (wait_started + difs)) / slot + 1e-9)."""
-        done = self._done_ev
-        if done.fire_time <= t_busy:
+        if self.backoff_end <= t_busy:
             return   # backoff hit zero this same instant: transmit (and collide)
-        done.cancelled = True                 # pending, so this is all cancel() does
-        self._done_ev = None
+        channel = self.channel
+        if channel.armed is self:
+            self._entry.cancelled = True      # pending, so this is all cancel() does
+            channel.armed = None              # the caller queues the next one
         elapsed = t_busy - (self.wait_started + self._difs)
         if elapsed > 0:
             consumed = int(elapsed / self._slot + 1e-9)   # a positive quotient: floor
             left = self.backoff_remaining
             self.backoff_remaining = left - consumed if consumed < left else 0
-        del self.channel.contenders[self.node_id]
+        del channel.contenders[self.node_id]
         self.state = FROZEN
         if blocker is not None:
             blocker.waiters.append(self)
 
     def _backoff_done(self):
-        self._done_ev = None
-        del self.channel.contenders[self.node_id]
+        channel = self.channel
+        channel.armed = None                  # transmit queues the next one
+        del channel.contenders[self.node_id]
         frame = self.queue[0]
         self.state = TX
-        self.channel.transmit(self.node_id, frame)
+        channel.transmit(self.node_id, frame)
 
     # -- completion paths ----------------------------------------------------
 
@@ -414,10 +468,11 @@ class NodeMac:
         below the carrier-sense threshold: the countdown must not have run
         through it, and nothing may transmit before the SIFS ack slot. Only a
         unicast destination can be contending here: a broadcast's receivers
-        sensed it at its start. Its timer is due at or after now, which is
+        sensed it at its start. Its backoff ends at or after now, which is
         after tx_start, so it freezes."""
         if self.state == CONTEND:
             self.medium_busy(tx_start, None)
+            self.channel._arm()               # it may have frozen as `armed`
             self._begin_wait()
 
     def frame_received(self, frame: Frame, tx: Transmission):

@@ -1,4 +1,4 @@
-"""Event engine: ordering, cancellation, determinism, RNG streams."""
+"""Event engine: ordering, reservation, cancellation, determinism, RNG streams."""
 
 import random
 
@@ -125,6 +125,60 @@ def test_clock_never_moves_backward():
     sim.run_until(20.0)
     times = [t for t, _, _ in log]
     assert all(a <= b for a, b in zip(times, times[1:]))
+
+
+def _unwrapped(sim):
+    return []
+
+
+def _bench_like(sim):
+    """Wrap the action in a closure, as the benchmark's span tracer does."""
+    schedule = sim.schedule
+
+    def traced(at, action, target=""):
+        return schedule(at, lambda: action(), target)
+
+    sim.schedule = traced
+    return []
+
+
+WRAPPERS = [_unwrapped, record_dispatch_log, _bench_like]
+
+
+@pytest.mark.parametrize("wrap", WRAPPERS)
+def test_a_reserved_event_dispatches_where_its_reservation_put_it(wrap):
+    sim = Simulator()
+    log = wrap(sim)
+    order = []
+    sim.schedule(1.0, lambda: order.append("a"), target="a")
+    seq = sim.reserve()
+    sim.schedule(1.0, lambda: order.append("c"), target="c")
+    reserved = []
+
+    def push():
+        reserved.append(sim.schedule_reserved(1.0, seq, lambda: order.append("b"), "b"))
+
+    sim.schedule(0.5, push, target="push")
+    after = sim.schedule(1.0, lambda: order.append("d"), target="d")
+    sim.run_until(2.0)
+    assert order == ["a", "b", "c", "d"]
+    assert reserved[0].sequence == seq and reserved[0].fired
+    assert after.sequence == seq + 3      # c and push took the numbers between
+    if log:
+        assert [target for _, _, target in log] == ["push", "a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("wrap", WRAPPERS)
+def test_a_reserved_push_into_the_past_raises_and_keeps_the_counter(wrap):
+    sim = Simulator()
+    wrap(sim)
+    seq = sim.reserve()
+    sim.schedule(2.0, lambda: None)
+    sim.run_until(2.0)
+    with pytest.raises(SchedulingError):
+        sim.schedule_reserved(1.0, seq, lambda: None)
+    assert sim.schedule(3.0, lambda: None).sequence == seq + 2
+    assert sim.reserve() == seq + 3
 
 
 def test_rng_streams_reproducible():

@@ -14,7 +14,7 @@ from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig, epoch_byte
 from vanetbench.simulation import Simulation
 
 from conftest import (StaticNetwork, fast_convergence_config, line_positions,
-                      recording_trace)
+                      record_dispatch_log, recording_trace)
 
 
 def _packet(pid, dst=1, size=512, kind=KIND_CBR):
@@ -223,6 +223,95 @@ def test_nodes_frozen_by_one_frame_with_equal_slots_send_together_in_freeze_orde
     assert [node for node, _ in sends] == [0, 2, 1]
     expected = sends[0][1] + cfg.airtime(512) + cfg.difs + 4 * cfg.slot
     assert sends[1][1] == sends[2][1] == pytest.approx(expected, abs=1e-12)
+
+
+def _queued_backoffs(sim):
+    return [ev for _, _, ev in sim._queue if ev.target == "mac.backoff" and not ev.cancelled]
+
+
+def test_one_backoff_event_is_queued_for_the_earliest_contender():
+    # 24 nodes 120 m apart on a 6 x 4 grid, each with six frames at t=0:
+    # far corners sit beyond each other's carrier sense, so contenders freeze
+    # on some frames and not on others, and one can displace another and later
+    # be displaced back
+    h = Harness({i: (120.0 * (i % 6), 120.0 * (i // 6)) for i in range(24)},
+                rng=np.random.default_rng(3))
+    channel, sim = h.channel, h.sim
+    schedule, contending, displaced, regained = sim.schedule, [], set(), []
+
+    def check():
+        live = _queued_backoffs(sim)
+        if not channel.contenders:
+            assert live == [] and channel.armed is None
+            return
+        first = min(channel.contenders.values(),
+                    key=lambda mac: (mac.backoff_end, mac.backoff_seq))
+        assert channel.armed is first
+        assert live == [first._entry]
+        assert (live[0].fire_time, live[0].sequence) == (first.backoff_end,
+                                                         first.backoff_seq)
+        contending.append(len(channel.contenders))
+        if live[0] in displaced:
+            regained.append(live[0])
+        displaced.update(mac._entry for mac in channel.contenders.values()
+                         if mac._entry is not None and mac._entry.cancelled)
+
+    def checked_schedule(at, action, target=""):
+        def fire():
+            action()
+            check()
+        return schedule(at, fire, target)
+
+    sim.schedule = checked_schedule
+    for node, mac in enumerate(h.macs):
+        right = node + 1 if node % 6 < 5 else node - 1
+        for k in range(6):
+            dest = BROADCAST if k % 3 == 1 else right
+            mac.enqueue_packet(_packet(6 * node + k, dst=dest), dest)
+            check()
+    sim.run_until(0.5)
+    assert all(not mac.queue for mac in h.macs)
+    assert len(contending) > 300 and max(contending) >= 10 and regained
+
+
+def test_a_contender_that_regains_earliest_fires_once():
+    # 0 and 1 do not sense each other. 1 enters with the earlier end and
+    # displaces 0's queued event; once 1 has sent, 0 is earliest again and its
+    # first entry, still queued under the same (end, number), is the one to fire
+    cfg = MacConfig()
+    h = Harness(line_positions(2, 1000.0), mac_cfg=cfg, rng_values=[10, 2])
+    assert not h.channel._link_budget(0)[0][1]
+    log = record_dispatch_log(h.sim)
+    h.macs[0].enqueue_packet(_packet(0, dst=BROADCAST), BROADCAST)
+    entry = h.macs[0]._entry
+    h.macs[1].enqueue_packet(_packet(1, dst=BROADCAST), BROADCAST)
+    assert entry.cancelled and h.channel.armed is h.macs[1]
+    h.sim.run_until(1.0)
+    assert _mac_sends(h) == [(1, pytest.approx(cfg.difs + 2 * cfg.slot, abs=1e-12)),
+                             (0, pytest.approx(cfg.difs + 10 * cfg.slot, abs=1e-12))]
+    fired = [(t, seq) for t, seq, target in log if target == "mac.backoff"]
+    assert fired == [(h.macs[1].backoff_end, h.macs[1].backoff_seq),
+                     (entry.fire_time, entry.sequence)]
+    assert entry.fired and h.macs[0]._entry is entry
+
+
+def test_aodv_contention_schedules_few_events_per_dispatched_event():
+    # 0.5 s of the reference frame; an event per contender's backoff would
+    # make this 3.8
+    cfg = ScenarioConfig()
+    cfg.routing.protocol = "aodv"
+    cfg.run.duration = 0.5
+    net = Simulation(cfg)
+    schedule, scheduled = net.sim.schedule, []
+
+    def counted(at, action, target=""):
+        scheduled.append(target)
+        return schedule(at, action, target)
+
+    net.sim.schedule = counted
+    result = net.run()
+    assert result.events > 5000
+    assert len(scheduled) / result.events <= 1.5
 
 
 def test_unicast_perfect_channel_first_attempt():
