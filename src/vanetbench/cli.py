@@ -187,6 +187,8 @@ def write_batch_csv(path, rows, seeds):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     protocols = args.protocols.split(",") if args.protocols else [cfg.routing.protocol]
     mobilities = args.mobilities.split(",") if args.mobilities else [cfg.mobility.model]
@@ -195,6 +197,12 @@ def cmd_batch(args) -> int:
     except ValueError:
         raise SchemaError(f"--seeds expects comma-separated integers, "
                           f"got '{args.seeds}'") from None
+    # an entry listed twice would send two jobs into one run directory
+    for option, values in (("--protocols", protocols), ("--mobilities", mobilities),
+                           ("--seeds", seeds)):
+        if len(set(values)) < len(values):
+            twice = next(v for i, v in enumerate(values) if v in values[:i])
+            raise SchemaError(f"{option} lists {twice} more than once")
     out_root = Path(args.out or "batch")
     payloads = []
     for protocol, mobility, seed in itertools.product(protocols, mobilities, seeds):

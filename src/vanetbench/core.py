@@ -34,9 +34,7 @@ class Simulator:
     made now would get, and `schedule_reserved` queues an event under it
     later, before the clock passes its fire time. Among events at one fire
     time, that event dispatches where it would have, had it been scheduled at
-    reservation. A (fire time, number) key holds one queue entry at a time: to
-    queue a cancelled entry again, clear its flag, because a second entry with
-    an equal key would make the heap compare Events."""
+    reservation."""
 
     def __init__(self):
         self.now = 0.0

@@ -110,15 +110,15 @@ class Channel:
     contenders reserve, which order equal end times: backoffs ending in one
     slot, which collide.
 
-    Backoff event: the channel, not each contender, holds the one queued
-    `mac.backoff` event, that of the earliest contender by (end time, reserved
-    number), `armed`. `contenders` is in reservation order, so that is its
-    first entry with the least end time, and a new contender, whose number is
-    the newest, displaces `armed` only by a strictly earlier end. When `armed`
-    fires, it transmits, and `transmit` queues the next earliest after its
-    freeze pass; when it freezes for reception, `_arm` runs before it waits
-    again. Each fire time and sequence number is the one an event per
-    contender would have had, so the dispatch order is too.
+    Backoff events: `armed` is the earliest contender by (end time, reserved
+    number), and its `mac.backoff` entry is always queued. `contenders` is in
+    reservation order, so that is its first entry with the least end time,
+    and a new contender, whose number is the newest, displaces `armed` only by
+    a strictly earlier end. When `armed` fires, it transmits, and `transmit`
+    arms the next earliest after its freeze pass; when it freezes for
+    reception, `_arm` runs before it waits again. How long an entry lives is
+    `NodeMac`'s rule. Each fire time and sequence number is the one an event
+    per contender would have had, so the dispatch order is too.
     """
 
     def __init__(self, sim, coords, phy_cfg, tx_power, rng, trace):
@@ -153,26 +153,14 @@ class Channel:
     # -- contention ----------------------------------------------------------
 
     def _arm(self):
-        """Queue the earliest contender's backoff event, unless one is queued."""
+        """Make the earliest contender `armed`, unless one is, and queue its
+        entry if it has none."""
         if self.armed is None and self.contenders:
             # min keeps the first of equal end times: the earliest reservation
-            self._queue_backoff(min(self.contenders.values(), key=_BACKOFF_END))
-
-    def _queue_backoff(self, mac: "NodeMac"):
-        """Queue the backoff event of `mac`, the earliest contender, in place of
-        the one of `armed`, if any."""
-        armed = self.armed
-        if armed is not None:
-            armed._entry.cancelled = True
-        self.armed = mac
-        entry = mac._entry
-        if entry is not None:
-            # displaced earlier and still queued under its (end, number) key;
-            # a second entry with that key would make heapq compare Events
-            entry.cancelled = False
-        else:
-            mac._entry = self.sim.schedule_reserved(mac.backoff_end, mac.backoff_seq,
-                                                    mac._backoff_done, "mac.backoff")
+            mac = self.armed = min(self.contenders.values(), key=_BACKOFF_END)
+            if mac._entry is None:
+                mac._entry = self.sim.schedule_reserved(mac.backoff_end, mac.backoff_seq,
+                                                        mac._backoff_done, "mac.backoff")
 
     # -- transmission --------------------------------------------------------
 
@@ -298,13 +286,17 @@ class NodeMac:
     `_begin_wait` sets the backoff's end, DIFS plus the remaining slots away,
     reserves the sequence number its event gets, and enters
     `Channel.contenders` (CONTEND); or, while a sensed frame is on air, it
-    joins the `waiters` of the one ending last (FROZEN). No event is queued
-    for the backoff here: the channel queues it, `_entry`, while this node is
-    the earliest contender, and flags it cancelled when another displaces it
-    or when it freezes. A contender leaves when its backoff fires or when it
-    freezes (`medium_busy`): at the start of a sensed frame, or on decoding a
-    unicast frame it did not sense. `Channel._tx_end` wakes a frozen node
-    inline (`resume_contention`), and it waits again.
+    joins the `waiters` of the one ending last (FROZEN). A contender leaves
+    when its backoff fires or when it freezes (`medium_busy`): at the start of
+    a sensed frame, or on decoding a unicast frame it did not sense.
+    `Channel._tx_end` wakes a frozen node inline (`resume_contention`), and it
+    waits again.
+
+    Entry rule: a reservation's `mac.backoff` event, `_entry`, is queued at
+    most once, when the node becomes `Channel.armed` without one, and lives
+    until it fires or the node freezes, which cancels it. A displaced entry
+    stays queued under its own (end, number) key: it comes up only after every
+    earlier contender has fired or frozen, when its node is `armed` again.
     """
 
     def __init__(self, node_id, sim, channel: Channel, params, rng, trace,
@@ -328,7 +320,7 @@ class NodeMac:
         self._ack_wait = params.sifs + params.airtime(0) + params.slot
         self.backoff_end = 0.0
         self.backoff_seq = 0
-        self._entry = None                    # queued backoff event of this reservation
+        self._entry = None                    # this reservation's queued entry, or None
         self._timeout_ev = None
         self._ack = None                      # ACK frame pending or in flight
         self._mac_seq = 0
@@ -375,14 +367,14 @@ class NodeMac:
         now = self.wait_started = sim.now
         # this operand order, as IEEE rounding makes it, decides same-slot ties
         end = self.backoff_end = now + self._difs + self.backoff_remaining * self._slot
-        self.backoff_seq = sim.reserve()
-        self._entry = None
+        seq = self.backoff_seq = sim.reserve()
         channel.contenders[self.node_id] = self
         armed = channel.armed
         # on a tie `armed` keeps its place: its number is older. It is None only
         # when no one else contends, since _freeze_for_reception re-arms first
         if armed is None or end < armed.backoff_end:
-            channel._queue_backoff(self)
+            channel.armed = self
+            self._entry = sim.schedule_reserved(end, seq, self._backoff_done, "mac.backoff")
 
     # the wake pass's call: a frozen node is in one `waiters` list and stays
     # FROZEN until that frame ends, so waking it is waiting again
@@ -396,9 +388,11 @@ class NodeMac:
         if self.backoff_end <= t_busy:
             return   # backoff hit zero this same instant: transmit (and collide)
         channel = self.channel
-        if channel.armed is self:
+        if self._entry is not None:
             self._entry.cancelled = True      # pending, so this is all cancel() does
-            channel.armed = None              # the caller queues the next one
+            self._entry = None
+        if channel.armed is self:
+            channel.armed = None              # the caller arms the next one
         elapsed = t_busy - (self.wait_started + self._difs)
         if elapsed > 0:
             consumed = int(elapsed / self._slot + 1e-9)   # a positive quotient: floor
@@ -411,7 +405,7 @@ class NodeMac:
 
     def _backoff_done(self):
         channel = self.channel
-        channel.armed = None                  # transmit queues the next one
+        channel.armed = self._entry = None    # transmit arms the next one
         del channel.contenders[self.node_id]
         frame = self.queue[0]
         self.state = TX

@@ -171,6 +171,22 @@ def test_batch_rejects_a_seed_that_is_not_an_integer(tmp_path, capsys):
     assert not root.exists()
 
 
+# a repeated entry once sent two jobs into one run directory, which failed
+# both or, with --force, ran one job twice there; a --jobs below 1 ran serially
+@pytest.mark.parametrize("option, value", [("--protocols", "aodv,aodv"),
+                                           ("--mobilities", "idm-im,idm-lc,idm-im"),
+                                           ("--seeds", "1,1"), ("--seeds", "1,01"),
+                                           ("--jobs", "0"), ("--jobs", "-3")])
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_batch_refuses_a_repeated_entry_or_no_workers_before_any_output(
+        tmp_path, capsys, option, value, force):
+    root = tmp_path / "batch"
+    status = cli.main(["batch", option, value, "--out", str(root), *force, *TINY])
+    assert status == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} ")
+    assert not root.exists()
+
+
 # both once crashed after writing: the random streams refuse a negative seed
 @pytest.mark.parametrize("argv", [["run", "--set", "run.seed=-1"],
                                   ["batch", "--seeds", "-1", "--jobs", "1"]])

@@ -233,34 +233,46 @@ def test_one_backoff_event_is_queued_for_the_earliest_contender():
     # 24 nodes 120 m apart on a 6 x 4 grid, each with six frames at t=0:
     # far corners sit beyond each other's carrier sense, so contenders freeze
     # on some frames and not on others, and one can displace another and later
-    # be displaced back
+    # be earliest again
     h = Harness({i: (120.0 * (i % 6), 120.0 * (i // 6)) for i in range(24)},
                 rng=np.random.default_rng(3))
     channel, sim = h.channel, h.sim
-    schedule, contending, displaced, regained = sim.schedule, [], set(), []
+    schedule, contending, pushed, displaced, regained = sim.schedule, [], set(), set(), []
+
+    def key(mac):
+        return mac.backoff_end, mac.backoff_seq
 
     def check():
         live = _queued_backoffs(sim)
+        contenders = channel.contenders.values()
         if not channel.contenders:
             assert live == [] and channel.armed is None
-            return
-        first = min(channel.contenders.values(),
-                    key=lambda mac: (mac.backoff_end, mac.backoff_seq))
-        assert channel.armed is first
-        assert live == [first._entry]
-        assert (live[0].fire_time, live[0].sequence) == (first.backoff_end,
-                                                         first.backoff_seq)
-        contending.append(len(channel.contenders))
-        if live[0] in displaced:
-            regained.append(live[0])
-        displaced.update(mac._entry for mac in channel.contenders.values()
-                         if mac._entry is not None and mac._entry.cancelled)
+        else:
+            first = min(contenders, key=key)
+            assert channel.armed is first
+            assert first._entry in live
+            assert (first._entry.fire_time, first._entry.sequence) == key(first)
+            contending.append(len(channel.contenders))
+        owners = {id(mac._entry): mac for mac in contenders if mac._entry is not None}
+        for ev in live:
+            mac = owners.pop(id(ev))
+            assert (ev.fire_time, ev.sequence) == key(mac)
+        assert not owners
+        assert all(mac._entry is None for mac in h.macs
+                   if mac.node_id not in channel.contenders)
+        displaced.update(mac._entry for mac in contenders
+                         if mac._entry is not None and mac is not channel.armed)
 
     def checked_schedule(at, action, target=""):
         def fire():
+            if ev in displaced:
+                regained.append(ev)
             action()
             check()
-        return schedule(at, fire, target)
+        ev = schedule(at, fire, target)
+        assert (ev.fire_time, ev.sequence) not in pushed
+        pushed.add((ev.fire_time, ev.sequence))
+        return ev
 
     sim.schedule = checked_schedule
     for node, mac in enumerate(h.macs):
@@ -276,8 +288,8 @@ def test_one_backoff_event_is_queued_for_the_earliest_contender():
 
 def test_a_contender_that_regains_earliest_fires_once():
     # 0 and 1 do not sense each other. 1 enters with the earlier end and
-    # displaces 0's queued event; once 1 has sent, 0 is earliest again and its
-    # first entry, still queued under the same (end, number), is the one to fire
+    # displaces 0 as armed, leaving 0's entry queued; once 1 has sent, 0 is
+    # earliest again and that entry, under its own (end, number), fires
     cfg = MacConfig()
     h = Harness(line_positions(2, 1000.0), mac_cfg=cfg, rng_values=[10, 2])
     assert not h.channel._link_budget(0)[0][1]
@@ -285,14 +297,69 @@ def test_a_contender_that_regains_earliest_fires_once():
     h.macs[0].enqueue_packet(_packet(0, dst=BROADCAST), BROADCAST)
     entry = h.macs[0]._entry
     h.macs[1].enqueue_packet(_packet(1, dst=BROADCAST), BROADCAST)
-    assert entry.cancelled and h.channel.armed is h.macs[1]
+    assert entry in _queued_backoffs(h.sim) and h.channel.armed is h.macs[1]
     h.sim.run_until(1.0)
     assert _mac_sends(h) == [(1, pytest.approx(cfg.difs + 2 * cfg.slot, abs=1e-12)),
                              (0, pytest.approx(cfg.difs + 10 * cfg.slot, abs=1e-12))]
     fired = [(t, seq) for t, seq, target in log if target == "mac.backoff"]
     assert fired == [(h.macs[1].backoff_end, h.macs[1].backoff_seq),
                      (entry.fire_time, entry.sequence)]
-    assert entry.fired and h.macs[0]._entry is entry
+    assert entry.fired and h.macs[0]._entry is None
+
+
+def test_a_displaced_contender_that_freezes_cancels_its_entry_and_waits_anew():
+    # 0 and 1 sense each other. 1 enters with the earlier end and displaces 0,
+    # whose entry stays queued; 1's frame freezes 0 before 0 is earliest
+    # again, and the freeze cancels that entry
+    cfg = MacConfig()
+    h = Harness(line_positions(2, 100.0), mac_cfg=cfg, rng_values=[10, 2])
+    log = record_dispatch_log(h.sim)
+    h.macs[0].enqueue_packet(_packet(0, dst=BROADCAST), BROADCAST)
+    entry = h.macs[0]._entry
+    h.macs[1].enqueue_packet(_packet(1, dst=BROADCAST), BROADCAST)
+    assert entry in _queued_backoffs(h.sim) and h.channel.armed is h.macs[1]
+    t_first = cfg.difs + 2 * cfg.slot
+    h.sim.run_until(t_first)
+    assert entry.cancelled and h.macs[0]._entry is None
+    h.sim.run_until(1.0)
+    # 0 counted 2 of its 10 slots before 1's frame froze it
+    t_second = t_first + cfg.airtime(512) + cfg.difs + 8 * cfg.slot
+    assert _mac_sends(h) == [(1, pytest.approx(t_first, abs=1e-12)),
+                             (0, pytest.approx(t_second, abs=1e-12))]
+    fired = [seq for _, seq, target in log if target == "mac.backoff"]
+    assert fired == [h.macs[1].backoff_seq, h.macs[0].backoff_seq]
+    assert not entry.fired and entry.sequence not in fired
+
+
+def test_armed_freezing_for_reception_arms_a_displaced_entry_without_a_second_push():
+    # 600 m apart, no node senses another, but fading lets 1 decode 0's
+    # unicast frame. Halfway through it, 2 enters with 60 slots and 1 with 40,
+    # displacing 2; at the frame's end 1 freezes for reception, and 2, now
+    # earliest, is armed on the entry it already has
+    cfg = MacConfig()
+    h = Harness(line_positions(3, 600.0), mac_cfg=cfg, rng=_FadedUpRng([0, 60, 40]))
+    assert not any(h.channel._link_budget(1)[0][node] for node in (0, 2))
+    h.sim.schedule(0.0, lambda: h.macs[0].enqueue_packet(_packet(0, dst=1), 1))
+    t1 = cfg.difs + cfg.airtime(512) / 2
+    _broadcast_at(h, t1, 2, 2)
+    _broadcast_at(h, t1, 1, 1)
+    h.sim.run_until(t1)
+    entry = h.macs[2]._entry
+    assert entry in _queued_backoffs(h.sim) and h.channel.armed is h.macs[1]
+    schedule, pushed = h.sim.schedule, []
+
+    def counted(at, action, target=""):
+        ev = schedule(at, action, target)
+        pushed.append((ev.fire_time, ev.sequence))
+        return ev
+
+    h.sim.schedule = counted
+    h.sim.run_until(cfg.difs + cfg.airtime(512))     # 0's frame ends at 1
+    assert [(node, pkt.packet_id) for node, pkt, _ in h.delivered] == [(1, 0)]
+    assert h.channel.armed is h.macs[2] and h.macs[2]._entry is entry
+    h.sim.run_until(1.0)
+    assert entry.fired and (entry.fire_time, entry.sequence) not in pushed
+    assert (2, pytest.approx(t1 + cfg.difs + 60 * cfg.slot, abs=1e-12)) in _mac_sends(h)
 
 
 def test_aodv_contention_schedules_few_events_per_dispatched_event():
