@@ -35,10 +35,10 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
         return cfg   # unchanged: parsing validated a loaded file, and the run validates
     for item in args.set:
         if "=" not in item:
-            raise SchemaError(f"--set expects section.key=value, got '{item}'")
+            raise SchemaError(f"expected section.key=value (--set {item})")
         key, value = item.split("=", 1)
         if "." not in key:
-            raise SchemaError(f"--set key must be section.key, got '{key}'")
+            raise SchemaError(f"key '{key}' names no section (--set {item})")
         section, name = key.split(".", 1)
         set_value(cfg, section.strip().lower(), name.strip(), value.strip(), f"--set {item}")
     return settle(cfg)

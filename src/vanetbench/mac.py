@@ -490,12 +490,18 @@ class NodeMac:
         self.deliver_cb(frame.packet, frame.src)
 
     def _send_ack(self, data_frame: Frame):
-        """Answer after SIFS. The radio has one response slot: while an ACK is
-        pending or in flight a second one is not sent (it could only overlap the
-        first), so that sender retries and _dedupe keeps its delivery single."""
+        """Answer after SIFS. The radio has one response slot: no ACK is sent while
+        another is pending or in flight, or while its own frame is on air when
+        this one falls due, so that sender retries and _dedupe keeps its delivery single."""
         if self._ack is not None:
             return
-        ack = self._ack = Frame(self.p, FRAME_ACK, self.node_id, data_frame.src,
-                                data_frame.packet, 0, 0, ack_for=data_frame.mac_seq)
-        self.sim.after(self.p.sifs, lambda: self.channel.transmit(self.node_id, ack),
-                       target="mac.ack")
+        self._ack = Frame(self.p, FRAME_ACK, self.node_id, data_frame.src,
+                          data_frame.packet, 0, 0, ack_for=data_frame.mac_seq)
+        self.sim.after(self.p.sifs, self._ack_due, target="mac.ack")
+
+    def _ack_due(self):
+        # its own frame is on air: its backoff fired as the data frame ended
+        if self.state == TX:
+            self._ack = None
+        else:
+            self.channel.transmit(self.node_id, self._ack)

@@ -338,8 +338,6 @@ def build_report(agg: TraceAggregator, duration=None) -> MetricsReport:
     """The metrics of one run; ratios over zero deliveries (or sends) are None.
     `duration` is ignored: the benchmark's job runner still passes it."""
     sent, received, forwards = agg.sent(), agg.received(), agg.forwards()
-    if received > sent:
-        raise TraceCorruptionError(f"negative drop count: {sent - received}")
     pdr = received / sent * 100.0 if sent else None
     try:
         avg = average_throughput(agg)

@@ -59,7 +59,6 @@ class Aomdv(ReactiveProtocol):
 
     def _install_path(self, dest, seq, next_hop, last_hop, hop_count) -> bool:
         """Disjointness (distinct next and last hops) plus the hop-count rule."""
-        now = self.sim.now
         e = self.table.get(dest)
         if e is None:
             e = self.table[dest] = AomdvEntry(dest, seq)
@@ -71,18 +70,11 @@ class Aomdv(ReactiveProtocol):
             return False
         if hop_count >= e.advertised_hops:
             return False
-        for p in e.paths:
-            if p.next_hop == next_hop or p.last_hop == last_hop:
-                # refresh an identical path rather than violating disjointness
-                if p.next_hop == next_hop and p.last_hop == last_hop:
-                    if hop_count < p.hop_count:
-                        p.hop_count = hop_count
-                    p.expiry = now + self.cfg.aodv_route_timeout
-                return False
-        if len(e.paths) >= self.cfg.aomdv_max_paths:
+        if len(e.paths) >= self.cfg.aomdv_max_paths or any(
+                p.next_hop == next_hop or p.last_hop == last_hop for p in e.paths):
             return False
         e.paths.append(AomdvPath(next_hop, last_hop, hop_count,
-                                 now + self.cfg.aodv_route_timeout))
+                                 self.sim.now + self.cfg.aodv_route_timeout))
         e.paths.sort(key=lambda p: (p.hop_count, p.next_hop))
         return True
 

@@ -20,7 +20,7 @@ class DsdvUpdate:
 @dataclass(slots=True)
 class DsdvEntry:
     dest: int
-    next_hop: int | None
+    next_hop: int            # stale while the route is broken
     metric: float
     dest_seq: int            # even = alive (from the destination), odd = broken
     advertise_after: float
@@ -45,9 +45,7 @@ class Dsdv(RoutingProtocol):
 
     def route_lookup(self, dest: int):
         e = self.table.get(dest)
-        if e is None or e.next_hop is None or e.metric == INF_METRIC or e.dest_seq % 2:
-            return None
-        return e.next_hop
+        return None if e is None or e.dest_seq % 2 else e.next_hop
 
     # -- advertisement -----------------------------------------------------------
 
@@ -121,7 +119,7 @@ class Dsdv(RoutingProtocol):
             if seq > e.dest_seq:
                 settling = (not broken and cand_metric > e.metric)
                 e.dest_seq = seq
-                e.next_hop = None if broken else from_node
+                e.next_hop = from_node
                 e.metric = cand_metric
                 e.advertise_after = now + self.cfg.dsdv_settling_time if settling else now
                 changed = True
@@ -141,7 +139,6 @@ class Dsdv(RoutingProtocol):
             if e.next_hop == neighbor and e.metric != INF_METRIC:
                 e.metric = INF_METRIC
                 e.dest_seq += 1          # odd: locally generated break
-                e.next_hop = None
                 changed = True
         if changed:
             self._trigger_update()

@@ -387,23 +387,26 @@ _SCHEMA = {(sec.name, f.name): _PARSERS[f.type]
 
 
 def _key_line(text: str, section: str, key: str) -> int:
-    """Best-effort line number of `key` within `section` for diagnostics."""
-    current = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip().lower()
-        elif current == section and stripped.lower().startswith(key.lower()):
-            rest = stripped[len(key):].lstrip()
-            if rest.startswith(("=", ":")):
-                return lineno
-    return 0
+    """The line of `key` in `section` of parsed `text`, found by configparser's
+    rules for comments, headers, options and the lines that continue a value."""
+    current, option, indent, parser = None, False, 0, configparser.ConfigParser
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        value, level = line.strip(), len(line) - len(line.lstrip())
+        if not value or value[0] in "#;" or (option and level > indent):
+            continue
+        header, indent = parser.SECTCRE.match(value), level
+        option = header is None
+        if header:
+            current = header["header"].lower()
+        elif current == section and parser.OPTCRE.match(value)["option"].rstrip().lower() == key:
+            return lineno
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
     """Parse scenario text over the defaults, then `settle` it."""
     cfg = ScenarioConfig()
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names "", so [DEFAULT] is an ordinary section, whose keys are unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -96,6 +96,19 @@ def test_a_run_that_raises_leaves_no_directory_and_the_next_run_goes_in(tmp_path
     assert {p.name for p in out.iterdir()} == RUN_FILES
 
 
+def test_a_run_into_a_non_empty_directory_without_force_exits_2_and_touches_nothing(
+        tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / cli.TRACE_NAME).write_text("not this run's trace\n", encoding="utf-8")
+    (out / "notes.txt").write_text("not a run file\n", encoding="utf-8")
+    assert cli.main(["run", "--out", str(out), *TINY]) == 2
+    assert capsys.readouterr().err == (f"error: output directory {out} is not empty "
+                                       f"(use --force to overwrite)\n")
+    assert {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()} == {
+        cli.TRACE_NAME: "not this run's trace\n", "notes.txt": "not a run file\n"}
+
+
 def test_a_forced_rerun_that_raises_leaves_none_of_the_earlier_runs_files(tmp_path, capsys,
                                                                           monkeypatch):
     from vanetbench.routing.aodv import Aodv
@@ -216,10 +229,12 @@ def test_run_rejects_a_slot_below_the_clock_resolution_before_any_output(tmp_pat
     assert not out.exists()
 
 
-# both errors once named a line of the text that --set builds, which the
-# user never wrote
+# the first two errors once named a line of the text that --set builds, which
+# the user never wrote; the last two are items that are no key=value pair
 @pytest.mark.parametrize("item, error", [("mac.cw_min=x", "bad value for [mac] cw_min"),
-                                         ("run.bogus=1", "unknown key 'bogus' in section [run]")])
+                                         ("run.bogus=1", "unknown key 'bogus' in section [run]"),
+                                         ("run.seed", "expected section.key=value"),
+                                         ("seed=1", "key 'seed' names no section")])
 def test_a_bad_set_item_is_named_in_the_error(tmp_path, capsys, item, error):
     out = tmp_path / "run"
     assert cli.main(["run", "--out", str(out), "--set", item]) == 2

@@ -35,6 +35,14 @@ def test_past_time_scheduling_rejected():
         sim.schedule(1.0, lambda: None)
 
 
+def test_run_until_before_the_clock_is_rejected():
+    sim = Simulator()
+    sim.run_until(2.0)
+    with pytest.raises(SchedulingError, match=r"run_until\(1\.0\) is before clock 2\.0"):
+        sim.run_until(1.0)
+    assert sim.now == 2.0
+
+
 def test_run_until_empty_queue():
     sim = Simulator()
     assert sim.run_until(100.0) == 0

@@ -69,6 +69,12 @@ OLSR_EXPIRY_PIN = "bee50b656b8a6d117951fe40f209f8f719c87780ff0afe8564da8ceb821d5
 # freezes of one contender under another's frame are frequent
 CROWDED_PIN = "0001544616eb1eb3ad3092cb07785c3e71510409e3054be3416beb1e3d7030b7"
 
+# sha256 of the trace text of a 1 s aodv run on the default frame at seed 7,
+# where backoffs fire at the same instant as a frame's end, an ACK or an ACK
+# timeout: the order of such events, which a re-armed backoff's reserved
+# sequence number sets, moves it while every pin above holds
+SAME_INSTANT_PIN = "fc4edf57016b71a73a74a9fc2283cfc0b7d5912c7613a2c99df7b5011e74d61e"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -127,6 +133,15 @@ def test_crowded_aodv_run_matches_golden_hash():
     buf = io.StringIO()
     Simulation(cfg, trace_file=buf).run()
     assert _sha256(buf.getvalue()) == CROWDED_PIN
+
+
+def test_same_instant_aodv_run_matches_golden_hash():
+    cfg = ScenarioConfig()
+    cfg.run.seed = 7
+    cfg.run.duration = 1.0
+    buf = io.StringIO()
+    Simulation(cfg, trace_file=buf).run()
+    assert _sha256(buf.getvalue()) == SAME_INSTANT_PIN
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

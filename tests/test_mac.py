@@ -212,6 +212,33 @@ def test_decoding_an_unsensed_frame_freezes_the_countdown_at_its_start():
     assert t_sent == pytest.approx(ack_end + cfg.difs + 40 * cfg.slot, abs=1e-12)
 
 
+def test_a_node_whose_backoff_fires_as_a_unicast_to_it_ends_sends_no_ack_over_its_frame():
+    # 1 sits beyond 0's carrier-sense range and decodes 0's frame by fading.
+    # In exact binary times, 0's frame (46 bytes, 9 slots) ends at the instant
+    # 1's 9-slot backoff fires, and the backoff fires first; frames that only
+    # touch do not overlap, so 1 decodes the frame while its own is on air.
+    # Its ACK fell due with that frame still on air and crashed the run.
+    cfg = MacConfig(slot=2.0 ** -16, sifs=2.0 ** -15, phy_overhead=2.0 ** -14,
+                    bitrate=2.0 ** 23)
+    assert cfg.airtime(46) == 9 * cfg.slot
+    h = Harness(line_positions(2, 600.0), mac_cfg=cfg, rng=_FadedUpRng([0, 9]))
+    assert not h.channel._link_budget(0)[0][1]
+    h.sim.schedule(0.0, lambda: h.macs[0].enqueue_packet(_packet(0, size=46), 1))
+    h.sim.schedule(0.0, lambda: h.macs[1].enqueue_packet(
+        _packet(1, dst=BROADCAST, size=46), BROADCAST))
+    h.sim.run_until(1.0)
+    (n0, t_data), (n1, t_bcast), (n2, t_retry), (n3, t_ack) = _mac_sends(h)
+    assert (n0, n1, n2, n3) == (0, 1, 0, 1)
+    assert t_bcast == t_data + cfg.airtime(46) == cfg.difs + 9 * cfg.slot
+    # no ACK: 0 times out and retries, and 1 acknowledges the retry only
+    assert t_retry > t_bcast + cfg.airtime(46)
+    assert t_ack == t_retry + cfg.airtime(46) + cfg.sifs
+    # 0 does not sense 1, so it is no hearer of the broadcast
+    assert [(node, pkt.packet_id) for node, pkt, _ in h.delivered] == [(1, 0)]
+    assert not h.macs[0].queue and not h.macs[1].queue
+    assert not [r for r in h.trace.records if r.event == "dropped"]
+
+
 def test_nodes_frozen_by_one_frame_with_equal_slots_send_together_in_freeze_order():
     # node 2 starts contending before node 1, so it froze first
     cfg = MacConfig()
@@ -559,6 +586,16 @@ def test_frames_that_only_touch_do_not_overlap():
     h.sim.run_until(1.0)
     assert [pkt.packet_id for node, pkt, _ in h.delivered if node == 2] == [0, 1]
     assert c.last_outcome == phy.OUTCOME_COLLISION
+
+
+def test_a_second_transmission_of_a_node_on_air_is_refused():
+    h = Harness(line_positions(2, 100.0))
+    p = h.mac_cfg
+    a = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(0, dst=BROADCAST), 512, 1)
+    b = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(1, dst=BROADCAST), 512, 2)
+    h.channel.transmit(0, a)
+    with pytest.raises(RuntimeError, match="node 0 already transmitting at t=0.0"):
+        h.channel.transmit(0, b)
 
 
 def test_never_two_simultaneous_own_transmissions():

@@ -85,6 +85,17 @@ def test_throughput_spans_first_send_to_last_receive():
     assert average_throughput(two_flows()) == pytest.approx(600 * 8 / 1.6 / 1000)
 
 
+def test_a_zero_length_delivery_window_has_no_throughput():
+    # the only packet arrives at the instant it was sent
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 1)
+    received(agg, 1.0, 1, 1)
+    with pytest.raises(ValueError, match="zero-length throughput window"):
+        average_throughput(agg)
+    r = build_report(agg)
+    assert r.pdr == pytest.approx(100.0) and r.avg_throughput_kbps is None
+
+
 def test_report_without_deliveries():
     agg = TraceAggregator()
     sent(agg, 1.0, 1, 1)

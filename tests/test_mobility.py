@@ -166,6 +166,25 @@ def long_road(length=5000.0, lanes=1):
     return RoadGraph(verts, edges).validate()
 
 
+def test_a_road_too_short_for_its_vehicles_parks_the_rest_while_their_lane_is_taken():
+    # each 12 m lane holds one 5 m vehicle with its 1 m jam distance, so two
+    # of the four start parked at their origin, stay parked while the first
+    # edge of their trip is taken, and enter once it clears
+    g = long_road(length=12.0)
+    world = VehicleWorld(g, MobilityConfig(), 4, RngStreams(1).stream("mobility"),
+                         lane_changes=False)
+    parked = [st for st in world.vehicles.values() if not st.driving]
+    assert len(parked) == 2
+    assert all(st.paused_until == 0.0 and st.trip.path for st in parked)
+    world.step(0.1)
+    assert [st for st in world.vehicles.values() if not st.driving] == parked
+    entered = set()
+    for _ in range(300):
+        world.step(0.1)
+        entered.update(st.vehicle_id for st in parked if st.driving)
+    assert entered == {st.vehicle_id for st in parked}
+
+
 def test_single_step_ballistic_update():
     g = long_road()
     world = make_world(g)

@@ -61,19 +61,23 @@ def test_lane_count_bounds_rejected():
         RoadGraph(v, bad).validate()
 
 
-def test_edge_length_must_match_geometry():
-    v = [Vertex("a", 0, 0), Vertex("b", 100, 0)]
-    bad = [Edge("a>b", "a", "b", 1, 150.0), Edge("b>a", "b", "a", 1, 100.0)]
-    with pytest.raises(GraphError, match="length"):
-        RoadGraph(v, bad).validate()
-
-
 def test_disconnected_graph_lists_unreachable():
     v = [Vertex("a", 0, 0), Vertex("b", 100, 0), Vertex("c", 200, 0)]
     edges = [Edge("a>b", "a", "b", 1, 100.0),
              Edge("b>a", "b", "a", 1, 100.0)]
     with pytest.raises(GraphError, match="c"):
         RoadGraph(v, edges).validate()
+
+
+def test_shortest_path_to_the_start_vertex_is_empty():
+    assert generate_grid(3, 3, 100.0).shortest_path("g1_1", "g1_1") == []
+
+
+def test_shortest_path_across_an_unvalidated_disconnected_graph_is_refused():
+    v = [Vertex("a", 0, 0), Vertex("b", 100, 0), Vertex("c", 200, 0)]
+    edges = [Edge("a>b", "a", "b", 1, 100.0), Edge("b>a", "b", "a", 1, 100.0)]
+    with pytest.raises(GraphError, match="no path from a to c"):
+        RoadGraph(v, edges).shortest_path("a", "c")
 
 
 def test_plan_trip_two_vertex_graph():

@@ -128,6 +128,7 @@ def test_flows_bounded_by_ordered_pairs():
     # each finished with numbers that mean nothing: PDR 100 % or, under OLSR, 0
     ("phy", "rx_threshold", "1e300"), ("phy", "target_range", "1e300"),
     ("routing", "hold_multiplier", "-1"),
+    ("graph", "grid", "5 250"),             # refused as it is parsed
 ])
 def test_value_that_breaks_a_run_is_schema_error(section, key, value):
     with pytest.raises(SchemaError, match=key if section != "graph" else "graph"):
@@ -366,7 +367,10 @@ def test_a_word_that_is_not_a_boolean_is_schema_error():
 
 @pytest.mark.parametrize("vertices, edges, error", [
     ("a 0 0; b 250", "a b; b a", "vertex entry 'b 250' expects 'id x y'"),
-    ("a 0 0; b 250 0", "a b; b a 1 2", "edge entry 'b a 1 2' expects 'src dst [lanes]'")])
+    ("a 0 0; b 250 0", "a b; b a 1 2", "edge entry 'b a 1 2' expects 'src dst [lanes]'"),
+    # and a graph that misses its edges, or has one to no vertex
+    ("a 0 0; b 250 0", "", "inline graphs need both 'vertices' and 'edges' keys"),
+    ("a 0 0; b 250 0", "a b; b c", "edge references unknown vertex 'c'")])
 def test_a_graph_entry_of_the_wrong_length_is_schema_error(vertices, edges, error):
     with pytest.raises(SchemaError, match=re.escape(error)):
         parse_scenario_text(f"[graph]\nvertices = {vertices}\nedges = {edges}\n")
@@ -376,6 +380,31 @@ def test_an_edge_without_lanes_takes_the_section_lanes():
     cfg = parse_scenario_text("[graph]\nvertices = a 0 0; b 250 0\nedges = a b; b a 1\n"
                               "lanes = 3\n")
     assert cfg.graph.edges == [("a", "b", 3), ("b", "a", 1)]
+
+
+# configparser refuses a line before any section and a key without a value.
+# Each other text was refused at line 0: a [DEFAULT] section, whose keys
+# configparser copied into [run]; a header with text after its ']' or spaces
+# inside it; a key that grows when lowered; and a key after a value's
+# continuation line that looks like a header
+@pytest.mark.parametrize("text, error", [
+    ("duration = 1\n[run]\n", "(?s)^scenario parse error: .*line: 1"),
+    ("[run]\nduration\n", r"(?s)^scenario parse error: .*\[line  2\]"),
+    ("[run]\nduration = 1\n[DEFAULT]\nrate = 4\n",
+     r"^unknown key 'rate' in section \[default\] \(line 4\)"),
+    ("[DEFAULT]\nduration = x\n[run]\n",
+     r"^unknown key 'duration' in section \[default\] \(line 2\)"),
+    ("[run] ; note\nbogus = 1\n", r"in section \[run\] \(line 2\)"),
+    ("[ run ]\nbogus = 1\n", r"in section \[ run \] \(line 2\)"),
+    ("[run]\n\u0130x=1\n", r"in section \[run\] \(line 2\)"),
+    ("[routing]\nprotocol = aodv\n  [run]\n\n# bogus = 0\nbogus = 1\n",
+     r"in section \[routing\] \(line 6\)")],
+    ids=["line-before-any-section", "key-without-value", "default-after-run",
+         "default-first", "header-comment", "header-spaces", "key-lowered-longer",
+         "header-in-a-value"])
+def test_malformed_text_is_schema_error_at_its_line(text, error):
+    with pytest.raises(SchemaError, match=error):
+        parse_scenario_text(text)
 
 
 def test_a_scenario_naming_the_removed_speed_limit_is_refused_with_its_line():
