@@ -34,27 +34,12 @@ def setup_flows(rng, n_flows: int, nodes, packet_size=512, rate=4.0,
     return flows
 
 
-class CbrAgent:
-    """Emits one fixed-size packet per flow every 1/rate seconds on an exact grid."""
-
-    def __init__(self, sim, node, flow: CbrFlow):
-        self.sim = sim
-        self.node = node
-        self.flow = flow
-        self._k = 0
-
-    def start(self):
-        if self.flow.start <= self.flow.stop:
-            self.sim.schedule(self.flow.start, self._emit, target="cbr.emit")
-
-    def _emit(self):
-        f = self.flow
-        self.node.originate(Packet(KIND_CBR, f.dst, f.packet_size, self.node.new_packet_id(),
-                                   f.flow_id, self.node.cfg.ttl))
-        self._k += 1
-        t_next = f.start + self._k / f.rate      # multiplicative grid, no drift
-        if t_next < f.stop:
-            self.sim.schedule(t_next, self._emit, target="cbr.emit")
+def start_cbr(sim, node, f: CbrFlow):
+    """Originate flow `f` at `node`: one packet every 1/rate s on an exact grid."""
+    if f.start <= f.stop:
+        sim.every(lambda k: f.start + k / f.rate, f.stop, lambda: node.originate(
+            Packet(KIND_CBR, f.dst, f.packet_size, node.new_packet_id(), f.flow_id,
+                   node.cfg.ttl)), "cbr.emit")
 
 
 class PbcAgent:
@@ -73,25 +58,18 @@ class PbcAgent:
         self.cfg = cfg
         self.duration = duration
         self.phase = phase
-        self._k = 0
         self._last_emergency = -float("inf")
 
     def start(self):
         if self.phase < self.duration:
-            self.sim.schedule(self.phase, self._tick, target="pbc.tick")
+            self.sim.every(lambda k: self.phase + k * self.cfg.beacon_interval, self.duration,
+                           self._emit, "pbc.tick")
 
     def _emit(self):
         pkt = Packet(KIND_PBC, BROADCAST, self.cfg.beacon_size, self.node.new_packet_id(),
                      None, 1)
         self.node.record(EV_SENT, "none", LAYER_APP, pkt)
         self.node.mac.enqueue_packet(pkt, BROADCAST)
-
-    def _tick(self):
-        self._emit()
-        self._k += 1
-        t_next = self.phase + self._k * self.cfg.beacon_interval
-        if t_next < self.duration:
-            self.sim.schedule(t_next, self._tick, target="pbc.tick")
 
     def on_accel(self, accel: float, t: float):
         if accel > -self.cfg.emergency_decel:

@@ -58,6 +58,12 @@ class Simulator:
     def after(self, delay: float, action, target: str = "") -> Event:
         return self.schedule(self.now + delay, action, target)
 
+    def every(self, at, stop: float, action, target: str):
+        """Fire `action` at `at(0)`, then at each `at(k)` before `stop`, never at a running sum."""
+        f = _Every()
+        f.sim, f.at, f.stop, f.action, f.target, f.k = self, at, stop, action, target, 0
+        self.schedule(at(0), f, target)
+
     def reserve(self) -> int:
         """Take the sequence number of the next `schedule` call, for
         `schedule_reserved`; `schedule` then moves on to the one after it."""
@@ -103,6 +109,18 @@ class Simulator:
             count += 1
         self.now = t_end
         return count
+
+
+class _Every:
+    """A source of `Simulator.every`: it queues itself, so a firing allocates only its event."""
+
+    __slots__ = ("sim", "at", "stop", "action", "target", "k")
+
+    def __call__(self):
+        self.action()
+        self.k += 1
+        if (t := self.at(self.k)) < self.stop:
+            self.sim.schedule(t, self, self.target)
 
 
 class RngStreams:

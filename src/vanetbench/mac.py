@@ -271,9 +271,7 @@ class Channel:
             macs = self.macs
             for node, outcome in decided:
                 if outcome == phy.OUTCOME_RECEIVED:
-                    mac = macs.get(node)
-                    if mac is not None:       # an id without a node receives nothing
-                        mac.frame_received(frame, tx)
+                    macs[node].frame_received(frame, tx)
         self.macs[tx.sender].own_tx_ended(frame)
         for mac in tx.waiters:
             mac.resume_contention()

@@ -149,7 +149,7 @@ class VehicleWorld:
         self.lane_changes = lane_changes
         self.vehicles: dict[int, VehicleState] = {}
         self.now = 0.0
-        self._steps = 0
+        self.steps = 0
         self.recalc_every = max(1, round(cfg.recalc_step / cfg.integration_dt))
         self.emergency_warnings = 0
         self.lane_change_count = 0
@@ -264,7 +264,7 @@ class VehicleWorld:
         """One synchronous world update: accelerations from the snapshot, then integrate."""
         cfg = self.cfg
         occ = self._lane_occupancy()
-        do_lanes = self.lane_changes and (self._steps % self.recalc_every == 0)
+        do_lanes = self.lane_changes and (self.steps % self.recalc_every == 0)
         plans: list[tuple[VehicleState, float, object]] = []
         lane_moves: list[tuple[VehicleState, int]] = []
 
@@ -314,7 +314,7 @@ class VehicleWorld:
             self._advance_waypoints(st)
 
         self._handle_paused()
-        self._steps += 1
+        self.steps += 1
         self.now += dt
 
     def _consider_lane_change(self, st, occ, group, idx, stop):

@@ -71,8 +71,7 @@ class RoadGraph:
 
     def edge_point(self, edge_id: str, offset: float) -> tuple[float, float]:
         e = self.edges[edge_id]
-        a, b = self.vertices[e.src], self.vertices[e.dst]
-        f = 0.0 if e.length == 0 else offset / e.length
+        a, b, f = self.vertices[e.src], self.vertices[e.dst], offset / e.length
         return (a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
 
     def validate(self):

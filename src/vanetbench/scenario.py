@@ -386,20 +386,25 @@ _SCHEMA = {(sec.name, f.name): _PARSERS[f.type]
            for sec in fields(ScenarioConfig) for f in fields(sec.type)}
 
 
-def _key_line(text: str, section: str, key: str) -> int:
-    """The line of `key` in `section` of parsed `text`, found by configparser's
-    rules for comments, headers, options and the lines that continue a value."""
-    current, option, indent, parser = None, False, 0, configparser.ConfigParser
+def _key_lines(text: str) -> dict:
+    """The line of each section, by lower-cased name, and (section, key) of parsed
+    `text`, by configparser's rules for comments, headers, options and continuation
+    lines. Refuses a header repeating a section in any case, or with more than a
+    comment after its ']'."""
+    lines, current, option, indent, parser = {}, None, False, 0, configparser.ConfigParser
     for lineno, line in enumerate(text.split("\n"), start=1):
         value, level = line.strip(), len(line) - len(line.lstrip())
         if not value or value[0] in "#;" or (option and level > indent):
             continue
         header, indent = parser.SECTCRE.match(value), level
-        option = header is None
-        if header:
-            current = header["header"].lower()
-        elif current == section and parser.OPTCRE.match(value)["option"].rstrip().lower() == key:
-            return lineno
+        if option := header is None:
+            lines[current, parser.OPTCRE.match(value)["option"].rstrip().lower()] = lineno
+            continue
+        current, rest = header["header"].lower(), value[header.end():].lstrip()
+        if current in lines or rest[:1] not in ("", "#", ";"):
+            raise SchemaError(f"scenario parse error: line {lineno}: bad section header {value!r}")
+        lines[current] = lineno
+    return lines
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
@@ -411,10 +416,11 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise SchemaError(f"scenario parse error: {exc}") from exc
+    lines = _key_lines(text)
     for section in parser.sections():
         sec = section.lower()
         for key, raw in parser.items(section):
-            set_value(cfg, sec, key, raw, f"line {_key_line(text, sec, key)}")
+            set_value(cfg, sec, key, raw, f"line {lines.get((sec, key))}")
     return settle(cfg)
 
 

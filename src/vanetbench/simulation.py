@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import phy
-from .agents import CbrAgent, PbcAgent, setup_flows
+from .agents import PbcAgent, setup_flows, start_cbr
 from .core import RngStreams, Simulator
 from .mac import Channel, NodeMac
 from .metrics import EV_DROPPED, LAYER_APP, Trace, TraceAggregator, TraceFileWriter
@@ -24,16 +24,15 @@ class RunResult:
 
 
 class Network:
-    """The run services shared by every node, and one node per node id: its
-    routing protocol, wired to its own NodeMac.
+    """The run services shared by every node, and `n` nodes, ids 0 to n - 1:
+    each a routing protocol wired to its own NodeMac.
 
     Node i sits at row i of `coords` and is `nodes[i]`. Whoever moves a node
     writes its new position there, then calls `channel.bump_geometry()`,
     which drops the link budgets of the old positions.
     """
 
-    def __init__(self, cfg: ScenarioConfig, node_ids, trace_file=None):
-        n = max(node_ids) + 1 if node_ids else 0
+    def __init__(self, cfg: ScenarioConfig, n: int, trace_file=None):
         self.cfg = cfg
         self.sim = Simulator()
         self.rngs = RngStreams(cfg.run.seed)
@@ -46,7 +45,7 @@ class Network:
         self.channel = Channel(self.sim, self.coords, cfg.phy, phy.calibrate_range(cfg.phy),
                                self.rngs.stream("channel"), self.trace)
         rng_mac = self.rngs.stream("mac")
-        self.nodes = {i: PROTOCOLS[cfg.routing.protocol](self, i) for i in node_ids}
+        self.nodes = {i: PROTOCOLS[cfg.routing.protocol](self, i) for i in range(n)}
         for i, node in self.nodes.items():
             node.mac = NodeMac(i, self.sim, self.channel, cfg.mac, rng_mac, self.trace,
                                deliver_cb=node.on_packet_arrival,
@@ -76,7 +75,7 @@ class Simulation(Network):
     def __init__(self, cfg: ScenarioConfig, trace_file=None):
         self.graph = cfg.validate()
         n = cfg.run.vehicles
-        super().__init__(cfg, range(n), trace_file)
+        super().__init__(cfg, n, trace_file)
         self.world = VehicleWorld(self.graph, cfg.mobility, n,
                                   self.rngs.stream("mobility"),
                                   lane_changes=(cfg.mobility.model == "idm-lc"))
@@ -87,13 +86,10 @@ class Simulation(Network):
         self.flows = setup_flows(rng_traffic, cfg.traffic.cbr_connections, range(n),
                                  cfg.traffic.packet_size, cfg.traffic.rate,
                                  cfg.traffic.cbr_start, stop)
-        self.cbr_agents = [CbrAgent(self.sim, self.nodes[f.src], f)
-                           for f in self.flows]
         phases = rng_traffic.uniform(0.0, cfg.traffic.beacon_interval, size=n)
-        self.pbc_agents = [PbcAgent(self.sim, self.nodes[i], cfg.traffic, cfg.run.duration,
-                                    float(phases[i]))
-                           for i in range(n)]
-        self.world.on_brake = self._dispatch_brake
+        self.pbc_agents = [PbcAgent(self.sim, node, cfg.traffic, cfg.run.duration, phase)
+                           for node, phase in zip(self.nodes.values(), phases.tolist())]
+        self.world.on_brake = lambda vid, accel, t: self.pbc_agents[vid].on_accel(accel, t)
         self.mobility_rows: list[tuple] = []   # (t, vehicle, x, y, speed) on the 1 s grid
 
     # -- wiring helpers ---------------------------------------------------------
@@ -102,32 +98,24 @@ class Simulation(Network):
         for vid, st in self.world.vehicles.items():
             self.coords[vid, 0], self.coords[vid, 1] = self.world.position(st)
 
-    def _dispatch_brake(self, vehicle_id: int, accel: float, t: float):
-        self.pbc_agents[vehicle_id].on_accel(accel, t)
-
-    def _mobility_tick(self, k: int):
-        dt = self.cfg.mobility.integration_dt
-        self.world.step(dt)
+    def _mobility_step(self):
+        self.world.step(self.cfg.mobility.integration_dt)
         self._refresh_coords()
         self.channel.bump_geometry()
-        if self.cfg.run.mobility_trace and (k + 1) % self.world.recalc_every == 0:
-            t = self.sim.now
+        if self.cfg.run.mobility_trace and self.world.steps % self.world.recalc_every == 0:
             for (vid, st), (x, y) in zip(self.world.vehicles.items(), self.coords.tolist()):
-                self.mobility_rows.append((t, vid, x, y, st.speed))
-        t_next = (k + 1) * dt
-        if t_next < self.cfg.run.duration:
-            self.sim.schedule(t_next, lambda: self._mobility_tick(k + 1),
-                              target="world.step")
+                self.mobility_rows.append((self.sim.now, vid, x, y, st.speed))
 
     # -- execution -----------------------------------------------------------------
 
     def run(self) -> RunResult:
         cfg = self.cfg
         if cfg.run.vehicles > 0:
-            self.sim.schedule(0.0, lambda: self._mobility_tick(0), target="world.step")
+            dt = cfg.mobility.integration_dt
+            self.sim.every(lambda k: k * dt, cfg.run.duration, self._mobility_step, "world.step")
         self.start_protocols()
-        for agent in self.cbr_agents:
-            agent.start()
+        for f in self.flows:
+            start_cbr(self.sim, self.nodes[f.src], f)
         for agent in self.pbc_agents:
             agent.start()
         events = self.sim.run_until(cfg.run.duration)

@@ -81,10 +81,10 @@ class StaticNetwork(Network):
     def __init__(self, positions: dict[int, tuple[float, float]],
                  cfg: ScenarioConfig | None = None):
         cfg = cfg if cfg is not None else ScenarioConfig()
-        super().__init__(cfg, sorted(positions))
+        super().__init__(cfg, len(positions))
         self.trace.records = self.trace.attach(RecordList())
-        for node, xy in positions.items():
-            self.coords[node] = xy
+        for node in range(len(positions)):    # node i is row i: ids 0 to n - 1
+            self.coords[node] = positions[node]
 
     def send_data(self, src: int, dst: int, size: int = 512, flow_id: int | None = None):
         node = self.nodes[src]

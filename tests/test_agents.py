@@ -73,7 +73,7 @@ def test_cbr_emission_count_and_grid():
 
 
 def test_cbr_stop_equals_start_emits_exactly_one():
-    from vanetbench.agents import CbrAgent, CbrFlow
+    from vanetbench.agents import CbrFlow, start_cbr
     from vanetbench.core import Simulator
     sent = []
 
@@ -92,8 +92,7 @@ def test_cbr_stop_equals_start_emits_exactly_one():
             return len(sent)
 
     sim = Simulator()
-    agent = CbrAgent(sim, StubNode, CbrFlow(0, 0, 1, 512, 4.0, 2.0, 2.0))
-    agent.start()
+    start_cbr(sim, StubNode, CbrFlow(0, 0, 1, 512, 4.0, 2.0, 2.0))
     sim.run_until(10.0)
     assert len(sent) == 1
 

