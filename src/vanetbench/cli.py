@@ -9,7 +9,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .metrics import build_report, conservation_check, delay_series, jitter_series, \
@@ -148,6 +147,13 @@ def cmd_run(args) -> int:
     print(f"run complete: {out_dir}  "
           f"pdr={summary['metrics']['pdr']}")
     return 0
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A batch's worker pool. `concurrent.futures` and `multiprocessing` are
+    imported only when a batch forks one, so a single run does not load them."""
+    from concurrent.futures import ProcessPoolExecutor as Pool
+    return Pool(max_workers=max_workers)
 
 
 def _batch_worker(payload):

@@ -1,6 +1,6 @@
 """On-demand distance-vector routing: RREQ flood / RREP reverse-path / RERR."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..packets import BROADCAST
 from .base import ReactiveProtocol, RecentKeys
@@ -46,7 +46,6 @@ class AodvEntry:
     next_hop: int
     expiry: float
     valid: bool
-    precursors: set = field(default_factory=set)
 
 
 class Aodv(ReactiveProtocol):
@@ -56,6 +55,10 @@ class Aodv(ReactiveProtocol):
     def __init__(self, net, node_id: int):
         super().__init__(net, node_id)
         self.table: dict[int, AodvEntry] = {}
+        # dest -> neighbours that route to dest through this node. A set is made
+        # by its first add, so a key means a non-empty set; a table entry is
+        # never replaced or deleted, only invalidated, so per dest is per entry
+        self.precursors: dict[int, set] = {}
         # (origin, rreq_id) -> best hop count seen, for duplicate suppression
         self.seen = RecentKeys(self.sim, self.rreq_horizon)
 
@@ -129,7 +132,7 @@ class Aodv(ReactiveProtocol):
         e = self.table.get(rreq.dest)
         if self._entry_usable(e) and e.seq_valid and e.dest_seq >= rreq.dest_seq:
             rrep = Rrep(rreq.origin, rreq.dest, e.dest_seq, e.hop_count)
-            e.precursors.add(prev)
+            self.precursors.setdefault(rreq.dest, set()).add(prev)
             self.send_control(rrep, RREP_SIZE, dest=prev)
             return
         if rreq.ttl - 1 > 0:
@@ -155,9 +158,7 @@ class Aodv(ReactiveProtocol):
         if not self._entry_usable(back):
             return   # reverse route evaporated; the reply dies here
         fwd = Rrep(rrep.origin, rrep.dest, rrep.dest_seq, hops_here)
-        e = self.table.get(rrep.dest)
-        if e is not None:
-            e.precursors.add(back.next_hop)
+        self.precursors.setdefault(rrep.dest, set()).add(back.next_hop)
         self.send_control(fwd, RREP_SIZE, dest=back.next_hop)
 
     # -- failure handling -----------------------------------------------------------
@@ -171,7 +172,7 @@ class Aodv(ReactiveProtocol):
                 if e.seq_valid:
                     e.dest_seq += 1
                 unreachable.append((e.dest, e.dest_seq))
-                has_precursors = has_precursors or bool(e.precursors)
+                has_precursors = has_precursors or e.dest in self.precursors
         nbr = self.table.get(neighbor)
         if nbr is not None:
             nbr.valid = False
@@ -186,7 +187,7 @@ class Aodv(ReactiveProtocol):
                 e.valid = False
                 if seq > e.dest_seq:
                     e.dest_seq = seq
-                if e.precursors:
+                if dest in self.precursors:
                     propagate.append((dest, e.dest_seq))
         if propagate:
             self.send_control(Rerr(propagate), RERR_SIZE)

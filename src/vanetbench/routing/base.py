@@ -115,23 +115,29 @@ class RecentKeys(dict):
     the key was first stored.
 
     Keys are stored in time order, so each new key first evicts the expired
-    ones from the front of `_born`; lookups are plain dict lookups.
+    ones from the front of `_born` and `_keys`; lookups are plain dict lookups.
     """
 
     def __init__(self, sim, horizon: float):
         super().__init__()
         self._sim = sim
         self._horizon = horizon
-        self._born: deque = deque()      # (first-stored time, key), oldest first
+        # first-stored times and their keys, oldest first, in two aligned
+        # deques so that storing a key allocates no (time, key) tuple
+        self._born: deque = deque()
+        self._keys: deque = deque()
 
     def __setitem__(self, key, value):
         if key not in self:
             now = self._sim.now
             born = self._born
+            keys = self._keys
             cutoff = now - self._horizon
-            while born and born[0][0] < cutoff:
-                del self[born.popleft()[1]]
-            born.append((now, key))
+            while born and born[0] < cutoff:
+                born.popleft()
+                del self[keys.popleft()]
+            born.append(now)
+            keys.append(key)
         super().__setitem__(key, value)
 
 

@@ -19,7 +19,7 @@ HEARD = "heard"
 @dataclass(slots=True)
 class Hello:
     links: list              # [(neighbor, status, is_mpr), ...], ascending neighbor
-    sym: frozenset           # the sender's symmetric neighbors
+    sym: tuple               # the sender's symmetric neighbors, ascending
 
 
 @dataclass(slots=True)
@@ -32,7 +32,7 @@ class Tc:
 @dataclass(slots=True)
 class LinkInfo:
     status: str
-    sym: frozenset           # the neighbor's symmetric neighbors, from its HELLO
+    sym: tuple               # the neighbor's symmetric neighbors, from its HELLO
     heard: float             # when its latest HELLO arrived
 
 
@@ -73,16 +73,17 @@ class Olsr(RoutingProtocol):
     """One node's OLSR state. The MPR set and the route table are derived from
     `links` and `topology`. The MPR set is elected on each read, once per own
     HELLO, as a moving neighborhood changes between any two of them. The route
-    table is recomputed by the next `route_lookup` after a change marks it
-    stale: a new neighbor, a changed link status or symmetric-neighbor set, a TC
-    from a new origin or with changed selectors, an expiry or a link break.
+    table is dropped (`routes` is None) when a change makes it stale: a new
+    neighbor, a changed link status or symmetric-neighbor set, a TC from a new
+    origin or with changed selectors, an expiry or a link break. The next
+    `route_lookup` recomputes it.
 
     A received fact is kept as a reference to the message that carried it plus
     the instant it was heard, the dispatching event's clock value: a link keeps
-    its HELLO's `frozenset` of symmetric neighbors, and `seen_tc` keeps each
+    its HELLO's ascending tuple of symmetric neighbors, and `seen_tc` keeps each
     origin's newest `Tc`, whose selectors a `topology` entry stands for while
     it lives; an MPR re-sends that same `Tc`. An entry expires once `heard +
-    hold <= now`. A link's `sym` set may include the node itself; the MPR
+    hold <= now`. A link's `sym` may include the node itself; the MPR
     election subtracts it, and in the route BFS it is the root."""
 
     control_handlers = {Hello: "_on_hello", Tc: "_on_tc"}
@@ -94,8 +95,7 @@ class Olsr(RoutingProtocol):
         self.topology: dict[int, float] = {}         # origin -> heard
         self.tc_seq = 0
         self.seen_tc: dict[int, Tc] = {}             # origin -> newest TC seen
-        self.routes: dict[int, int] = {}
-        self._dirty = True
+        self.routes: dict[int, int] | None = None     # None while stale
 
     def start(self):
         self.sim.after(float(self.rng.uniform(0.0, self.cfg.olsr_hello_interval)),
@@ -110,7 +110,7 @@ class Olsr(RoutingProtocol):
         mprs = self.mpr_set
         links = [(n, info.status, n in mprs)
                  for n, info in sorted(self.links.items())]
-        sym = frozenset([n for n, status, _ in links if status == SYM])
+        sym = tuple([n for n, status, _ in links if status == SYM])
         self.send_control(Hello(links, sym), HELLO_HEADER + HELLO_LINK_SIZE * len(links))
         self.sim.after(self.cfg.olsr_hello_interval, self._hello_tick,
                        target="olsr.hello")
@@ -127,18 +127,15 @@ class Olsr(RoutingProtocol):
     def _expire(self):
         now = self.sim.now
         hold = self.cfg.hold_multiplier * self.cfg.olsr_hello_interval
-        dirty = False
         for n in [n for n, i in self.links.items() if i.heard + hold <= now]:
             del self.links[n]
-            dirty = True
+            self.routes = None
         for n in [n for n, heard in self.mpr_selectors.items() if heard + hold <= now]:
             del self.mpr_selectors[n]
         hold = self.cfg.hold_multiplier * self.cfg.olsr_tc_interval
         for o in [o for o, heard in self.topology.items() if heard + hold <= now]:
             del self.topology[o]
-            dirty = True
-        if dirty:
-            self._dirty = True
+            self.routes = None
 
     # -- control ------------------------------------------------------------------
 
@@ -156,8 +153,8 @@ class Olsr(RoutingProtocol):
         # whether the sender lists this node as symmetric changes neither the
         # MPR election nor the routes, so it alone marks nothing stale
         if old is None or old.status != status or (
-                old.sym != sym and old.sym ^ sym != {me}):
-            self._dirty = True
+                old.sym != sym and set(old.sym).symmetric_difference(sym) != {me}):
+            self.routes = None
         self.links[nbr] = LinkInfo(status, sym, now)
 
     def _on_tc(self, tc: Tc, prev: int):
@@ -167,7 +164,7 @@ class Olsr(RoutingProtocol):
         if seen is not None and seen.seq >= tc.seq:
             return
         if tc.origin not in self.topology or seen.selectors != tc.selectors:
-            self._dirty = True
+            self.routes = None
         self.seen_tc[tc.origin] = tc
         self.topology[tc.origin] = self.sim.now
         # only multipoint relays of the previous hop retransmit the flood
@@ -183,10 +180,10 @@ class Olsr(RoutingProtocol):
     def mpr_set(self) -> set:
         """Multipoint relays among the symmetric neighbors, elected on each read."""
         neighbors = self._sym_neighbors()
-        return select_mprs(neighbors, {n: self.links[n].sym - {self.node_id}
-                                       for n in neighbors})
+        me = {self.node_id}
+        return select_mprs(neighbors, {n: set(self.links[n].sym) - me for n in neighbors})
 
-    def _recompute_routes(self):
+    def _recompute_routes(self) -> dict[int, int]:
         """Hop-count BFS over the learned topology; deterministic next hops."""
         me = self.node_id
         stars = [(me, self._sym_neighbors())]      # (node, nodes it links to)
@@ -211,12 +208,13 @@ class Olsr(RoutingProtocol):
                     routes[v] = first_hop[v]
                 q.append(v)
         self.routes = routes
-        self._dirty = False
+        return routes
 
     def route_lookup(self, dest: int):
-        if self._dirty:
-            self._recompute_routes()
-        nh = self.routes.get(dest)
+        routes = self.routes
+        if routes is None:
+            routes = self._recompute_routes()
+        nh = routes.get(dest)
         if nh is not None and nh in self.links and self.links[nh].status == SYM:
             return nh
         return None
@@ -225,4 +223,4 @@ class Olsr(RoutingProtocol):
         if neighbor in self.links:
             del self.links[neighbor]
             self.mpr_selectors.pop(neighbor, None)
-            self._dirty = True
+            self.routes = None

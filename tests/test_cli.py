@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +291,25 @@ def test_a_batch_forks_no_more_workers_than_it_has_runs(tmp_path, capsys, monkey
                      "--set", "run.duration=0.5", "--set", "run.vehicles=10"]) == 0
     assert workers == [2]
     capsys.readouterr()
+
+
+IMPORT_PROBE = """
+import json, sys
+import vanetbench.cli, vanetbench.simulation
+pool_modules = ("concurrent.futures.process", "multiprocessing")
+print(json.dumps([[m for m in pool_modules if m in sys.modules],
+                  "ProcessPoolExecutor" in vars(vanetbench.cli)]))
+"""
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a single run imports cli, but only a batch on two or more workers needs
+    # the pool; its name stays in cli so that tests and the benchmark can replace it
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                           timeout=60, check=True)
+    assert json.loads(probe.stdout) == [[], True]
 
 
 @pytest.mark.parametrize("argv, most", [

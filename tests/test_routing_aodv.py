@@ -1,10 +1,13 @@
 """On-demand discovery, reverse paths, error propagation, re-discovery."""
 
+import random
+from collections import deque
+
 import pytest
 
 from vanetbench.core import Simulator
-from vanetbench.packets import KIND_CONTROL, Packet
-from vanetbench.routing.aodv import RREQ_SIZE, Rreq
+from vanetbench.packets import BROADCAST, KIND_CONTROL, Packet
+from vanetbench.routing.aodv import RREQ_SIZE, Rerr, Rreq
 from vanetbench.routing.base import RecentKeys
 from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import Simulation
@@ -61,6 +64,13 @@ def test_partitioned_destination_drops_after_retries():
 
 def test_rerr_propagates_to_precursors():
     net = make_net(line_positions(4, 240.0), "aodv")
+    rerrs = {node: [] for node in net.nodes}
+    for node, r in net.nodes.items():
+        def send_control(payload, size, dest=BROADCAST, send=r.send_control, node=node):
+            if type(payload) is Rerr:
+                rerrs[node].append(payload.unreachable)
+            send(payload, size, dest)
+        r.send_control = send_control
     net.send_data(0, 3)
     net.run_for(2.0)
     assert net.aggregator.received() == 1
@@ -72,6 +82,9 @@ def test_rerr_propagates_to_precursors():
     for node in (2, 1, 0):
         entry = net.nodes[node].table.get(3)
         assert entry is not None and not entry.valid
+    # 2 lost its next hop and 1 relays the error; the origin has no precursor
+    assert [len(rerrs[n]) for n in (3, 2, 1, 0)] == [0, 1, 1, 0]
+    assert all(dest == 3 for sent in rerrs.values() for u in sent for dest, _ in u)
     net.close()
 
 
@@ -140,6 +153,24 @@ def test_recent_keys_forget_a_key_one_horizon_after_it_was_stored():
     sim.run_until(1.2)
     seen[(5, 1)] = 0            # storing a new key evicts the expired ones
     assert dict(seen) == {(0, 2): 1, (5, 1): 0}
+
+
+def test_recent_keys_hold_exactly_the_keys_stored_within_the_horizon():
+    sim = Simulator()
+    seen = RecentKeys(sim, 1.0)
+    born = {}                   # key -> first-stored time, while the key is held
+    rng = random.Random(34)
+    for step in range(1, 3000):
+        sim.run_until(step * 0.004)
+        key = rng.randrange(400)
+        if key not in born:
+            born = {k: t for k, t in born.items() if t >= sim.now - 1.0}
+            born[key] = sim.now
+        seen[key] = step
+    assert len(born) < 400           # keys were evicted, some of them stored again
+    assert set(seen) == set(born)
+    # every deque of the table is aligned with the dict: one entry per key held
+    assert {len(v) for v in vars(seen).values() if isinstance(v, deque)} == {len(seen)}
 
 
 def _seen_keys(buffer_timeout):

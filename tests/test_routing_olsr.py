@@ -201,7 +201,7 @@ def olsr_simulation(vehicles, duration):
 
 def fresh_mprs(r):
     neighbors = {n for n, info in r.links.items() if info.status == SYM}
-    return select_mprs(neighbors, {n: r.links[n].sym - {r.node_id} for n in neighbors})
+    return select_mprs(neighbors, {n: set(r.links[n].sym) - {r.node_id} for n in neighbors})
 
 
 def fresh_next_hops(r):
@@ -233,6 +233,28 @@ def fresh_next_hops(r):
             if d != me and nh in r.links and r.links[nh].status == SYM}
 
 
+def raw_next_hops(r):
+    """The route table a BFS over the node's current links, two-hop tuples and
+    topology gives, before `route_lookup`'s filter of non-symmetric first hops."""
+    me = r.node_id
+    adj = defaultdict(set)
+    edges = [(me, n) for n, info in r.links.items() if info.status == SYM]
+    edges += [(n, x) for n, info in r.links.items() for x in info.sym]
+    edges += [(o, s) for o in r.topology for s in r.seen_tc[o].selectors]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    first_hop = {me: me}
+    q = deque([me])
+    while q:
+        u = q.popleft()
+        for v in sorted(adj[u] - first_hop.keys()):
+            first_hop[v] = v if u == me else first_hop[u]
+            q.append(v)
+    del first_hop[me]
+    return first_hop
+
+
 def test_every_receiver_of_a_message_holds_its_one_hello_set_or_tc_tuple():
     net = olsr_simulation(vehicles=40, duration=4.0)
     net.run()
@@ -249,7 +271,7 @@ def test_every_receiver_of_a_message_holds_its_one_hello_set_or_tc_tuple():
     assert shared_hellos and shared_tcs
     for infos in shared_hellos:
         first = infos[0]
-        assert type(first.sym) is frozenset
+        assert type(first.sym) is tuple
         assert all(i.sym is first.sym and i.heard is first.heard for i in infos)
     for objs in shared_tcs:
         assert all(type(tc) is olsr.Tc and tc is objs[0] for tc in objs)
@@ -258,8 +280,15 @@ def test_every_receiver_of_a_message_holds_its_one_hello_set_or_tc_tuple():
 def test_lazy_mprs_and_routes_equal_a_fresh_recompute():
     net = olsr_simulation(vehicles=40, duration=6.0)
     checked = []
+    held_counts = []
 
     def check():
+        # before any lookup: a table still held was never made stale, so it
+        # equals a fresh BFS; the lookups below leave every table held
+        held = [(node, r) for node, r in net.nodes.items() if r.routes is not None]
+        for node, r in held:
+            assert r.routes == raw_next_hops(r), (net.sim.now, node)
+        held_counts.append(len(held))
         for node, r in net.nodes.items():
             assert r.mpr_set == fresh_mprs(r), (net.sim.now, node)
             expected = fresh_next_hops(r)
@@ -274,6 +303,8 @@ def test_lazy_mprs_and_routes_equal_a_fresh_recompute():
     assert checked == stops
     # TC floods reached the nodes, so the checked routes also crossed TC topology
     assert any(len(r.topology) > 0 for r in net.nodes.values())
+    # tables were both held and dropped between checkpoints
+    assert 0 < sum(held_counts[1:]) < len(net.nodes) * len(stops[1:])
 
 
 def test_mpr_election_runs_at_most_once_per_hello_tick(monkeypatch):
