@@ -62,7 +62,7 @@ def _write_series_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            w.writerow([repr(v) for v in row])      # delay and jitter rows hold floats
 
 
 def _write_delay_jitter(run_dir: Path, agg):

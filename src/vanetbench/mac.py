@@ -26,9 +26,6 @@ def epoch_block_rows(n: int) -> int:
 
 _BACKOFF_END = attrgetter("backoff_end")
 
-FRAME_DATA = "data"
-FRAME_ACK = "ack"
-
 # MAC states
 IDLE = "idle"
 CONTEND = "contend"       # DIFS + backoff countdown scheduled
@@ -38,27 +35,25 @@ WAIT_ACK = "wait-ack"
 
 
 class Frame:
-    """One MAC frame; duration covers preamble plus serialized payload + overhead."""
+    """One MAC frame; duration covers preamble plus serialized payload + overhead.
+    An ACK (`ack_for` set) is of kind KIND_ACK with no payload; a data frame
+    carries its packet's kind and size."""
 
     __slots__ = ("kind", "src", "dest", "packet", "payload_size", "duration",
                  "mac_seq", "ack_for", "delivered_to_dest", "last_outcome")
 
-    def __init__(self, params, kind, src, dest, packet, payload_size, mac_seq,
-                 ack_for=None):
-        self.kind = kind
+    def __init__(self, params, src, dest, packet, mac_seq, ack_for=None):
+        is_ack = ack_for is not None
+        self.kind = KIND_ACK if is_ack else packet.kind
         self.src = src
         self.dest = dest
         self.packet = packet
-        self.payload_size = payload_size
-        self.duration = params.airtime(payload_size)
+        self.payload_size = 0 if is_ack else packet.size
+        self.duration = params.airtime(self.payload_size)
         self.mac_seq = mac_seq
         self.ack_for = ack_for
         self.delivered_to_dest = False
         self.last_outcome = None
-
-    @property
-    def trace_kind(self):
-        return KIND_ACK if self.kind == FRAME_ACK else self.packet.kind
 
 
 class Transmission:
@@ -236,7 +231,7 @@ class Channel:
                 tx.overlaps.append(other)
         self.active.append(tx)
         pkt = frame.packet
-        self.trace.add(now, EV_SENT, "none", LAYER_MAC, frame.trace_kind,
+        self.trace.add(now, EV_SENT, "none", LAYER_MAC, frame.kind,
                        pkt.packet_id, pkt.flow_id, sender, frame.payload_size)
         contenders = self.contenders
         if contenders:
@@ -334,8 +329,7 @@ class NodeMac:
                            packet.packet_id, packet.flow_id, self.node_id, packet.size)
             return False
         self._mac_seq += 1
-        frame = Frame(self.p, FRAME_DATA, self.node_id, dest, packet,
-                      packet.size, self._mac_seq)
+        frame = Frame(self.p, self.node_id, dest, packet, self._mac_seq)
         self.queue.append(frame)
         if self.state == IDLE:
             self._start_access()
@@ -412,7 +406,7 @@ class NodeMac:
     # -- completion paths ----------------------------------------------------
 
     def own_tx_ended(self, frame: Frame):
-        if frame.kind == FRAME_ACK:
+        if frame.kind == KIND_ACK:
             self._ack = None
             return
         if self.state != TX:
@@ -439,12 +433,12 @@ class NodeMac:
             self.state = IDLE
             packet = frame.packet
             # no terminal drop when the data landed and only the ACKs were
-            # lost: the packet lives on downstream
+            # lost: the packet lives on downstream. Else the last attempt was
+            # lost, and its outcome, fading or collision, is the reason
             if not frame.delivered_to_dest:
-                reason = "collision" if frame.last_outcome == phy.OUTCOME_COLLISION else "fading"
-                self.trace.add(self.sim.now, EV_DROPPED, reason, LAYER_MAC, packet.kind,
-                               packet.packet_id, packet.flow_id, self.node_id,
-                               packet.size)
+                self.trace.add(self.sim.now, EV_DROPPED, frame.last_outcome, LAYER_MAC,
+                               packet.kind, packet.packet_id, packet.flow_id,
+                               self.node_id, packet.size)
             # may re-enter enqueue_packet on this node (e.g. a RERR broadcast)
             self.link_break_cb(frame.dest)
             if self.queue and self.state == IDLE:
@@ -472,7 +466,7 @@ class NodeMac:
             self.deliver_cb(frame.packet, frame.src)
             return
         self._freeze_for_reception(tx.start)
-        if frame.kind == FRAME_ACK:
+        if frame.kind == KIND_ACK:
             if (self.state == WAIT_ACK and self.queue
                     and frame.ack_for == self.queue[0].mac_seq
                     and frame.src == self.queue[0].dest):
@@ -493,8 +487,8 @@ class NodeMac:
         this one falls due, so that sender retries and _dedupe keeps its delivery single."""
         if self._ack is not None:
             return
-        self._ack = Frame(self.p, FRAME_ACK, self.node_id, data_frame.src,
-                          data_frame.packet, 0, 0, ack_for=data_frame.mac_seq)
+        self._ack = Frame(self.p, self.node_id, data_frame.src, data_frame.packet, 0,
+                          ack_for=data_frame.mac_seq)
         self.sim.after(self.p.sifs, self._ack_due, target="mac.ack")
 
     def _ack_due(self):

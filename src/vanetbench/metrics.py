@@ -206,11 +206,11 @@ class TraceAggregator:
 
     # -- raw counts ---------------------------------------------------------
 
-    def count(self, layer=None, kind=None, event=None, reason=None) -> int:
+    def count(self, layer=None, kind=None, event=None) -> int:
         total = 0
-        for (l, k, e, r), n in self.counts.items():
+        for (l, k, e, _), n in self.counts.items():
             if ((layer is None or l == layer) and (kind is None or k == kind)
-                    and (event is None or e == event) and (reason is None or r == reason)):
+                    and (event is None or e == event)):
                 total += n
         return total
 

@@ -299,7 +299,7 @@ class VehicleWorld:
         for st, a, bound in plans:
             v_next = st.speed + a * dt
             if v_next < 0.0:
-                t_stop = st.speed / -a if a < 0 else 0.0
+                t_stop = st.speed / -a          # speed >= 0, so v_next < 0 means a < 0
                 advance = st.speed * t_stop + 0.5 * a * t_stop * t_stop
                 v_next = 0.0
             else:

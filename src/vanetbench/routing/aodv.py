@@ -75,7 +75,7 @@ class Aodv(ReactiveProtocol):
         e.expiry = self.sim.now + self.cfg.aodv_route_timeout   # refresh on use
         return e.next_hop
 
-    def _update_route(self, dest, seq, seq_valid, hops, next_hop) -> bool:
+    def _update_route(self, dest, seq, seq_valid, hops, next_hop):
         """Install/refresh under the freshness rule: newer seq, or equal seq
         with fewer hops, or replacing an unusable entry."""
         now = self.sim.now
@@ -84,7 +84,7 @@ class Aodv(ReactiveProtocol):
         if e is None:
             self.table[dest] = AodvEntry(dest, seq, seq_valid, hops, next_hop,
                                          expiry, True)
-            return True
+            return
         fresher = (seq_valid and (not e.seq_valid or seq > e.dest_seq
                                   or (seq == e.dest_seq and hops < e.hop_count)))
         if fresher or not self._entry_usable(e):
@@ -94,9 +94,8 @@ class Aodv(ReactiveProtocol):
             e.next_hop = next_hop
             e.expiry = expiry
             e.valid = True
-            return True
-        e.expiry = max(e.expiry, expiry)
-        return False
+        else:
+            e.expiry = max(e.expiry, expiry)
 
     # -- discovery ---------------------------------------------------------------
 

@@ -141,8 +141,9 @@ class Aomdv(ReactiveProtocol):
             return
         if not installed:
             return
-        back = self.table.get(rrep.origin)
-        alive = back.alive_paths(self.sim.now) if back is not None else []
+        # the sender routes to the origin via this node, by an RREQ copy or RREP
+        # sent from here after an origin entry was made; AOMDV deletes no entry
+        alive = self.table[rrep.origin].alive_paths(self.sim.now)
         if not alive:
             return
         e = self.table[rrep.dest]

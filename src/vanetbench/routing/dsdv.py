@@ -38,8 +38,9 @@ class Dsdv(RoutingProtocol):
         self._trigger_pending = False
 
     def start(self):
-        jitter = float(self.rng.uniform(0.0, 1.0))
-        self.sim.after(jitter, self._full_dump, target="dsdv.dump")
+        first = self.sim.now + float(self.rng.uniform(0.0, 1.0))
+        self.sim.every(lambda k: first + k * self.cfg.dsdv_full_dump_interval, math.inf,
+                       self._full_dump, "dsdv.dump")
 
     # -- lookups -----------------------------------------------------------------
 
@@ -68,8 +69,6 @@ class Dsdv(RoutingProtocol):
     def _full_dump(self):
         self._advertise()
         self._check_neighbors()
-        self.sim.after(self.cfg.dsdv_full_dump_interval, self._full_dump,
-                       target="dsdv.dump")
 
     def _trigger_update(self):
         now = self.sim.now

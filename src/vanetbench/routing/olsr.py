@@ -1,6 +1,7 @@
 """Proactive link-state routing with multipoint relays: HELLO link sensing,
 greedy MPR election, TC flooding via MPRs, hop-count shortest paths."""
 
+import math
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -98,10 +99,12 @@ class Olsr(RoutingProtocol):
         self.routes: dict[int, int] | None = None     # None while stale
 
     def start(self):
-        self.sim.after(float(self.rng.uniform(0.0, self.cfg.olsr_hello_interval)),
-                       self._hello_tick, target="olsr.hello")
-        self.sim.after(float(self.rng.uniform(0.0, self.cfg.olsr_tc_interval)),
-                       self._tc_tick, target="olsr.tc")
+        sim, cfg = self.sim, self.cfg
+        hello = sim.now + float(self.rng.uniform(0.0, cfg.olsr_hello_interval))
+        tc = sim.now + float(self.rng.uniform(0.0, cfg.olsr_tc_interval))
+        sim.every(lambda k: hello + k * cfg.olsr_hello_interval, math.inf, self._hello_tick,
+                  "olsr.hello")
+        sim.every(lambda k: tc + k * cfg.olsr_tc_interval, math.inf, self._tc_tick, "olsr.tc")
 
     # -- timers ------------------------------------------------------------------
 
@@ -112,8 +115,6 @@ class Olsr(RoutingProtocol):
                  for n, info in sorted(self.links.items())]
         sym = tuple([n for n, status, _ in links if status == SYM])
         self.send_control(Hello(links, sym), HELLO_HEADER + HELLO_LINK_SIZE * len(links))
-        self.sim.after(self.cfg.olsr_hello_interval, self._hello_tick,
-                       target="olsr.hello")
 
     def _tc_tick(self):
         self._expire()
@@ -122,7 +123,6 @@ class Olsr(RoutingProtocol):
             selectors = tuple(sorted(self.mpr_selectors))
             self.send_control(Tc(self.node_id, self.tc_seq, selectors),
                               TC_HEADER + TC_ENTRY_SIZE * len(selectors))
-        self.sim.after(self.cfg.olsr_tc_interval, self._tc_tick, target="olsr.tc")
 
     def _expire(self):
         now = self.sim.now

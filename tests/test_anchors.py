@@ -11,7 +11,7 @@ from scipy.special import gammaincc
 from scipy.stats import binom
 
 from vanetbench import phy
-from vanetbench.mac import FRAME_DATA, Frame
+from vanetbench.mac import Frame
 from vanetbench.metrics import EV_SENT, LAYER_APP
 from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 from vanetbench.scenario import ScenarioConfig
@@ -118,7 +118,7 @@ def test_two_overlapping_frames_near_their_receivers_capture_at_10_db(margin_db,
     cfg.phy.loss_model = "ideal"
     cfg.phy.capture_margin = margin_db
     net = StaticNetwork({0: (0.0, 0.0), 1: (3.0, 0.0), 2: (20.0, 0.0), 3: (23.0, 0.0)}, cfg)
-    frames = [Frame(cfg.mac, FRAME_DATA, src, dst, app_packet(net, src, dst), PAYLOAD, 1)
+    frames = [Frame(cfg.mac, src, dst, app_packet(net, src, dst), 1)
               for src, dst in ((0, 1), (3, 2))]
     for frame in frames:                  # both at t = 0, past the MACs' carrier sense
         net.channel.transmit(frame.src, frame)

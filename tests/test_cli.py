@@ -354,3 +354,51 @@ def test_run_takes_no_second_override_flag(tmp_path, capsys, flag, value):
         cli.main(["run", "--out", str(tmp_path / "run"), flag, value])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_a_run_from_a_scenario_file_without_out_names_its_directory_from_the_file(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.ini").write_text("[run]\nduration = 0.5\nvehicles = 10\n",
+                                       encoding="utf-8")
+    assert cli.main(["run", "--scenario", "tiny.ini"]) == 0
+    assert (tmp_path / "runs" / "tiny-aodv-idm-im-s1" / cli.SUMMARY_NAME).exists()
+    capsys.readouterr()
+
+
+def test_a_batch_without_out_or_a_known_cpu_count_runs_serially_into_batch(
+        tmp_path, capsys, monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a serial batch forked a pool")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.main(["batch", "--protocols", "aodv,dsdv", "--set", "run.duration=0.5",
+                     "--set", "run.vehicles=10"]) == 0
+    with open(tmp_path / "batch" / "batch.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["protocol"] for r in rows] == ["aodv", "dsdv"]
+    capsys.readouterr()
+
+
+def test_report_of_a_run_directory_without_its_summary_names_no_protocol(tmp_path,
+                                                                         capsys):
+    out = tmp_path / "run"
+    assert cli.main(["run", "--out", str(out), *TINY]) == 0
+    (out / cli.SUMMARY_NAME).unlink()
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 0
+    _, row = capsys.readouterr().out.splitlines()
+    assert row.split()[:3] == ["?", "?", "?"]
+
+
+def test_batch_csv_leaves_a_failed_runs_cells_empty_and_means_the_others(tmp_path):
+    metrics = {name: float(i + 1) for i, name in enumerate(cli._BATCH_METRICS)}
+    path = tmp_path / "batch.csv"
+    cli.write_batch_csv(path, {("aodv", "idm-im"): {1: metrics}}, [1, 2])
+    with open(path, newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    for name, value in metrics.items():
+        assert row[f"{name}.seed2"] == ""
+        assert float(row[f"{name}.seed1"]) == float(row[f"{name}.mean"]) == value

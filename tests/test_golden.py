@@ -57,14 +57,14 @@ COLLISIONS_OFF_PIN = "0295f7245d4e98d8b3e7747175abc57c27c5437e531bfb70b97530d72f
 STATIC_PINS = {
     "aodv": "ada2d311bdc727c17756ae58410de30dec67c616b59637b914f0b9886524c0d9",
     "aomdv": "269bd37e31c6fe8a9fa09b60bea22cebaec3644d82f77c2c92087b90247eaf5b",
-    "dsdv": "a02b1ba7de97e4526904fb5128a9a983a14a3c66686e4600ac7de4252daf43a6",
+    "dsdv": "08eb719713bfb68693eb647cb000b7edeeace0a3e7c4f4377bb7f193ddf406d6",
     "olsr": "43613fa61e56e0b4efac3dbf3b01a33ffdea0d093b2a2bcf661b99d95a92b46b",
 }
 
 # sha256 of the trace text of an 8 s olsr idm-im run with HELLO every 0.5 s and
 # TC every 1 s: links, MPR selectors and topology entries outlive their hold
 # times and expire, which the 3 s runs above never reach
-OLSR_EXPIRY_PIN = "bee50b656b8a6d117951fe40f209f8f719c87780ff0afe8564da8ceb821d5186"
+OLSR_EXPIRY_PIN = "001ad7b01b16486142948ef10474b9dd4eca7d762483014974a9f0f81d6a6988"
 
 # sha256 of the trace text of a 1.5 s aodv idm-im run of 60 vehicles on a 3 x 3
 # x 150 m grid: every node hears most others, so backoffs that end in one slot
@@ -77,6 +77,14 @@ CROWDED_PIN = "0001544616eb1eb3ad3092cb07785c3e71510409e3054be3416beb1e3d7030b7"
 # timeout: the order of such events, which a re-armed backoff's reserved
 # sequence number sets, moves it while every pin above holds
 SAME_INSTANT_PIN = "fc4edf57016b71a73a74a9fc2283cfc0b7d5912c7613a2c99df7b5011e74d61e"
+
+# (sha256 of the trace text, sha256 of repr(mobility_rows)) of the aodv idm-im
+# run with 1 s signal phases: its traffic lights switch phase at 1 s and 2 s,
+# which the default 10 s phase never does within the pins above, so the
+# mobility rows see when the lights read the clock
+PHASE_SWITCH_PIN = (
+    "29c6fc3ca6b7153ae3e4bab624b99ffa8da940a28319e053a5ec32cf48ad4f46",
+    "724bd31062d371729308ba83332230027292a00b2891940003b1f25cb0684359")
 
 
 def _sha256(text: str) -> str:
@@ -147,6 +155,15 @@ def test_same_instant_aodv_run_matches_golden_hash():
     assert _sha256(buf.getvalue()) == SAME_INSTANT_PIN
 
 
+def test_run_across_signal_phase_switches_matches_golden_hashes():
+    cfg = golden_config("aodv", "idm-im")
+    cfg.graph.phase_length = 1.0
+    buf = io.StringIO()
+    sim = Simulation(cfg, trace_file=buf)
+    sim.run()
+    assert (_sha256(buf.getvalue()), _sha256(repr(sim.mobility_rows))) == PHASE_SWITCH_PIN
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_static_network_matches_golden_hash(protocol):
     net = make_net(line_positions(5, 240.0), protocol)
@@ -167,6 +184,8 @@ PINS = [*(pytest.param(partial(test_run_matches_golden_hashes, protocol, model),
         pytest.param(test_olsr_run_past_its_hold_times_matches_golden_hash, id="olsr-expiry"),
         pytest.param(test_crowded_aodv_run_matches_golden_hash, id="crowded"),
         pytest.param(test_same_instant_aodv_run_matches_golden_hash, id="same-instant"),
+        pytest.param(test_run_across_signal_phase_switches_matches_golden_hashes,
+                     id="phase-switch"),
         *(pytest.param(partial(test_static_network_matches_golden_hash, protocol),
                        id=f"static-{protocol}") for protocol in PROTOCOLS)]
 

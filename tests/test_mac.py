@@ -7,7 +7,7 @@ import pytest
 
 from vanetbench import phy
 from vanetbench.core import Simulator
-from vanetbench.mac import CONTEND, FRAME_DATA, Channel, Frame, NodeMac, epoch_block_rows
+from vanetbench.mac import CONTEND, Channel, Frame, NodeMac, epoch_block_rows
 from vanetbench.metrics import Trace, TraceAggregator, conservation_check
 from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 from vanetbench.scenario import MacConfig, PhyConfig, ScenarioConfig, epoch_bytes
@@ -576,9 +576,9 @@ def test_frames_that_only_touch_do_not_overlap():
     # power; C's sender is near the edge of range, so B captures over C there
     h = Harness({0: (-10.0, 0.0), 1: (10.0, 0.0), 2: (0.0, 0.0), 3: (240.0, 0.0)})
     p = h.mac_cfg
-    a = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(0, dst=BROADCAST), 512, 1)
-    b = Frame(p, FRAME_DATA, 1, BROADCAST, _packet(1, dst=BROADCAST), 512, 1)
-    c = Frame(p, FRAME_DATA, 3, 2, _packet(2, dst=2), 512, 1)
+    a = Frame(p, 0, BROADCAST, _packet(0, dst=BROADCAST), 1)
+    b = Frame(p, 1, BROADCAST, _packet(1, dst=BROADCAST), 1)
+    c = Frame(p, 3, 2, _packet(2, dst=2), 1)
     # B starts at the instant A ends, sequenced before A's channel.tx_end
     h.sim.schedule(a.duration, lambda: h.channel.transmit(1, b))
     h.sim.schedule(0.0, lambda: h.channel.transmit(0, a))
@@ -591,8 +591,8 @@ def test_frames_that_only_touch_do_not_overlap():
 def test_a_second_transmission_of_a_node_on_air_is_refused():
     h = Harness(line_positions(2, 100.0))
     p = h.mac_cfg
-    a = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(0, dst=BROADCAST), 512, 1)
-    b = Frame(p, FRAME_DATA, 0, BROADCAST, _packet(1, dst=BROADCAST), 512, 2)
+    a = Frame(p, 0, BROADCAST, _packet(0, dst=BROADCAST), 1)
+    b = Frame(p, 0, BROADCAST, _packet(1, dst=BROADCAST), 2)
     h.channel.transmit(0, a)
     with pytest.raises(RuntimeError, match="node 0 already transmitting at t=0.0"):
         h.channel.transmit(0, b)
@@ -752,9 +752,8 @@ def beacon_storm(seed, loss_model, collisions, n=40, senders=12):
         NodeMac(node, sim, channel, mac_cfg, rng, trace, deliver_cb=None,
                 link_break_cb=None)
     for pid, sender in enumerate(rng.choice(n, size=senders, replace=False).tolist()):
-        frame = Frame(mac_cfg, FRAME_DATA, sender, BROADCAST,
-                      _packet(pid, dst=BROADCAST, size=300, kind=KIND_PBC),
-                      300, 1)
+        frame = Frame(mac_cfg, sender, BROADCAST,
+                      _packet(pid, dst=BROADCAST, size=300, kind=KIND_PBC), 1)
         sim.schedule(float(rng.uniform(0.0, 2.0 * frame.duration)),
                      lambda s=sender, f=frame: channel.transmit(s, f))
     pairs = []

@@ -138,6 +138,16 @@ def test_delay_series_breaks_receive_time_ties_by_flow():
     assert delay_series(agg) == [(2.0, 0.5), (2.0, 1.0)]
 
 
+def test_delay_series_puts_a_delivery_without_a_flow_before_its_receive_time_ties():
+    # a packet sent outside any cbr flow, as StaticNetwork.send_data sends by default
+    agg = TraceAggregator()
+    sent(agg, 1.0, 1, 0)
+    sent(agg, 1.5, 2, None)
+    received(agg, 2.0, 1, 0)
+    received(agg, 2.0, 2, None)
+    assert delay_series(agg) == [(2.0, 0.5), (2.0, 1.0)]
+
+
 def test_jitter_series_takes_differences_within_each_flow():
     got = jitter_series(two_flows())
     assert [t for t, _ in got] == [2.3, 2.6]

@@ -3,7 +3,9 @@ cbr packets are conserved, events are dispatched in time order, the written
 trace re-aggregates to the run's live aggregator, and the same seed replays
 the same run. And of the schema: drawn from each field's bounds, a value
 outside them is a SchemaError naming the key, and a config within them runs.
-And of the trace file: a beacon block writes the text of its records."""
+And of the trace file: a beacon block writes the text of its records. And of
+the MAC: on a static network, it writes the records and dispatches the events
+of the eager design of `mac_reference`, frame injection for frame injection."""
 
 import io
 import itertools
@@ -17,13 +19,15 @@ from dataclasses import fields
 import pytest
 from hypothesis import example, given, reject, strategies as st
 
-from vanetbench.metrics import (PBC_DEFAULT, PBC_OUTCOMES, TraceFileWriter,
-                                conservation_check, read_trace)
-from vanetbench.packets import KIND_PBC
+import mac_reference
+from vanetbench import phy
+from vanetbench.metrics import (EV_SENT, LAYER_APP, PBC_DEFAULT, PBC_OUTCOMES,
+                                TraceFileWriter, conservation_check, read_trace)
+from vanetbench.packets import BROADCAST, KIND_CBR, KIND_PBC, Packet
 from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS, ScenarioConfig, SchemaError
 from vanetbench.simulation import Simulation
 
-from conftest import record_dispatch_log
+from conftest import StaticNetwork, record_dispatch_log
 
 
 @st.composite
@@ -266,3 +270,78 @@ def test_a_pbc_block_writes_the_text_of_one_add_per_record(blocks):
         for node, outcome in outcomes:
             record_writer.add(time, *PBC_OUTCOMES[outcome], KIND_PBC, pid, None, node, size)
     assert by_block.getvalue() == by_record.getvalue()
+
+
+# -- the MAC against its eager reference ------------------------------------------
+
+def sense_range(phy_cfg) -> float:
+    """The distance at which a frame's mean power falls to the carrier-sense
+    threshold, by bisection: the mean power decreases with distance."""
+    tx_power = phy.calibrate_range(phy_cfg)
+    near, far = phy_cfg.ref_distance, 1e5
+    for _ in range(60):
+        mid = (near + far) / 2
+        if phy.mean_rx_power(mid, phy_cfg, tx_power) >= phy_cfg.carrier_sense_threshold:
+            near = mid
+        else:
+            far = mid
+    return near
+
+
+SENSE_RANGE = sense_range(ScenarioConfig().phy)
+INJECT_GRID = 1e-3           # s; a frame is injected at a multiple of this
+
+
+@st.composite
+def mac_workloads(draw):
+    """(config, positions, injections) of a static network: 2-30 nodes in a box
+    up to twice the carrier-sense range, and frames injected on a grid coarse
+    enough that equal instants and backoffs ending in one slot are common. An
+    injection is (grid step, sender, receiver or BROADCAST)."""
+    cfg = ScenarioConfig()
+    cfg.run.seed = draw(st.integers(0, 2**32 - 1))
+    cfg.phy.loss_model = draw(st.sampled_from(("nakagami", "ideal")))
+    cfg.phy.collisions = draw(st.booleans())
+    cfg.mac.cw_min = 2 ** draw(st.integers(0, 9)) - 1         # the mask form, below cw_max
+    cfg.mac.retry_limit = draw(st.integers(0, 10))
+    n = draw(st.integers(2, 30))
+    side = draw(st.floats(1.0, 2.0 * SENSE_RANGE))
+    coord = st.floats(0.0, side)
+    positions = {i: (draw(coord), draw(coord)) for i in range(n)}
+    node = st.integers(0, n - 1)
+    injections = draw(st.lists(st.tuples(st.integers(0, 10), node,
+                                         st.one_of(st.just(BROADCAST), node)),
+                               min_size=1, max_size=40))
+    cfg.validate()
+    return cfg, positions, [(step, src, dst) for step, src, dst in injections if src != dst]
+
+
+def run_mac_workload(cfg, positions, injections):
+    """Trace records and dispatch log of the injections on a static network
+    whose protocols never start: a broadcast is a beacon, a unicast frame a cbr
+    packet with its app sent record."""
+    net = StaticNetwork(positions, cfg)
+    log = record_dispatch_log(net.sim)
+
+    def inject(src, dst):
+        node = net.nodes[src]
+        kind = KIND_PBC if dst == BROADCAST else KIND_CBR
+        pkt = Packet(kind, dst, 200 if dst == BROADCAST else 512, node.new_packet_id())
+        if kind == KIND_CBR:
+            node.record(EV_SENT, "none", LAYER_APP, pkt)
+        node.mac.enqueue_packet(pkt, dst)
+
+    for step, src, dst in injections:
+        net.sim.schedule(step * INJECT_GRID, lambda s=src, d=dst: inject(s, d), "inject")
+    net.run_for(1.0)
+    return net.trace.records, log
+
+
+@given(mac_workloads())
+def test_the_mac_writes_the_records_and_dispatch_log_of_its_eager_reference(workload):
+    records, log = run_mac_workload(*workload)
+    with pytest.MonkeyPatch.context() as patch:
+        mac_reference.install(patch)
+        eager_records, eager_log = run_mac_workload(*workload)
+    assert records == eager_records
+    assert log == eager_log

@@ -173,6 +173,14 @@ def test_too_many_periodic_firings_is_schema_error_naming_the_largest_term(key, 
         cfg.validate()
 
 
+def test_a_run_without_vehicles_schedules_no_beacons_and_no_mobility_steps():
+    cfg = ScenarioConfig()
+    cfg.run.vehicles = 0
+    cfg.traffic.cbr_connections = 0
+    assert periodic_firings(cfg) == {"traffic.rate": 0.0, "traffic.beacon_interval": 0.0,
+                                     "mobility.integration_dt": 0.0}
+
+
 def test_the_reference_frame_is_within_the_firing_cap():
     cfg = ScenarioConfig()
     cfg.validate()

@@ -1,5 +1,9 @@
-"""Run assembly: node positions from the vehicle world, and braking to beacons."""
+"""Run assembly: node positions from the vehicle world, braking to beacons, and
+the routing protocols' periodic timers."""
 
+import pytest
+
+from conftest import StaticNetwork, line_positions
 from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import Simulation
 
@@ -51,3 +55,29 @@ def test_brake_callback_reaches_only_the_braking_vehicles_agent_once_per_window(
         sim.world.on_brake(1, -traffic.emergency_decel, t)
     sim.world.on_brake(2, -0.9 * traffic.emergency_decel, 0.0)   # below the threshold
     assert sent == {0: [], 1: ["pbc", "pbc"], 2: []}
+
+
+@pytest.mark.parametrize("protocol, timers", [
+    ("olsr", {"_hello_tick": "olsr_hello_interval", "_tc_tick": "olsr_tc_interval"}),
+    ("dsdv", {"_full_dump": "dsdv_full_dump_interval"})])
+def test_routing_timers_fire_at_exactly_their_first_time_plus_k_intervals(protocol, timers):
+    # 0.3 s and 0.7 s have no exact binary form, so over hundreds of firings a
+    # timer that adds its interval to its last firing drifts off this grid
+    cfg = ScenarioConfig()
+    cfg.routing.protocol = protocol
+    cfg.routing.olsr_hello_interval = cfg.routing.dsdv_full_dump_interval = 0.3
+    cfg.routing.olsr_tc_interval = 0.7
+    net = StaticNetwork(line_positions(3), cfg)
+    fired = {}
+    for node in net.nodes.values():
+        for name in timers:
+            def logged(tick=getattr(node, name), times=fired.setdefault((node, name), [])):
+                times.append(net.sim.now)
+                tick()
+            setattr(node, name, logged)
+    net.start_protocols()
+    net.run_for(150.0)
+    for (node, name), times in fired.items():
+        interval = getattr(cfg.routing, timers[name])
+        assert times == [times[0] + k * interval for k in range(len(times))]
+        assert times[-1] <= 150.0 < times[-1] + interval
