@@ -37,7 +37,7 @@ def setup_flows(rng, n_flows: int, nodes, packet_size=512, rate=4.0,
 def start_cbr(sim, node, f: CbrFlow):
     """Originate flow `f` at `node`: one packet every 1/rate s on an exact grid."""
     if f.start <= f.stop:
-        sim.every(lambda k: f.start + k / f.rate, f.stop, lambda: node.originate(
+        sim.every(f.start, 1.0 / f.rate, f.stop, lambda: node.originate(
             Packet(KIND_CBR, f.dst, f.packet_size, node.new_packet_id(), f.flow_id,
                    node.cfg.ttl)), "cbr.emit")
 
@@ -62,8 +62,8 @@ class PbcAgent:
 
     def start(self):
         if self.phase < self.duration:
-            self.sim.every(lambda k: self.phase + k * self.cfg.beacon_interval, self.duration,
-                           self._emit, "pbc.tick")
+            self.sim.every(self.phase, self.cfg.beacon_interval, self.duration, self._emit,
+                           "pbc.tick")
 
     def _emit(self):
         pkt = Packet(KIND_PBC, BROADCAST, self.cfg.beacon_size, self.node.new_packet_id(),

@@ -58,11 +58,12 @@ class Simulator:
     def after(self, delay: float, action, target: str = "") -> Event:
         return self.schedule(self.now + delay, action, target)
 
-    def every(self, at, stop: float, action, target: str):
-        """Fire `action` at `at(0)`, then at each `at(k)` before `stop`, never at a running sum."""
+    def every(self, first: float, period: float, stop: float, action, target: str):
+        """Fire `action` at `first`, then at each `first + k * period` before `stop`."""
         f = _Every()
-        f.sim, f.at, f.stop, f.action, f.target, f.k = self, at, stop, action, target, 0
-        self.schedule(at(0), f, target)
+        f.sim, f.first, f.period, f.stop, f.action, f.target, f.k = (
+            self, first, period, stop, action, target, 0)
+        self.schedule(first, f, target)
 
     def reserve(self) -> int:
         """Take the sequence number of the next `schedule` call, for
@@ -114,12 +115,12 @@ class Simulator:
 class _Every:
     """A source of `Simulator.every`: it queues itself, so a firing allocates only its event."""
 
-    __slots__ = ("sim", "at", "stop", "action", "target", "k")
+    __slots__ = ("sim", "first", "period", "stop", "action", "target", "k")
 
     def __call__(self):
         self.action()
         self.k += 1
-        if (t := self.at(self.k)) < self.stop:
+        if (t := self.first + self.k * self.period) < self.stop:
             self.sim.schedule(t, self, self.target)
 
 

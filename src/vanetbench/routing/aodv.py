@@ -21,6 +21,10 @@ class Rreq:
     ttl: int
     flood_time: float        # when the origin sent the first copy
     first_hop: int | None = None   # AOMDV's extension: first forwarder after the origin
+    key: tuple | None = None   # (origin, rreq_id): made by the origin, carried by each copy
+
+    def __post_init__(self):
+        self.key = self.key or (self.origin, self.rreq_id)
 
 
 @dataclass(slots=True)
@@ -59,7 +63,7 @@ class Aodv(ReactiveProtocol):
         # by its first add, so a key means a non-empty set; a table entry is
         # never replaced or deleted, only invalidated, so per dest is per entry
         self.precursors: dict[int, set] = {}
-        # (origin, rreq_id) -> best hop count seen, for duplicate suppression
+        # flood key -> best hop count seen, for duplicate suppression
         self.seen = RecentKeys(self.sim, self.rreq_horizon)
 
     # -- table helpers ---------------------------------------------------------
@@ -117,11 +121,10 @@ class Aodv(ReactiveProtocol):
         # neighbor route to the transmitter
         self._update_route(prev, 0, False, 1, prev)
         hops_here = rreq.hop_count + 1
-        key = (rreq.origin, rreq.rreq_id)
-        duplicate = key in self.seen
-        if duplicate and hops_here >= self.seen[key]:
+        duplicate = rreq.key in self.seen
+        if duplicate and hops_here >= self.seen[rreq.key]:
             return
-        self.seen[key] = hops_here
+        self.seen[rreq.key] = hops_here
         self._update_route(rreq.origin, rreq.origin_seq, True, hops_here, prev)
         if rreq.dest == self.node_id:
             self._reply_as_dest(rreq, prev)
@@ -136,7 +139,7 @@ class Aodv(ReactiveProtocol):
             return
         if rreq.ttl - 1 > 0:
             fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.origin_seq, rreq.dest,
-                       rreq.dest_seq, hops_here, rreq.ttl - 1, rreq.flood_time)
+                       rreq.dest_seq, hops_here, rreq.ttl - 1, rreq.flood_time, key=rreq.key)
             self.send_control(fwd, RREQ_SIZE)
 
     def _reply_as_dest(self, rreq: Rreq, prev: int):

@@ -39,7 +39,7 @@ class Aomdv(ReactiveProtocol):
     def __init__(self, net, node_id: int):
         super().__init__(net, node_id)
         self.table: dict[int, AomdvEntry] = {}
-        # (origin, rreq_id) -> True at a relay once it handled the request, or
+        # flood key -> True at a relay once it handled the request, or
         # (replies, seq used) at its destination
         self.seen = RecentKeys(self.sim, self.rreq_horizon)
 
@@ -103,9 +103,8 @@ class Aomdv(ReactiveProtocol):
         last_hop = rreq.first_hop if rreq.first_hop != rreq.origin else prev
         # every copy is examined for an additional disjoint reverse path
         self._install_path(rreq.origin, rreq.origin_seq, prev, last_hop, hops_here)
-        key = (rreq.origin, rreq.rreq_id)
         if rreq.dest == self.node_id:
-            replies, reply_seq = self.seen.get(key, (0, None))
+            replies, reply_seq = self.seen.get(rreq.key, (0, None))
             if replies >= self.cfg.aomdv_max_paths:
                 return
             if reply_seq is None:
@@ -115,20 +114,20 @@ class Aomdv(ReactiveProtocol):
                     self.seq = rreq.origin_seq
                 self.seq += 1
                 reply_seq = self.seq
-            self.seen[key] = (replies + 1, reply_seq)
+            self.seen[rreq.key] = (replies + 1, reply_seq)
             self.send_control(Rrep(rreq.origin, self.node_id, reply_seq, 0,
                                    first_hop=self.node_id), RREP_SIZE, dest=prev)
             return
-        if key in self.seen:
+        if rreq.key in self.seen:
             return
-        self.seen[key] = True
+        self.seen[rreq.key] = True
         if rreq.ttl - 1 > 0:
             entry = self.table.get(rreq.origin)
             if entry is not None:
                 self._freeze_advertised(entry)   # forwarding advertises the reverse path
             first = self.node_id if rreq.first_hop == rreq.origin else rreq.first_hop
             fwd = Rreq(rreq.origin, rreq.rreq_id, rreq.origin_seq, rreq.dest,
-                       rreq.dest_seq, hops_here, rreq.ttl - 1, rreq.flood_time, first)
+                       rreq.dest_seq, hops_here, rreq.ttl - 1, rreq.flood_time, first, rreq.key)
             self.send_control(fwd, RREQ_SIZE)
 
     def _on_rrep(self, rrep: Rrep, prev: int):

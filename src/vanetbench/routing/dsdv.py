@@ -38,9 +38,8 @@ class Dsdv(RoutingProtocol):
         self._trigger_pending = False
 
     def start(self):
-        first = self.sim.now + float(self.rng.uniform(0.0, 1.0))
-        self.sim.every(lambda k: first + k * self.cfg.dsdv_full_dump_interval, math.inf,
-                       self._full_dump, "dsdv.dump")
+        self.sim.every(self.sim.now + float(self.rng.uniform(0.0, 1.0)),
+                       self.cfg.dsdv_full_dump_interval, math.inf, self._full_dump, "dsdv.dump")
 
     # -- lookups -----------------------------------------------------------------
 

@@ -102,9 +102,8 @@ class Olsr(RoutingProtocol):
         sim, cfg = self.sim, self.cfg
         hello = sim.now + float(self.rng.uniform(0.0, cfg.olsr_hello_interval))
         tc = sim.now + float(self.rng.uniform(0.0, cfg.olsr_tc_interval))
-        sim.every(lambda k: hello + k * cfg.olsr_hello_interval, math.inf, self._hello_tick,
-                  "olsr.hello")
-        sim.every(lambda k: tc + k * cfg.olsr_tc_interval, math.inf, self._tc_tick, "olsr.tc")
+        sim.every(hello, cfg.olsr_hello_interval, math.inf, self._hello_tick, "olsr.hello")
+        sim.every(tc, cfg.olsr_tc_interval, math.inf, self._tc_tick, "olsr.tc")
 
     # -- timers ------------------------------------------------------------------
 

@@ -111,8 +111,8 @@ class Simulation(Network):
     def run(self) -> RunResult:
         cfg = self.cfg
         if cfg.run.vehicles > 0:
-            dt = cfg.mobility.integration_dt
-            self.sim.every(lambda k: k * dt, cfg.run.duration, self._mobility_step, "world.step")
+            self.sim.every(0.0, cfg.mobility.integration_dt, cfg.run.duration,
+                           self._mobility_step, "world.step")
         self.start_protocols()
         for f in self.flows:
             start_cbr(self.sim, self.nodes[f.src], f)

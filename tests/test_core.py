@@ -192,7 +192,7 @@ def test_a_reserved_push_into_the_past_raises_and_keeps_the_counter(wrap):
 def test_every_fires_the_kth_time_at_exactly_at_k():
     sim = Simulator()
     times = []
-    sim.every(lambda k: k * 0.1, 100.0, lambda: times.append(sim.now), "tick")
+    sim.every(0.0, 0.1, 100.0, lambda: times.append(sim.now), "tick")
     sim.run_until(200.0)
     assert times == [k * 0.1 for k in range(1000)]      # bit for bit
     summed = [0.0]
@@ -207,7 +207,7 @@ def test_every_fires_the_kth_time_at_exactly_at_k():
 def test_every_fires_nothing_at_or_after_stop(stop, fired):
     sim = Simulator()
     times = []
-    sim.every(lambda k: k * 0.25, stop, lambda: times.append(sim.now), "tick")
+    sim.every(0.0, 0.25, stop, lambda: times.append(sim.now), "tick")
     sim.run_until(10.0)
     assert times == fired
 
@@ -222,11 +222,12 @@ def test_an_event_the_action_schedules_at_its_instant_runs_before_the_next_firin
         if len(order) == 1:
             sim.schedule(sim.now, lambda: order.append(("event", sim.now)), "event")
 
-    # the first two firings share an instant, so only the order in which they
-    # are queued tells them apart
-    sim.every(lambda k: (0.0, 0.0, 1.0)[k], 0.5, action, "tick")
-    sim.run_until(1.0)
-    assert order == [("fire", 0.0), ("event", 0.0), ("fire", 0.0)]
+    # a period below the float spacing at `first` puts the first two firings
+    # at one instant, so only the order in which they are queued tells them apart
+    first = 1e16                                        # spacing 2.0
+    sim.every(first, 0.75, first + 2.0, action, "tick")
+    sim.run_until(first + 4.0)
+    assert order == [("fire", first), ("event", first), ("fire", first)]
     assert [target for _, _, target in log] == ["tick", "event", "tick"]
     assert [seq for _, seq, _ in log] == [0, 1, 2]
 

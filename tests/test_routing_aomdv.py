@@ -107,3 +107,25 @@ def test_a_rreq_first_forwarder_writes_itself_as_first_hop_under_aomdv_only(
     assert rreqs and net.aggregator.received() == 1
     assert all(msg.first_hop == first_hop and size == module.RREQ_SIZE
                for msg, size in rreqs)
+
+
+@pytest.mark.parametrize("protocol", ["aodv", "aomdv"])
+def test_every_copy_of_a_rreq_flood_carries_the_origins_key_object(protocol):
+    net = make_net(line_positions(4, 240.0), protocol)
+    sent = []
+    for node in net.nodes.values():
+        def spy(payload, size, node=node, send_control=node.send_control, **kw):
+            sent.append((node.node_id, payload))
+            send_control(payload, size, **kw)
+
+        node.send_control = spy
+    net.send_data(0, 3)
+    net.run_for(3.0)
+    assert net.aggregator.received() == 1
+    rreqs = [(sender, msg) for sender, msg in sent if isinstance(msg, aodv.Rreq)]
+    keys = {msg.rreq_id: msg.key for sender, msg in rreqs if sender == msg.origin}
+    assert all(key == (0, rreq_id) for rreq_id, key in keys.items())
+    relayed = [msg for sender, msg in rreqs if sender != msg.origin]
+    assert relayed and all(msg.key is keys[msg.rreq_id] for msg in relayed)
+    held = [key for node in net.nodes.values() for key in node.seen]
+    assert held and all(key is keys[key[1]] for key in held)

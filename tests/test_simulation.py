@@ -4,6 +4,7 @@ the routing protocols' periodic timers."""
 import pytest
 
 from conftest import StaticNetwork, line_positions
+from vanetbench.core import _Every
 from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import Simulation
 
@@ -81,3 +82,43 @@ def test_routing_timers_fire_at_exactly_their_first_time_plus_k_intervals(protoc
         interval = getattr(cfg.routing, timers[name])
         assert times == [times[0] + k * interval for k in range(len(times))]
         assert times[-1] <= 150.0 < times[-1] + interval
+
+
+@pytest.mark.parametrize("protocol, rate", [("olsr", 4.0), ("dsdv", 3.0)])
+def test_every_periodic_source_fires_at_exactly_first_plus_k_periods(protocol, rate):
+    # 1 / 3 has no exact binary form: k * (1 / 3) and k / 3 differ at some k,
+    # so at rate 3 only the source's own (first, period) gives its grid
+    cfg = small_cfg(duration=5.0)
+    cfg.routing.protocol = protocol
+    cfg.routing.olsr_hello_interval = cfg.routing.dsdv_full_dump_interval = 0.3
+    cfg.routing.olsr_tc_interval = 0.7
+    cfg.traffic.cbr_connections = 3
+    cfg.traffic.rate = rate
+    sim = Simulation(cfg)
+    queued = {}
+    schedule = sim.sim.schedule
+
+    def logged(at, action, target=""):
+        if isinstance(action, _Every):
+            queued.setdefault(action, []).append(at)
+        return schedule(at, action, target)
+
+    sim.sim.schedule = logged
+    sim.run()
+    grids = {}
+    for src, times in queued.items():
+        assert times == [src.first + k * src.period for k in range(len(times))]
+        grids.setdefault(src.target, set()).add((src.first, src.period))
+    r = cfg.routing
+    timers = {"olsr": {"olsr.hello": r.olsr_hello_interval, "olsr.tc": r.olsr_tc_interval},
+              "dsdv": {"dsdv.dump": r.dsdv_full_dump_interval}}[protocol]
+    assert grids.pop("world.step") == {(0.0, cfg.mobility.integration_dt)}
+    assert grids.pop("cbr.emit") == {(f.start, 1.0 / rate) for f in sim.flows}
+    assert grids.pop("pbc.tick") == {(a.phase, cfg.traffic.beacon_interval)
+                                     for a in sim.pbc_agents}
+    assert {target: {period for _, period in grid} for target, grid in grids.items()} \
+        == {target: {period} for target, period in timers.items()}
+    cbr = [times for src, times in queued.items() if src.target == "cbr.emit"]
+    assert cbr == [[f.start + k * (1.0 / rate) for k in range(len(times))]
+                   for f, times in zip(sim.flows, cbr)]
+
