@@ -148,7 +148,6 @@ class VehicleWorld:
         self.rng = rng
         self.lane_changes = lane_changes
         self.vehicles: dict[int, VehicleState] = {}
-        self.now = 0.0
         self.steps = 0
         self.recalc_every = max(1, round(cfg.recalc_step / cfg.integration_dt))
         self.emergency_warnings = 0
@@ -263,6 +262,7 @@ class VehicleWorld:
     def step(self, dt: float):
         """One synchronous world update: accelerations from the snapshot, then integrate."""
         cfg = self.cfg
+        self.now = self.steps * dt      # Simulator.every's k * dt: never a running sum
         occ = self._lane_occupancy()
         do_lanes = self.lane_changes and (self.steps % self.recalc_every == 0)
         plans: list[tuple[VehicleState, float, object]] = []
@@ -315,7 +315,6 @@ class VehicleWorld:
 
         self._handle_paused()
         self.steps += 1
-        self.now += dt
 
     def _consider_lane_change(self, st, occ, group, idx, stop):
         edge = self.graph.edges[st.edge]

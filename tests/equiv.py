@@ -20,9 +20,9 @@ defaults. `--mobility` also compares the 1 s mobility rows. Verdict of each
 run, and the exit status of the worst:
 
     0  identical          every record equal, byte for byte
-    1  equal-up-to-time   the same records in the same order, every column but
+    3  equal-up-to-time   the same records in the same order, every column but
                           time equal, and no time apart by more than --time-tol
-    3  diverged           the first differing record on each side, its index,
+    4  diverged           the first differing record on each side, its index,
                           and the records before it
 
 Statistical mode runs the paper matrix (four protocols x two mobility models)
@@ -38,12 +38,13 @@ Biopharm. 1987).
         [--set ...] [--change-set ...] [--relabel LABEL ...]
 
     0  equivalent         every metric passes
-    4  not-equivalent     some metric's interval leaves its margin
+    5  not-equivalent     some metric's interval leaves its margin
 
 `--set` items change the frame on both sides; `--change-set` items and
 `--relabel` (draw a named RNG stream under another label, which changes every
 draw of it and nothing in the model) apply to the change side only. A child
-that fails ends the harness with status 5; a usage error exits 2.
+that fails ends the harness with status 6, a usage error with 2, and an error
+of the harness itself with Python's 1.
 """
 
 import argparse
@@ -64,8 +65,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-EXIT_IDENTICAL, EXIT_EQUAL_UP_TO_TIME, EXIT_USAGE = 0, 1, 2
-EXIT_DIVERGED, EXIT_NOT_EQUIVALENT, EXIT_CHILD_FAILED = 3, 4, 5
+EXIT_IDENTICAL = EXIT_EQUIVALENT = 0
+EXIT_USAGE, EXIT_EQUAL_UP_TO_TIME, EXIT_DIVERGED = 2, 3, 4
+EXIT_NOT_EQUIVALENT, EXIT_CHILD_FAILED = 5, 6
 VERDICT_EXIT = {"identical": EXIT_IDENTICAL, "equal-up-to-time": EXIT_EQUAL_UP_TO_TIME,
                 "diverged": EXIT_DIVERGED}
 
@@ -95,6 +97,10 @@ METRICS = {
 
 # -- the two trees -------------------------------------------------------------------------
 
+class UsageError(ValueError):
+    pass
+
+
 @contextmanager
 def tree(spec: str):
     """The tree at `spec`: a directory holding `src/vanetbench`, or a local git
@@ -105,7 +111,7 @@ def tree(spec: str):
     archive = subprocess.run(["git", "-C", str(REPO), "archive", spec],
                              capture_output=True, check=False)
     if archive.returncode != 0:
-        raise SystemExit(f"error: {spec} is neither a tree nor a revision: "
+        raise UsageError(f"{spec} is neither a tree nor a revision: "
                          f"{archive.stderr.decode().strip()}")
     with tempfile.TemporaryDirectory(prefix="equiv-base-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
@@ -225,10 +231,11 @@ def exact(base_dir: Path, change_dir: Path, runs, time_tol=1e-12, context=5,
             pb = child(change_dir, change_spec, err_b)
             try:
                 result = compare_streams(pa.stdout, pb.stdout, time_tol, context)
+                diverged = result["verdict"] == "diverged"
                 # a stream that ended, early or not, must have ended in a clean exit
-                if result.get("base", "") is None or result["verdict"] != "diverged":
+                if not diverged or result["base"] is None:
                     _check(pa, err_a, "base")
-                if result.get("change", "") is None or result["verdict"] != "diverged":
+                if not diverged or result["change"] is None:
                     _check(pb, err_b, "change")
             finally:
                 for proc in (pa, pb):      # a diverged run's children may still be writing
@@ -288,8 +295,9 @@ def matrix_runs(extra=()) -> list[tuple]:
             for seed in range(1, SEEDS + 1) for p in PROTOCOLS for m in MOBILITY_MODELS]
 
 
-def stat_rows(tree_dir: Path, runs, relabel=(), workers=None) -> dict:
-    """{cell key: metric row} of `runs`, one child per seed, `workers` at a time."""
+def stat_rows(tree_dir: Path, runs, relabel=()) -> dict:
+    """{cell key: metric row} of `runs`: one child per seed, as many at a time
+    as this process may use cores."""
     by_seed: dict = {}
     for key, items in runs:
         by_seed.setdefault(key[2], []).append((key, items))
@@ -304,7 +312,7 @@ def stat_rows(tree_dir: Path, runs, relabel=(), workers=None) -> dict:
             _check(proc, err, str(tree_dir))
         return dict(zip((key for key, _ in group), rows))
 
-    workers = workers or min(len(os.sched_getaffinity(0)), len(by_seed))
+    workers = min(len(os.sched_getaffinity(0)), len(by_seed))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         out: dict = {}
         for part in pool.map(one, by_seed.values()):
@@ -346,6 +354,8 @@ def workload_runs(names, seeds) -> list[list[str]]:
     sys.path.insert(0, str(REPO / "bench"))
     from jobs import WORKLOADS
     from vanetbench.scenario import MOBILITY_MODELS, PROTOCOLS
+    if unknown := sorted(set(names) - set(WORKLOADS)):
+        raise UsageError(f"no workload named {', '.join(unknown)}")
     runs = []
     for name, seed in ((n, s) for n in names for s in seeds):
         w = WORKLOADS[name]
@@ -378,9 +388,10 @@ def _print_stat(verdicts):
     print(f"{'metric':<28}{'n':>4}{'mean diff':>13}{'95 % low':>13}{'95 % high':>13}"
           f"{'margin':>10}  verdict")
     for name, v in verdicts.items():
-        fmt = (lambda x: f"{x:13.5g}") if v["mean"] is not None else (lambda x: f"{'-':>13}")
-        print(f"{name:<28}{v['n']:>4}{fmt(v['mean'])}{fmt(v['low'])}{fmt(v['high'])}"
-              f"{v['margin']:>10g}  {'pass' if v['passes'] else 'FAIL'}")
+        cols = "".join(f"{'-':>13}" if x is None else f"{x:13.5g}"
+                       for x in (v["mean"], v["low"], v["high"]))
+        print(f"{name:<28}{v['n']:>4}{cols}{v['margin']:>10g}  "
+              f"{'pass' if v['passes'] else 'FAIL'}")
 
 
 def main(argv=None) -> int:
@@ -396,7 +407,8 @@ def main(argv=None) -> int:
         p.add_argument("--relabel", action="append", default=[], metavar="LABEL")
         if mode == "exact":
             p.add_argument("--workload", action="append", default=[])
-            p.add_argument("--seeds", default="1,7")
+            p.add_argument("--seeds", default=[1, 7], metavar="1,7",
+                           type=lambda text: [int(s) for s in text.split(",")])
             p.add_argument("--time-tol", type=float, default=1e-12)
             p.add_argument("--context", type=int, default=5)
             p.add_argument("--mobility", action="store_true")
@@ -410,16 +422,19 @@ def main(argv=None) -> int:
                 _print_stat(verdicts)
                 ok = all(v["passes"] for v in verdicts.values())
                 print("equivalent" if ok else "not-equivalent")
-                return EXIT_IDENTICAL if ok else EXIT_NOT_EQUIVALENT
-            seeds = [int(s) for s in args.seeds.split(",")]
+                return EXIT_EQUIVALENT if ok else EXIT_NOT_EQUIVALENT
             if args.workload:
-                runs = [[*items, *args.set] for items in workload_runs(args.workload, seeds)]
+                runs = [[*items, *args.set]
+                        for items in workload_runs(args.workload, args.seeds)]
             else:
-                runs = [[*args.set, f"run.seed={s}"] for s in seeds]
+                runs = [[*args.set, f"run.seed={s}"] for s in args.seeds]
             results = exact(base_dir, change_dir, runs, args.time_tol, args.context,
                             args.mobility, args.change_set, args.relabel)
             _print_exact(results)
             return max(VERDICT_EXIT[r["verdict"]] for r in results)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ChildFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHILD_FAILED

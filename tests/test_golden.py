@@ -84,7 +84,7 @@ SAME_INSTANT_PIN = "fc4edf57016b71a73a74a9fc2283cfc0b7d5912c7613a2c99df7b5011e74
 # mobility rows see when the lights read the clock
 PHASE_SWITCH_PIN = (
     "29c6fc3ca6b7153ae3e4bab624b99ffa8da940a28319e053a5ec32cf48ad4f46",
-    "724bd31062d371729308ba83332230027292a00b2891940003b1f25cb0684359")
+    "f8f29f95394f03f2d57e2308d67c611c2cd2416d088019f6d54826378e750bac")
 
 
 def _sha256(text: str) -> str:

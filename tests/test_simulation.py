@@ -4,6 +4,7 @@ the routing protocols' periodic timers."""
 import pytest
 
 from conftest import StaticNetwork, line_positions
+from vanetbench import mobility
 from vanetbench.core import _Every
 from vanetbench.scenario import ScenarioConfig
 from vanetbench.simulation import Simulation
@@ -122,3 +123,29 @@ def test_every_periodic_source_fires_at_exactly_first_plus_k_periods(protocol, r
     assert cbr == [[f.start + k * (1.0 / rate) for k in range(len(times))]
                    for f, times in zip(sim.flows, cbr)]
 
+
+def test_the_lights_and_brakes_read_the_simulators_time_at_every_mobility_step(monkeypatch):
+    # 1 s signal phases switch at every whole second; a clock of the world's own
+    # that adds dt per step read 9.99999999999998 at t = 10, a step before a switch
+    cfg = ScenarioConfig()
+    cfg.run.vehicles = 10
+    cfg.run.duration = 30.0
+    cfg.traffic.cbr_connections = 0
+    cfg.graph.phase_length = 1.0
+    sim = Simulation(cfg)
+    read = []
+    constraint, on_brake = mobility.intersection_constraint, sim.world.on_brake
+
+    def lights(vehicle, graph, lights, t, p):
+        read.append((t, sim.sim.now))
+        return constraint(vehicle, graph, lights, t, p)
+
+    def brakes(vid, accel, t):
+        read.append((t, sim.sim.now))
+        on_brake(vid, accel, t)
+
+    monkeypatch.setattr(mobility, "intersection_constraint", lights)
+    sim.world.on_brake = brakes
+    sim.run()
+    assert {now for _, now in read} == {k * cfg.mobility.integration_dt for k in range(300)}
+    assert all(t == now for t, now in read)         # bit for bit
