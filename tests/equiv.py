@@ -78,10 +78,11 @@ FRAME_S = 30.0
 SEEDS = 10
 
 # metric -> (margin on the mean paired difference, unit, reason). The scales
-# are the means of the four protocols on this frame; "null" is the half-width
-# of the 95 % interval when only the channel's RNG stream is relabelled. Each
-# margin keeps the protocols' order on this frame (AODV and OLSR's PDR, 0.3 pp
-# apart, excepted) and is at least 2.5 nulls.
+# are the four protocols' means on this frame; "null" is the half-width of the
+# 95 % interval when only the channel's RNG stream is relabelled. Each margin is
+# at least 2.5 nulls. Margins are absolute and pooled over the protocols, so the
+# noisiest set them: a shift of DSDV's or OLSR's NRL, delay or jitter by its
+# whole size passes, as does one that swaps AODV's and OLSR's PDR (0.3 pp apart).
 METRICS = {
     "pdr": (2.0, "pp", "DSDV 17, AODV and OLSR 27, AOMDV 36 %; null 0.6 pp"),
     "nrl": (5.0, "tx/delivery", "DSDV 4, OLSR 6, AOMDV 95, AODV 147; null 1.9"),
