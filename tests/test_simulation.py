@@ -119,9 +119,6 @@ def test_every_periodic_source_fires_at_exactly_first_plus_k_periods(protocol, r
                                      for a in sim.pbc_agents}
     assert {target: {period for _, period in grid} for target, grid in grids.items()} \
         == {target: {period} for target, period in timers.items()}
-    cbr = [times for src, times in queued.items() if src.target == "cbr.emit"]
-    assert cbr == [[f.start + k * (1.0 / rate) for k in range(len(times))]
-                   for f, times in zip(sim.flows, cbr)]
 
 
 def test_the_lights_and_brakes_read_the_simulators_time_at_every_mobility_step(monkeypatch):
